@@ -149,15 +149,7 @@ def random_resolution(dim: int, block_sizes, seed: int = 0) -> IdentityResolutio
     if any(s < 1 for s in sizes) or sum(sizes) != dim:
         raise BadShape(f"block sizes {sizes} do not partition dimension {dim}")
     u = rand.haar_unitary(dim, rand.rng_for(seed))
-    return _resolution_from_frame(u, sizes)
-
-
-def _resolution_from_frame(frame: np.ndarray, sizes) -> IdentityResolution:
-    blocks, start = [], 0
-    for s in sizes:
-        blocks.append(Projector.from_basis(np.ascontiguousarray(frame[:, start:start + s])))
-        start += s
-    return IdentityResolution(blocks)
+    return IdentityResolution._from_frame(u, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +354,7 @@ def pinch_sweep(cfg: EnsembleConfig) -> SweepReport:
             rng = rand.rng_for(cfg.seed, 13, dim, t)
             rho = _draw_density(dim, rng, cfg.rank_profile)
             sizes = _random_composition(dim, rng, degenerate=False)
-            blocks = _resolution_from_frame(rand.haar_unitary(dim, rng), sizes)
+            blocks = IdentityResolution._from_frame(rand.haar_unitary(dim, rng), sizes)
             slack = von_neumann_entropy(pinch(rho, blocks)) - von_neumann_entropy(rho)
             min_slack = min(min_slack, slack)
             checked += 1

@@ -202,8 +202,8 @@ def _cmd_entropy(args, tol):
     ]
     report = {
         "spectrum": [
-            {"value": val, "rank": p.rank}
-            for val, p in zip(res.eigenvalues, res.projectors)
+            {"value": val, "rank": rank}
+            for val, rank in zip(res.eigenvalues, res.ranks())
         ]
     }
     return rows, report, EXIT_OK

@@ -167,11 +167,22 @@ def relative_entropy(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     return tr_a_ln_a - tr_a_ln_b
 
 
-def _compressed_spectrum(rho: DensityMatrix, q: Projector) -> np.ndarray:
-    """Nonzero-block spectrum of Q rho Q in the range basis of Q, ascending."""
-    basis = q.range_basis()
-    m = hermitize(basis.conj().T @ rho.mat @ basis)
+def _compressed_spectrum(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Spectrum of V* A V, the nonzero block of Q A Q for Q = V V*, ascending."""
+    m = hermitize(basis.conj().T @ mat @ basis)
     return np.clip(np.linalg.eigvalsh(m), 0.0, None)
+
+
+def _span_entropy(mat: np.ndarray, basis: np.ndarray, tol: Tolerances) -> float:
+    """compressed_entropy of a state matrix in the span of orthonormal columns."""
+    if basis.shape[1] <= 1:
+        return 0.0
+    mu = _compressed_spectrum(mat, basis)
+    t = float(mu.sum())
+    if t <= tol.support:
+        return 0.0
+    pos = mu[mu > 0.0]
+    return float(t * math.log(t) - np.sum(pos * np.log(pos)))
 
 
 def compressed_entropy(
@@ -185,14 +196,7 @@ def compressed_entropy(
     """
     _check_density(rho, "rho")
     _check_same_dim(rho, q)
-    if q.rank <= 1:
-        return 0.0
-    mu = _compressed_spectrum(rho, q)
-    t = float(mu.sum())
-    if t <= tol.support:
-        return 0.0
-    pos = mu[mu > 0.0]
-    return float(t * math.log(t) - np.sum(pos * np.log(pos)))
+    return _span_entropy(rho.mat, q.range_basis(), tol)
 
 
 def unnormalized_compressed_entropy(
@@ -208,7 +212,7 @@ def unnormalized_compressed_entropy(
     _check_same_dim(rho, q)
     if q.rank == 0:
         return 0.0
-    mu = _compressed_spectrum(rho, q)
+    mu = _compressed_spectrum(rho.mat, q.range_basis())
     pos = mu[mu > 0.0]
     return float(-np.sum(pos * np.log(pos)))
 
@@ -238,7 +242,10 @@ def conditional_entropy(
     """Conditional entropy of rho given sigma, with its per-block terms.
 
     sigma is resolved into distinct eigenprojectors Q_j; the total is
-    sum_j tr(Q_j sigma) * compressed_entropy(rho, Q_j). Blocks whose sigma
+    sum_j tr(Q_j sigma) * compressed_entropy(rho, Q_j). The weight
+    tr(Q_j sigma) is taken as level_j * rank_j, and each factor from the
+    compression V_j* rho V_j onto the block's frame columns V_j; rank-one
+    blocks contribute factor 0.0 without any compression. Blocks whose sigma
     weight is below the support tolerance are stored with weight 0.0.
     """
     _check_density(rho, "rho")
@@ -247,11 +254,11 @@ def conditional_entropy(
     res = spectral_resolution(sigma, cluster_tol, tol)
     terms = []
     total = 0.0
-    for j, (val, q) in enumerate(zip(res.eigenvalues, res.projectors)):
-        weight = max(float(np.trace(q.mat @ sigma.mat).real), 0.0)
+    for j, (level, basis) in enumerate(zip(res.eigenvalues, res.bases())):
+        weight = level * basis.shape[1]
         if weight <= tol.support:
             weight = 0.0
-        factor = compressed_entropy(rho, q, tol)
+        factor = _span_entropy(rho.mat, basis, tol)
         terms.append(BlockTerm(j, weight, factor))
         total += weight * factor
     return EntropyBreakdown(total=total, per_block=tuple(terms))
@@ -270,9 +277,9 @@ def self_conditional_entropy(
     _check_density(rho, "rho")
     res = spectral_resolution(rho, cluster_tol, tol)
     total = 0.0
-    for val, p in zip(res.eigenvalues, res.projectors):
-        if p.rank > 1:
-            total += (val * p.rank) ** 2 * math.log(p.rank)
+    for val, rank in zip(res.eigenvalues, res.ranks()):
+        if rank > 1:
+            total += (val * rank) ** 2 * math.log(rank)
     return total
 
 
@@ -294,11 +301,10 @@ def conditional_entropy_flat(
     _check_same_dim(rho, sigma)
     res = spectral_resolution(sigma, cluster_tol, tol)
     total = 0.0
-    for j, q in enumerate(res.projectors):
-        weight = max(float(np.trace(q.mat @ sigma.mat).real), 0.0)
+    for j, (level, basis) in enumerate(zip(res.eigenvalues, res.bases())):
+        weight = level * basis.shape[1]
         if weight <= tol.support:
             continue
-        basis = q.range_basis()
         m = hermitize(basis.conj().T @ rho.mat @ basis)
         mu, u = np.linalg.eigh(m)
         mu = np.clip(mu, 0.0, None)
@@ -377,8 +383,8 @@ def conditional_entropy_given_blocks(
         raise TypeError("blocks must be an IdentityResolution")
     _check_same_dim(rho, blocks)
     total = 0.0
-    for q in blocks.projectors:
-        total += (q.rank / rho.dim) * compressed_entropy(rho, q, tol)
+    for basis in blocks.bases():
+        total += (basis.shape[1] / rho.dim) * _span_entropy(rho.mat, basis, tol)
     return total
 
 
@@ -460,5 +466,5 @@ def block_distribution(
     """
     _check_density(rho, "rho")
     res = spectral_resolution(rho, cluster_tol, tol)
-    weights = [v * p.rank for v, p in zip(res.eigenvalues, res.projectors)]
+    weights = [v * r for v, r in zip(res.eigenvalues, res.ranks())]
     return ProbabilityVector(weights, tol)

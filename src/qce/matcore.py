@@ -4,13 +4,23 @@ Everything downstream works with four value types built here:
 
 - DensityMatrix: Hermitian, positive semidefinite, unit trace.
 - Projector: Hermitian idempotent with integer rank (zero allowed).
-- SpectralResolution: distinct eigenvalues paired with orthogonal
-  eigenprojectors summing to the identity.
-- IdentityResolution: the projector family alone, eigenvalues dropped.
+- IdentityResolution: one orthonormal frame V (dim x dim) cut into
+  consecutive nonzero column blocks; block j is the projector V_j V_j*.
+- SpectralResolution: an IdentityResolution with one level per block,
+  strictly descending (the distinct eigenvalues of the resolved matrix).
 
 Construction is where validation and cleanup happen: matrices are
 symmetrized, eigenvalues in (-eps_psd, 0) are clamped to zero, and arrays are
 frozen. Operations may then assume their inputs are well formed.
+
+A resolution is checked once, on its frame: max|V* V - I| <= tol.orth. With
+dim columns that single O(dim^3) test covers both orthogonality of the blocks
+and completeness, so no block is checked on its own and no pair of blocks is
+multiplied. Built from projectors, the frame is their stacked range bases;
+built by spectral_resolution, it is the eigenvector matrix. Consumers work on
+the frame's column blocks (bases()); the projectors attribute is a lazily
+built tuple of Projector views over those blocks, trusted without a second
+check.
 
 Eigenvalue clustering turns a raw descending spectrum into distinct levels.
 Gaps at most cluster_tol/4 merge, gaps of at least cluster_tol separate, and
@@ -19,6 +29,8 @@ rather than silently committing to either reading.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -210,6 +222,15 @@ class Projector:
             b[i, col] = 1.0
         return cls.from_basis(b, tol)
 
+    @classmethod
+    def _view(cls, basis: np.ndarray) -> "Projector":
+        """Projector onto columns already checked orthonormal (a frame block)."""
+        q = cls.__new__(cls)
+        q.mat = _freeze(hermitize(basis @ basis.conj().T))
+        q.dim, q.rank = basis.shape
+        q._basis = basis
+        return q
+
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range, shape (dim, rank). Cached."""
         if self._basis is None or self._basis.shape[1] != self.rank:
@@ -222,8 +243,36 @@ class Projector:
         return f"Projector(dim={self.dim}, rank={self.rank})"
 
 
+def _offsets(sizes) -> tuple[int, ...]:
+    """Block bounds (0, s0, s0+s1, ..., sum) from block sizes."""
+    return tuple(accumulate((int(s) for s in sizes), initial=0))
+
+
+def _check_frame(frame: np.ndarray, bounds: tuple[int, ...], tol: Tolerances) -> None:
+    """The one resolution check: the frame's columns are orthonormal and span.
+
+    On failure, names the first pair of blocks whose columns overlap; when no
+    pair does, the blocks miss dimensions.
+    """
+    dim, width = frame.shape
+    dev = np.abs(frame.conj().T @ frame - np.eye(width))
+    if width == dim and float(dev.max()) <= tol.orth:
+        return
+    block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    r, c = np.nonzero((dev > tol.orth) & (block[:, None] < block[None, :]))
+    if r.size:
+        i, j = min(zip(block[r].tolist(), block[c].tolist()))
+        raise ValidationError(f"blocks {i} and {j} are not orthogonal")
+    raise ValidationError("blocks do not sum to the identity")
+
+
 class IdentityResolution:
-    """Family of pairwise-orthogonal nonzero projectors summing to the identity."""
+    """Family of pairwise-orthogonal nonzero projectors summing to the identity.
+
+    Stored as one orthonormal frame (dim x dim, frozen) whose column blocks
+    frame[:, bounds[j]:bounds[j + 1]] span the blocks, checked once at
+    construction (see the module docstring).
+    """
 
     def __init__(self, projectors, tol: Tolerances = DEFAULT_TOLERANCES):
         projs = tuple(projectors)
@@ -236,15 +285,25 @@ class IdentityResolution:
             raise DimMismatch("resolution blocks live in different dimensions")
         if any(p.rank == 0 for p in projs):
             raise ValidationError("resolution blocks must be nonzero")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if max_abs(projs[i].mat @ projs[j].mat) > tol.orth:
-                    raise ValidationError(f"blocks {i} and {j} are not orthogonal")
-        total = sum(p.mat for p in projs)
-        if max_abs(total - np.eye(dim)) > tol.orth:
-            raise ValidationError("blocks do not sum to the identity")
-        self.projectors = projs
-        self.dim = dim
+        frame = np.concatenate([p.range_basis() for p in projs], axis=1)
+        self._adopt(frame, _offsets(p.rank for p in projs), tol)
+        self._projectors = projs
+
+    @classmethod
+    def _from_frame(
+        cls, frame, sizes, tol: Tolerances = DEFAULT_TOLERANCES
+    ) -> "IdentityResolution":
+        """Resolution whose blocks are consecutive column groups of a unitary frame."""
+        res = cls.__new__(cls)
+        res._adopt(np.array(frame, dtype=np.complex128), _offsets(sizes), tol)
+        return res
+
+    def _adopt(self, frame: np.ndarray, bounds: tuple[int, ...], tol: Tolerances) -> None:
+        _check_frame(frame, bounds, tol)
+        self.frame = _freeze(frame)
+        self.bounds = bounds
+        self.dim = frame.shape[0]
+        self._projectors = None
 
     @classmethod
     def coordinate(
@@ -254,17 +313,25 @@ class IdentityResolution:
         sizes = [int(s) for s in sizes]
         if sum(sizes) != dim or any(s < 1 for s in sizes):
             raise BadShape(f"block sizes {sizes} do not partition dimension {dim}")
-        blocks, start = [], 0
-        for s in sizes:
-            blocks.append(Projector.coordinate(dim, range(start, start + s), tol))
-            start += s
-        return cls(blocks, tol)
+        return cls._from_frame(np.eye(dim), sizes, tol)
+
+    @property
+    def projectors(self) -> tuple[Projector, ...]:
+        """Block projectors; built on first use as unchecked views of the frame."""
+        if self._projectors is None:
+            self._projectors = tuple(Projector._view(b) for b in self.bases())
+        return self._projectors
+
+    def bases(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal basis of each block, as read-only views of the frame."""
+        b = self.bounds
+        return tuple(self.frame[:, b[j]:b[j + 1]] for j in range(len(b) - 1))
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(p.rank for p in self.projectors)
+        return tuple(int(r) for r in np.diff(self.bounds))
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self.bounds) - 1
 
     def __repr__(self) -> str:
         return f"IdentityResolution(dim={self.dim}, ranks={self.ranks()})"
@@ -276,7 +343,8 @@ class SpectralResolution:
     Invariants: strictly descending values with consecutive gaps above the
     clustering scale, pairwise-orthogonal projectors summing to the identity.
     When density=True the values must lie in [0, 1] and satisfy
-    sum(rank_i * value_i) = 1 within tol.trace.
+    sum(rank_i * value_i) = 1 within tol.trace. The projectors live in one
+    IdentityResolution (blocks()), whose frame this shares.
     """
 
     def __init__(
@@ -288,10 +356,21 @@ class SpectralResolution:
         cluster_tol: float | None = None,
         density: bool = False,
     ):
+        self._adopt(eigenvalues, IdentityResolution(projectors, tol), tol, cluster_tol, density)
+
+    @classmethod
+    def _from_frame(
+        cls, eigenvalues, frame, sizes, tol: Tolerances, cluster_tol: float, density: bool
+    ) -> "SpectralResolution":
+        res = cls.__new__(cls)
+        blocks = IdentityResolution._from_frame(frame, sizes, tol)
+        res._adopt(eigenvalues, blocks, tol, cluster_tol, density)
+        return res
+
+    def _adopt(self, eigenvalues, blocks, tol, cluster_tol, density) -> None:
         ctol = tol.cluster if cluster_tol is None else float(cluster_tol)
         vals = tuple(float(x) for x in eigenvalues)
-        blocks = IdentityResolution(projectors, tol)
-        if len(vals) != len(blocks.projectors):
+        if len(vals) != len(blocks):
             raise ValidationError("eigenvalue and projector counts differ")
         for k in range(len(vals) - 1):
             gap = vals[k] - vals[k + 1]
@@ -302,52 +381,60 @@ class SpectralResolution:
         if density:
             if vals[-1] < 0.0 or vals[0] > 1.0:
                 raise ValidationError("density eigenvalues must lie in [0, 1]")
-            mass = sum(v * p.rank for v, p in zip(vals, blocks.projectors))
+            mass = sum(v * r for v, r in zip(vals, blocks.ranks()))
             if abs(mass - 1.0) > tol.trace:
                 raise ValidationError(f"eigenvalue mass {mass!r} is not 1")
         self.eigenvalues = vals
-        self.projectors = blocks.projectors
+        self._blocks = blocks
         self.dim = blocks.dim
         self.is_density = density
 
+    @property
+    def projectors(self) -> tuple[Projector, ...]:
+        return self._blocks.projectors
+
+    @property
+    def frame(self) -> np.ndarray:
+        return self._blocks.frame
+
+    def bases(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal basis of each eigenspace, as read-only views of the frame."""
+        return self._blocks.bases()
+
     def blocks(self) -> IdentityResolution:
-        """Forget the eigenvalues, keep the projector family."""
-        return IdentityResolution(self.projectors)
+        """Forget the eigenvalues, keep the projector family (same frame, no re-check)."""
+        return self._blocks
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(p.rank for p in self.projectors)
+        return self._blocks.ranks()
 
     def reconstruct(self) -> np.ndarray:
         """Sum of value * projector."""
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for v, p in zip(self.eigenvalues, self.projectors):
-            out += v * p.mat
-        return out
+        v = self.frame
+        levels = np.repeat(self.eigenvalues, self.ranks())
+        return hermitize((v * levels) @ v.conj().T)
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self._blocks)
 
     def __repr__(self) -> str:
         pairs = ", ".join(
-            f"{v:.6g}x{p.rank}" for v, p in zip(self.eigenvalues, self.projectors)
+            f"{v:.6g}x{r}" for v, r in zip(self.eigenvalues, self.ranks())
         )
         return f"SpectralResolution(dim={self.dim}, [{pairs}])"
 
 
-def _cluster_slices(w_desc: np.ndarray, ctol: float) -> list[slice]:
+def _cluster_sizes(w_desc: np.ndarray, ctol: float) -> list[int]:
     """Group a descending spectrum into clusters, refusing the ambiguous band."""
-    bounds = [0]
-    for k in range(len(w_desc) - 1):
-        gap = float(w_desc[k] - w_desc[k + 1])
-        if gap >= ctol:
-            bounds.append(k + 1)
-        elif gap > ctol / 4.0:
-            raise ClusterAmbiguity(
-                f"eigenvalue gap {gap:.3e} falls in the unstable band "
-                f"({ctol / 4.0:.3e}, {ctol:.3e})"
-            )
-    bounds.append(len(w_desc))
-    return [slice(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    gaps = w_desc[:-1] - w_desc[1:]
+    ambiguous = np.nonzero((gaps > ctol / 4.0) & (gaps < ctol))[0]
+    if ambiguous.size:
+        raise ClusterAmbiguity(
+            f"eigenvalue gap {float(gaps[ambiguous[0]]):.3e} falls in the unstable band "
+            f"({ctol / 4.0:.3e}, {ctol:.3e})"
+        )
+    cuts = np.nonzero(gaps >= ctol)[0] + 1
+    return np.diff(np.concatenate(([0], cuts, [len(w_desc)]))).tolist()
 
 
 def spectral_resolution(
@@ -358,8 +445,8 @@ def spectral_resolution(
     """Canonical spectral resolution of a density matrix (or Hermitian matrix).
 
     Eigenvalues are clustered at the cluster_tol scale (default tol.cluster);
-    each cluster becomes one eigenprojector built from its eigenvectors, with
-    the cluster's mean eigenvalue as the level. Raises ClusterAmbiguity when a
+    each cluster becomes one block of the eigenvector frame, with the
+    cluster's mean eigenvalue as the level. Raises ClusterAmbiguity when a
     gap falls strictly between cluster_tol/4 and cluster_tol, or when merging
     leaves two adjacent levels closer than cluster_tol.
     """
@@ -368,24 +455,18 @@ def spectral_resolution(
         raise ValidationError("cluster tolerance must be positive")
     density = isinstance(rho, DensityMatrix)
     mat = rho.mat if density else _require_hermitian(as_complex_matrix(rho), tol)
-    w, v = eig_hermitian(mat, tol)
-    slices = _cluster_slices(w, ctol)
-    values, projs = [], []
-    for s in slices:
-        val = float(np.mean(w[s]))
-        if density:
-            val = min(max(val, 0.0), 1.0)
-        values.append(val)
-        projs.append(Projector.from_basis(np.ascontiguousarray(v[:, s]), tol))
-    for k in range(len(values) - 1):
-        if values[k] - values[k + 1] <= ctol:
-            raise ClusterAmbiguity(
-                "clustered levels collapsed within the clustering scale; "
-                "no stable grouping at this tolerance"
-            )
-    return SpectralResolution(
-        values, projs, tol, cluster_tol=ctol, density=density
-    )
+    w, v = np.linalg.eigh(mat)
+    w, v = w[::-1], v[:, ::-1]
+    sizes = _cluster_sizes(w, ctol)
+    levels = np.add.reduceat(w, _offsets(sizes)[:-1]) / sizes
+    if density:
+        levels = np.clip(levels, 0.0, 1.0)
+    if np.any(levels[:-1] - levels[1:] <= ctol):
+        raise ClusterAmbiguity(
+            "clustered levels collapsed within the clustering scale; "
+            "no stable grouping at this tolerance"
+        )
+    return SpectralResolution._from_frame(levels, v, sizes, tol, ctol, density)
 
 
 def support_projector(a, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector:

@@ -78,16 +78,15 @@ def partition_from_resolutions(
     """Classical partition data of two resolutions under the normalized trace.
 
     joint[i, j] = tau(P_i Q_j) is a valid joint distribution (nonnegative,
-    marginals rank/dim) whether or not the families commute.
+    marginals rank/dim) whether or not the families commute. With frames V
+    and W, tr(P_i Q_j) is the sum of |V* W|^2 over block (i, j).
     """
     pb, qb = _blocks(p_res), _blocks(q_res)
     if pb.dim != qb.dim:
         raise DimMismatch(f"resolutions have dims {pb.dim} and {qb.dim}")
-    d = pb.dim
-    joint = np.empty((len(pb), len(qb)))
-    for i, p in enumerate(pb.projectors):
-        for j, q in enumerate(qb.projectors):
-            joint[i, j] = max(float(np.trace(p.mat @ q.mat).real), 0.0) / d
+    overlap = np.abs(pb.frame.conj().T @ qb.frame) ** 2
+    rows = np.add.reduceat(overlap, pb.bounds[:-1], axis=0)
+    joint = np.add.reduceat(rows, qb.bounds[:-1], axis=1) / pb.dim
     return ClassicalPartitionData.from_joint(joint, tol)
 
 

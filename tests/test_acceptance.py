@@ -157,27 +157,35 @@ def test_c03_conditional_entropy_between_zero_and_entropy():
 
 
 def test_c04_concavity_in_the_state():
+    # sigma is conditioned on a degenerate spectrum: a nondegenerate sigma
+    # makes every term exactly 0.0 and the inequality empty.
     start = time.monotonic()
     rng = np.random.default_rng(404)
     min_slack = math.inf
     checked = 0
+    values = []
     for dim in (2, 3, 4, 5, 6):
         for trial in range(2000):
             rank = (None, dim, max(1, dim - 1))[trial % 3]
             rho1 = random_density(dim, rank, seed=seeded(rng))
             rho2 = random_density(dim, rank, seed=seeded(rng))
-            sigma = random_density(dim, seed=seeded(rng))
+            sizes = random_block_sizes(dim, rng, min_blocks=1)
+            while max(sizes) < 2:
+                sizes = random_block_sizes(dim, rng, min_blocks=1)
+            sigma = planted_density(dim, sizes, seed=seeded(rng))
             lam = float(rng.uniform(0.0, 1.0))
             mixed = DensityMatrix(lam * rho1.mat + (1.0 - lam) * rho2.mat)
-            slack = (
-                conditional_entropy(mixed, sigma).total
-                - lam * conditional_entropy(rho1, sigma).total
-                - (1.0 - lam) * conditional_entropy(rho2, sigma).total
-            )
+            terms = [
+                conditional_entropy(r, sigma).total for r in (mixed, rho1, rho2)
+            ]
+            slack = terms[0] - lam * terms[1] - (1.0 - lam) * terms[2]
             min_slack = min(min_slack, slack)
+            values.extend(terms)
             checked += 1
     assert checked == 5 * 2000
     assert min_slack >= -1e-9, f"concavity slack {min_slack}"
+    positive = sum(v > 0.0 for v in values) / len(values)
+    assert positive >= 0.9, f"only {positive:.1%} of the terms are positive"
     elapsed_under(start, 60.0)
 
 

@@ -22,14 +22,17 @@ from qce import (
     conditional_entropy_commuting,
     conditional_entropy_flat,
     conditional_entropy_given_blocks,
+    hermitize,
     information_gain,
     joint_entropy,
+    max_abs,
     pinch,
     random_density,
     random_unitary,
     relative_entropy,
     self_conditional_entropy,
     self_information_gain,
+    spectral_resolution,
     spectrum_distribution,
     unnormalized_compressed_entropy,
     von_neumann_entropy,
@@ -319,6 +322,40 @@ def test_strictly_smaller_than_entropy_off_the_trivial_case():
         conditional_entropy(rho, sigma).total
         < von_neumann_entropy(rho) - 1e-12
     )
+
+
+def leveled_state(sizes, levels, seed):
+    """State with the given level on each block of sizes, in a Haar frame."""
+    diag = np.repeat(np.asarray(levels, dtype=float), sizes)
+    u = random_unitary(len(diag), seed=seed)
+    return DensityMatrix(hermitize((u * (diag / diag.sum())) @ u.conj().T))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+def test_conditional_entropy_matches_dense_projector_terms(dim):
+    # Weights and factors from the frame (level * rank, V_j* rho V_j) against
+    # the dense definition: tr(Q_j sigma) and compressed_entropy in Q_j.
+    sizes = [len(c) for c in np.array_split(np.arange(dim), max(2, dim // 4))]
+    sigmas = {
+        "nondegenerate": random_density(dim, seed=dim),
+        "few-block": leveled_state(sizes, np.arange(len(sizes), 0, -1), seed=dim + 1),
+        "maximally-mixed": DensityMatrix.maximally_mixed(dim),
+        "rank-deficient": leveled_state(sizes, [1.0] * (len(sizes) - 1) + [0.0], seed=dim + 2),
+    }
+    rho = random_density(dim, seed=100 + dim)  # complex Ginibre: entries carry phases
+    assert max_abs(rho.mat.imag) > 0.0
+    for kind, sigma in sigmas.items():
+        breakdown = conditional_entropy(rho, sigma)
+        bases = spectral_resolution(sigma).bases()
+        assert len(breakdown.per_block) == len(bases)
+        for term, basis in zip(breakdown.per_block, bases):
+            q = Projector.from_basis(basis)
+            weight = max(float(np.trace(q.mat @ sigma.mat).real), 0.0)
+            weight = 0.0 if weight <= 1e-9 else weight
+            assert abs(term.weight - weight) <= 1e-12, kind
+            assert abs(term.factor - compressed_entropy(rho, q)) <= 1e-12, kind
+        if kind == "nondegenerate":
+            assert breakdown.total == 0.0
 
 
 # ------------------------------------------------- self conditioning

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qce import (
+    DEFAULT_TOLERANCES,
     BadShape,
     ClusterAmbiguity,
     DensityMatrix,
@@ -12,6 +15,7 @@ from qce import (
     NotHermitian,
     NotPSD,
     Projector,
+    SpectralResolution,
     ValidationError,
     commutator_residual,
     compress,
@@ -19,8 +23,10 @@ from qce import (
     hermitize,
     max_abs,
     normalized_trace,
+    random_unitary,
     spectral_resolution,
     support_projector,
+    tolerance_profile,
     trace_xlnx,
 )
 
@@ -189,6 +195,62 @@ def test_spectral_resolution_cluster_tol_override():
     assert spectral_resolution(rho, cluster_tol=1e-9).ranks() == (1, 1)
     with pytest.raises(ValidationError, match="positive"):
         spectral_resolution(rho, cluster_tol=-1.0)
+
+
+def test_spectral_blocks_keep_the_callers_tolerances():
+    # Two rank-one blocks 1e-7 off orthogonal: inside the loose profile's
+    # orth tolerance, outside the default one.
+    loose = tolerance_profile("loose")
+    eps = 1e-7
+    p = Projector.from_basis(np.array([[1.0], [0.0]]), loose)
+    q = Projector.from_basis(np.array([[eps], [np.sqrt(1.0 - eps * eps)]]), loose)
+    with pytest.raises(ValidationError, match="blocks 0 and 1 are not orthogonal"):
+        IdentityResolution([p, q])
+    sr = SpectralResolution([0.7, 0.3], [p, q], loose)
+    blocks = sr.blocks()
+    assert blocks.ranks() == (1, 1)
+    assert blocks.frame is sr.frame
+    assert blocks.projectors == (p, q)
+
+
+CLUSTER = DEFAULT_TOLERANCES.cluster
+
+
+def planted_gap(dim, k, gap, seed):
+    """Hermitian matrix with eigenvalue 0.5 + gap (k times) over 0.5, in a Haar frame."""
+    diag = np.concatenate([np.full(k, 0.5 + gap), np.full(dim - k, 0.5)])
+    u = random_unitary(dim, seed=seed)
+    return hermitize((u * diag) @ u.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 128).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+    st.sampled_from(["split", "merge", "ambiguous"]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**20),
+)
+def test_cluster_band_up_to_d128(dim_k, band, u, seed):
+    dim, k = dim_k
+    # Gaps keep a 1% margin from each band edge, far above the eigensolver's
+    # ~1e-14 error on levels near 0.5.
+    lo, hi = {
+        "split": (1.01 * CLUSTER, 100.0 * CLUSTER),
+        "merge": (0.0, 0.99 * CLUSTER / 4.0),
+        "ambiguous": (1.01 * CLUSTER / 4.0, 0.99 * CLUSTER),
+    }[band]
+    gap = lo + u * (hi - lo)
+    mat = planted_gap(dim, k, gap, seed)
+    if band == "ambiguous":
+        with pytest.raises(ClusterAmbiguity):
+            spectral_resolution(mat)
+        return
+    sr = spectral_resolution(mat)
+    assert sr.ranks() == ((k, dim - k) if band == "split" else (dim,))
+    v = sr.frame
+    assert max_abs(v.conj().T @ v - np.eye(dim)) <= 1e-12
+    # A merge replaces both levels by their mean, moving each by at most gap.
+    np.testing.assert_allclose(sr.reconstruct(), mat, rtol=0.0, atol=gap + 1e-12)
 
 
 def test_eig_hermitian_descending():

@@ -16,24 +16,32 @@ The audited conditions, with entry labels:
 5. continuity in the conditioning state     (5-continuity-sigma)
 6. concavity in each argument               (6-concavity-rho, 6-concavity-sigma)
 
-Random draws cannot hit the measure-zero sets where several conditions
-break, so deterministic constructed probes are prepended to the sampled
-trials; every random trial is keyed by (seed, condition, dim, trial) and can
-be replayed in isolation. Verdicts are "holds-on-sample" or
-"fails-with-witness"; a witness serializes the inputs and can be recomputed
-with replay_witness. EXPECTED_VERDICTS records which verdicts the two
-functionals are supposed to produce, and audit_deviations flags departures.
+Each condition is one record in the private table _CONDITIONS: its number,
+label and notes, a witness kind, an RNG stream, a violation threshold,
+deterministic constructed probes (random draws cannot hit the measure-zero
+sets where several conditions break), draw(rng, dim, trial, cfg) for the
+sampled inputs and violation(functional, inputs) -> (violation, details).
+One runner walks the probes and then every (dim, trial), each keyed by
+(seed, stream, dim, trial) so it can be replayed in isolation, and keeps the
+worst violation. Verdicts are "holds-on-sample" or "fails-with-witness"; a
+witness is {kind, functional, [tag], serialized inputs, details, violation},
+and replay_witness decodes its inputs and calls the same violation.
+
+To add a condition, write its violation and draw, append a record to
+_CONDITIONS, and add its label to EXPECTED_VERDICTS. EXPECTED_VERDICTS records
+which verdicts the two functionals are supposed to produce, and
+audit_deviations flags departures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import rand
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import BadShape, ValidationError
 from .entropy import (
     compressed_entropy,
@@ -161,13 +169,6 @@ def _draw_density(dim: int, rng: np.random.Generator, profile: str) -> DensityMa
     return DensityMatrix(rand.ginibre_density(dim, rank, rng))
 
 
-def _draw_positive_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    # Full-rank draw pushed away from the boundary so logs stay tame.
-    raw = rand.ginibre_density(dim, dim, rng)
-    mixed = 0.9 * raw + 0.1 * np.eye(dim) / dim
-    return DensityMatrix(mixed)
-
-
 def _random_composition(dim: int, rng: np.random.Generator, degenerate: bool) -> list[int]:
     sizes = []
     left = dim
@@ -227,8 +228,41 @@ def _draw_nondegenerate_state(
     return DensityMatrix(hermitize(mat))
 
 
+def _draw_commuting_pair(rng: np.random.Generator, dim: int, t: int, cfg) -> dict:
+    """Two exactly degenerate states diagonal in one Haar-random frame."""
+    frame = rand.haar_unitary(dim, rng)
+    pair = []
+    for _ in range(2):
+        sizes = _random_composition(dim, rng, degenerate=True)
+        levels = _spaced_levels(sizes, rng, cfg.gap_floor)
+        pair.append(_rotate(DensityMatrix.diagonal(np.repeat(levels, sizes)), frame))
+    return {"rho": pair[0], "sigma": pair[1]}
+
+
+def _draw_conditioning(
+    dim: int, rng: np.random.Generator, trial: int, gap_floor: float
+) -> DensityMatrix:
+    """Nondegenerate on even trials, exactly degenerate blocks on odd ones."""
+    if trial % 2:
+        return _draw_degenerate_state(dim, rng, gap_floor)
+    return _draw_nondegenerate_state(dim, rng, gap_floor)
+
+
 def _rotate(state: DensityMatrix, unitary: np.ndarray) -> DensityMatrix:
     return DensityMatrix(hermitize(unitary @ state.mat @ unitary.conj().T))
+
+
+def _rotation(theta: float) -> np.ndarray:
+    """Real rotation of the plane by theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def _encode(value):
+    """A witness field: matrices and states as matrix documents, the rest as is."""
+    if isinstance(value, DensityMatrix):
+        value = value.mat
+    return matrix_to_doc(value) if isinstance(value, np.ndarray) else value
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +284,8 @@ class EnsembleConfig:
             raise ValidationError("dims must be a nonempty tuple of dimensions >= 2")
         if int(self.trials) < 1:
             raise ValidationError("trials must be positive")
+        if int(self.seed) < 0:
+            raise ValidationError("seed must be a nonnegative integer")
         if self.rank_profile not in ("full", "mixed"):
             raise ValidationError('rank_profile must be "full" or "mixed"')
         if not 0.0 < float(self.gap_floor) < 0.5:
@@ -296,6 +332,34 @@ class SweepReport:
 _SLACK_TOL = 1e-9
 
 
+def _sweep(name: str, kind: str, cfg: EnsembleConfig, stream: int, probe) -> SweepReport:
+    """Run probe(rng, dim, trial) -> (slacks, inputs) on every (dim, trial).
+
+    slacks maps names to values, the lower slack first and the upper slack,
+    if any, second. A trial with a slack below -1e-9 is recorded with its
+    slacks and serialized inputs.
+    """
+    least: dict = {}
+    violations = []
+    for dim in cfg.dims:
+        for t in range(cfg.trials):
+            slacks, inputs = probe(rand.rng_for(cfg.seed, stream, dim, t), dim, t)
+            least = {k: min(least.get(k, math.inf), v) for k, v in slacks.items()}
+            if min(slacks.values()) < -_SLACK_TOL:
+                fields = {k: _encode(v) for k, v in inputs.items()}
+                violations.append({"kind": kind, "dim": dim, "trial": t, **slacks, **fields})
+    mins = list(least.values())
+    return SweepReport(
+        name=name,
+        config=cfg,
+        checked=len(cfg.dims) * cfg.trials,
+        min_lower_slack=mins[0],
+        min_upper_slack=mins[1] if len(mins) > 1 else None,
+        violations=tuple(violations),
+        passed=not violations,
+    )
+
+
 def shannon_sweep(cfg: EnsembleConfig) -> SweepReport:
     """Sample the two-sided bound 0 <= S(rho|sigma) <= S(rho).
 
@@ -303,81 +367,28 @@ def shannon_sweep(cfg: EnsembleConfig) -> SweepReport:
     value is exactly zero) and exactly-degenerate block draws (where it is
     not); any slack below -1e-9 is recorded as a violation witness.
     """
-    checked = 0
-    min_low = math.inf
-    min_high = math.inf
-    violations = []
-    for dim in cfg.dims:
-        for t in range(cfg.trials):
-            rng = rand.rng_for(cfg.seed, 11, dim, t)
-            rho = _draw_density(dim, rng, cfg.rank_profile)
-            if t % 2:
-                sigma = _draw_degenerate_state(dim, rng, cfg.gap_floor)
-            else:
-                sigma = _draw_nondegenerate_state(dim, rng, cfg.gap_floor)
-            value = conditional_entropy(rho, sigma).total
-            low = value
-            high = von_neumann_entropy(rho) - value
-            min_low = min(min_low, low)
-            min_high = min(min_high, high)
-            checked += 1
-            if low < -_SLACK_TOL or high < -_SLACK_TOL:
-                violations.append(
-                    {
-                        "kind": "shannon-bound",
-                        "dim": dim,
-                        "trial": t,
-                        "lower_slack": low,
-                        "upper_slack": high,
-                        "rho": matrix_to_doc(rho.mat),
-                        "sigma": matrix_to_doc(sigma.mat),
-                    }
-                )
-    return SweepReport(
-        name="shannon-bounds",
-        config=cfg,
-        checked=checked,
-        min_lower_slack=min_low,
-        min_upper_slack=min_high,
-        violations=tuple(violations),
-        passed=not violations,
-    )
+
+    def probe(rng, dim, t):
+        rho = _draw_density(dim, rng, cfg.rank_profile)
+        sigma = _draw_conditioning(dim, rng, t, cfg.gap_floor)
+        value = conditional_entropy(rho, sigma).total
+        slacks = {"lower_slack": value, "upper_slack": von_neumann_entropy(rho) - value}
+        return slacks, {"rho": rho, "sigma": sigma}
+
+    return _sweep("shannon-bounds", "shannon-bound", cfg, 11, probe)
 
 
 def pinch_sweep(cfg: EnsembleConfig) -> SweepReport:
     """Sample entropy monotonicity of pinching along random resolutions."""
-    checked = 0
-    min_slack = math.inf
-    violations = []
-    for dim in cfg.dims:
-        for t in range(cfg.trials):
-            rng = rand.rng_for(cfg.seed, 13, dim, t)
-            rho = _draw_density(dim, rng, cfg.rank_profile)
-            sizes = _random_composition(dim, rng, degenerate=False)
-            blocks = IdentityResolution._from_frame(rand.haar_unitary(dim, rng), sizes)
-            slack = von_neumann_entropy(pinch(rho, blocks)) - von_neumann_entropy(rho)
-            min_slack = min(min_slack, slack)
-            checked += 1
-            if slack < -_SLACK_TOL:
-                violations.append(
-                    {
-                        "kind": "pinch-monotonicity",
-                        "dim": dim,
-                        "trial": t,
-                        "slack": slack,
-                        "rho": matrix_to_doc(rho.mat),
-                        "sizes": list(sizes),
-                    }
-                )
-    return SweepReport(
-        name="pinch-monotonicity",
-        config=cfg,
-        checked=checked,
-        min_lower_slack=min_slack,
-        min_upper_slack=None,
-        violations=tuple(violations),
-        passed=not violations,
-    )
+
+    def probe(rng, dim, t):
+        rho = _draw_density(dim, rng, cfg.rank_profile)
+        sizes = _random_composition(dim, rng, degenerate=False)
+        blocks = IdentityResolution._from_frame(rand.haar_unitary(dim, rng), sizes)
+        slack = von_neumann_entropy(pinch(rho, blocks)) - von_neumann_entropy(rho)
+        return {"slack": slack}, {"rho": rho, "sizes": sizes}
+
+    return _sweep("pinch-monotonicity", "pinch-monotonicity", cfg, 13, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +429,7 @@ class ConditionEntry:
     notes: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "label": self.label,
-            "verdict": self.verdict,
-            "max_violation": self.max_violation,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -463,409 +467,242 @@ def audit_deviations(report: AuditReport) -> tuple[str, ...]:
     )
 
 
-class _Tracker:
-    """Keeps the worst violation seen and its witness."""
+@dataclass(frozen=True)
+class _Condition:
+    """One audited condition: how to probe it and how to score a probe.
 
-    def __init__(self, threshold: float):
-        self.threshold = threshold
-        self.max_violation = 0.0
-        self.witness = None
+    violation(fid, inputs) -> (violation, details) scores one probe; the
+    audit and replay_witness both call it. Constructed probes() give
+    (tag, inputs) pairs and run first; then, unless draw is None,
+    draw(rng, dim, trial, cfg) gives the inputs of each sampled trial, on
+    rand.rng_for(seed, stream, dim, trial), tagged with tag (None: no tag).
+    A violation above threshold fails the condition. The witness of the
+    worst one is {kind, functional, [tag], inputs..., details..., violation}.
+    aside(fid, inputs, details), when set, is a side value whose maximum
+    fills {aside} in notes.
+    """
 
-    def record(self, violation: float, witness_factory) -> None:
-        if violation > self.max_violation:
-            self.max_violation = violation
-            if violation > self.threshold:
-                self.witness = witness_factory()
-
-    def entry(self, condition: int, label: str, notes: str = "") -> ConditionEntry:
-        failed = self.max_violation > self.threshold
-        return ConditionEntry(
-            condition=condition,
-            label=label,
-            verdict=FAILS if failed else HOLDS,
-            max_violation=self.max_violation,
-            witness=self.witness if failed else None,
-            notes=notes,
-        )
+    condition: int
+    label: str
+    notes: str
+    kind: str
+    violation: Callable
+    stream: int = 0
+    draw: Callable | None = None
+    tag: str | None = None
+    probes: Callable[[], tuple] = tuple
+    threshold: float = _SLACK_TOL
+    aside: Callable | None = None
 
 
-def _audit_invariance(fid: str, cfg: EnsembleConfig) -> ConditionEntry:
+def _invariance(fid: str, x: dict):
     f = _functional(fid)
-    track = _Tracker(1e-8)
-    for dim in cfg.dims:
-        for t in range(cfg.trials):
-            rng = rand.rng_for(cfg.seed, 21, dim, t)
-            rho = _draw_density(dim, rng, cfg.rank_profile)
-            sigma = _draw_degenerate_state(dim, rng, cfg.gap_floor)
-            u = rand.haar_unitary(dim, rng)
-            base = f(rho, sigma)
-            moved = f(_rotate(rho, u), _rotate(sigma, u))
-            track.record(
-                abs(moved - base),
-                lambda rho=rho, sigma=sigma, u=u, base=base, moved=moved: {
-                    "kind": "invariance",
-                    "functional": fid,
-                    "rho": matrix_to_doc(rho.mat),
-                    "sigma": matrix_to_doc(sigma.mat),
-                    "unitary": matrix_to_doc(u),
-                    "value": base,
-                    "value_moved": moved,
-                    "violation": abs(moved - base),
-                },
-            )
-    return track.entry(1, "1-invariance", "conjugating both arguments by one unitary")
+    base = f(x["rho"], x["sigma"])
+    moved = f(_rotate(x["rho"], x["unitary"]), _rotate(x["sigma"], x["unitary"]))
+    return abs(moved - base), {"value": base, "value_moved": moved}
 
 
-def _bound_violation(f, rho, sigma) -> tuple[float, float, float]:
-    value = f(rho, sigma)
-    upper = von_neumann_entropy(rho)
-    return value, max(-value, 0.0), max(value - upper, 0.0)
+def _bound(fid: str, x: dict):
+    value = _functional(fid)(x["rho"], x["sigma"])
+    upper = von_neumann_entropy(x["rho"])
+    violation = max(max(-value, 0.0), max(value - upper, 0.0))
+    return violation, {"value": value, "entropy_rho": upper}
 
 
-def _audit_bounds(fid: str, cfg: EnsembleConfig) -> ConditionEntry:
+def _eq_self(fid: str, x: dict):
+    value = _functional(fid)(x["rho"], x["rho"])
+    return abs(value), {"value": value}
+
+
+def _eq_trivial(fid: str, x: dict):
+    rho = x["rho"]
+    value = _functional(fid)(rho, DensityMatrix.maximally_mixed(rho.dim))
+    benchmark = _trivial_benchmark(fid, rho)
+    return abs(value - benchmark), {"value": value, "benchmark": benchmark}
+
+
+def _joint_symmetry(fid: str, x: dict):
+    j_rs = _joint_value(fid, x["rho"], x["sigma"])
+    j_sr = _joint_value(fid, x["sigma"], x["rho"])
+    return abs(j_rs - j_sr), {"joint": j_rs, "joint_swapped": j_sr}
+
+
+def _continuity(fid: str, x: dict):
+    """The first step's jump, counted only when it is above 10x every later step."""
     f = _functional(fid)
-    track = _Tracker(_SLACK_TOL)
-
-    def probe(rho, sigma, tag):
-        value, low_v, high_v = _bound_violation(f, rho, sigma)
-        violation = max(low_v, high_v)
-        track.record(
-            violation,
-            lambda: {
-                "kind": "bound",
-                "functional": fid,
-                "tag": tag,
-                "rho": matrix_to_doc(rho.mat),
-                "sigma": matrix_to_doc(sigma.mat),
-                "value": value,
-                "entropy_rho": von_neumann_entropy(rho),
-                "violation": violation,
-            },
-        )
-
-    # Constructed probe: eigenvalue-blind conditioning can exceed S(rho).
-    probe(
-        DensityMatrix.diagonal([0.9, 0.1]),
-        DensityMatrix.maximally_mixed(2),
-        "constructed",
-    )
-    for dim in cfg.dims:
-        for t in range(cfg.trials):
-            rng = rand.rng_for(cfg.seed, 22, dim, t)
-            rho = _draw_density(dim, rng, cfg.rank_profile)
-            if t % 2:
-                sigma = _draw_degenerate_state(dim, rng, cfg.gap_floor)
-            else:
-                sigma = _draw_nondegenerate_state(dim, rng, cfg.gap_floor)
-            probe(rho, sigma, "sampled")
-    return track.entry(
-        2, "2-bounds", "two-sided bound 0 <= value <= entropy of the first argument"
-    )
-
-
-def _audit_eq_self(fid: str, cfg: EnsembleConfig) -> ConditionEntry:
-    f = _functional(fid)
-    track = _Tracker(_SLACK_TOL)
-
-    def probe(rho, tag):
-        value = f(rho, rho)
-        track.record(
-            abs(value),
-            lambda: {
-                "kind": "eq-self",
-                "functional": fid,
-                "tag": tag,
-                "rho": matrix_to_doc(rho.mat),
-                "value": value,
-                "violation": abs(value),
-            },
-        )
-
-    probe(DensityMatrix.maximally_mixed(2), "constructed")
-    for dim in cfg.dims:
-        for t in range(cfg.trials):
-            rng = rand.rng_for(cfg.seed, 23, dim, t)
-            if t % 2:
-                probe(_draw_degenerate_state(dim, rng, cfg.gap_floor), "sampled")
-            else:
-                probe(_draw_nondegenerate_state(dim, rng, cfg.gap_floor), "sampled")
-    return track.entry(2, "2-eq-self", "conditioning a state on itself should give zero")
-
-
-def _audit_eq_trivial(fid: str, cfg: EnsembleConfig) -> ConditionEntry:
-    f = _functional(fid)
-    track = _Tracker(_SLACK_TOL)
-    max_gap_vs_entropy = 0.0
-    for dim in cfg.dims:
-        for t in range(cfg.trials):
-            rng = rand.rng_for(cfg.seed, 24, dim, t)
-            rho = _draw_density(dim, rng, cfg.rank_profile)
-            uniform = DensityMatrix.maximally_mixed(dim)
-            value = f(rho, uniform)
-            benchmark = _trivial_benchmark(fid, rho)
-            max_gap_vs_entropy = max(
-                max_gap_vs_entropy, abs(value - von_neumann_entropy(rho))
-            )
-            track.record(
-                abs(value - benchmark),
-                lambda rho=rho, value=value, benchmark=benchmark: {
-                    "kind": "eq-trivial",
-                    "functional": fid,
-                    "rho": matrix_to_doc(rho.mat),
-                    "value": value,
-                    "benchmark": benchmark,
-                    "violation": abs(value - benchmark),
-                },
-            )
-    notes = (
-        "conditioning on the maximally mixed state reaches the functional's "
-        f"own maximal value; max gap against the von Neumann entropy was "
-        f"{max_gap_vs_entropy:.6g}"
-    )
-    return track.entry(2, "2-eq-trivial", notes)
-
-
-def _audit_symmetry(fid: str, cfg: EnsembleConfig, commuting: bool) -> ConditionEntry:
-    track = _Tracker(_SLACK_TOL)
-
-    def probe(rho, sigma, tag):
-        j_rs = _joint_value(fid, rho, sigma)
-        j_sr = _joint_value(fid, sigma, rho)
-        track.record(
-            abs(j_rs - j_sr),
-            lambda: {
-                "kind": "joint-symmetry",
-                "functional": fid,
-                "tag": tag,
-                "rho": matrix_to_doc(rho.mat),
-                "sigma": matrix_to_doc(sigma.mat),
-                "joint": j_rs,
-                "joint_swapped": j_sr,
-                "violation": abs(j_rs - j_sr),
-            },
-        )
-
-    # Constructed commuting pair with asymmetric joints for the weighted
-    # functional: a two-level flat state against the uniform state in dim 3.
-    probe(
-        DensityMatrix.diagonal([0.5, 0.5, 0.0]),
-        DensityMatrix.maximally_mixed(3),
-        "constructed",
-    )
-    stream = 25 if commuting else 26
-    for dim in cfg.dims:
-        for t in range(cfg.trials):
-            rng = rand.rng_for(cfg.seed, stream, dim, t)
-            if commuting:
-                frame = rand.haar_unitary(dim, rng)
-                sizes_r = _random_composition(dim, rng, degenerate=True)
-                levels_r = _spaced_levels(sizes_r, rng, cfg.gap_floor)
-                rho = _rotate(
-                    DensityMatrix.diagonal(np.repeat(levels_r, sizes_r)), frame
-                )
-                sizes_s = _random_composition(dim, rng, degenerate=True)
-                levels_s = _spaced_levels(sizes_s, rng, cfg.gap_floor)
-                sigma = _rotate(
-                    DensityMatrix.diagonal(np.repeat(levels_s, sizes_s)), frame
-                )
-                probe(rho, sigma, "sampled-commuting")
-            else:
-                rho = _draw_degenerate_state(dim, rng, cfg.gap_floor)
-                sigma = _draw_degenerate_state(dim, rng, cfg.gap_floor)
-                probe(rho, sigma, "sampled")
-    label = "3-commuting-symmetry" if commuting else "4-symmetry"
-    condition = 3 if commuting else 4
-    notes = "joint value J(a,b) = marginal(b) + conditional(a|b) compared under swap"
-    return track.entry(condition, label, notes)
-
-
-def _continuity_path(fid: str):
-    f = _functional(fid)
-    theta = math.pi / 5.0
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    rho = _rotate(DensityMatrix.diagonal([0.7, 0.3]), u)
-    sigma_end = DensityMatrix.diagonal([0.75, 0.25])
-    steps = 8
-    ts, values = [], []
-    for k in range(steps + 1):
-        t = k / steps
-        sigma = DensityMatrix(
-            (1.0 - t) * DensityMatrix.maximally_mixed(2).mat + t * sigma_end.mat
-        )
-        ts.append(t)
-        values.append(f(rho, sigma))
-    return rho, sigma_end, ts, values
-
-
-def _audit_continuity(fid: str, cfg: EnsembleConfig) -> ConditionEntry:
-    rho, sigma_end, ts, values = _continuity_path(fid)
+    rho, end = x["rho"], x["sigma_end"]
+    uniform = DensityMatrix.maximally_mixed(rho.dim)
+    values = [f(rho, DensityMatrix((1.0 - t) * uniform.mat + t * end.mat)) for t in x["path"]]
     jump = abs(values[1] - values[0])
-    smooth_var = max(
-        (abs(values[k + 1] - values[k]) for k in range(1, len(values) - 1)),
-        default=0.0,
-    )
-    detected = jump > 10.0 * max(smooth_var, 1e-9)
-    witness = None
-    if detected:
-        witness = {
-            "kind": "continuity",
-            "functional": fid,
-            "rho": matrix_to_doc(rho.mat),
-            "sigma_end": matrix_to_doc(sigma_end.mat),
-            "path": list(ts),
-            "values": list(values),
-            "jump": jump,
-            "smooth_variation": smooth_var,
-            "violation": jump,
-        }
-    return ConditionEntry(
-        condition=5,
-        label="5-continuity-sigma",
-        verdict=FAILS if detected else HOLDS,
-        max_violation=jump if detected else 0.0,
-        witness=witness,
-        notes=(
-            "straight path from the maximally mixed state; the value jumps at the "
-            "degeneracy-pattern change at the endpoint"
-        ),
-    )
+    smooth = max((abs(b - a) for a, b in zip(values[1:], values[2:])), default=0.0)
+    details = {"values": values, "jump": jump, "smooth_variation": smooth}
+    return (jump if jump > 10.0 * max(smooth, 1e-9) else 0.0), details
 
 
-def _audit_concavity(fid: str, cfg: EnsembleConfig, in_rho: bool) -> ConditionEntry:
+def _concavity(fid: str, x: dict, first: bool = True):
+    """Jensen gap of mixing arg1 and arg2 in the first (or the second) argument."""
     f = _functional(fid)
-    track = _Tracker(_SLACK_TOL)
+    g = f if first else (lambda a, b: f(b, a))
+    lam, a1, a2, fixed = x["lambda"], x["arg1"], x["arg2"], x["fixed"]
+    mixed = DensityMatrix(lam * a1.mat + (1.0 - lam) * a2.mat)
+    gap = lam * g(a1, fixed) + (1.0 - lam) * g(a2, fixed) - g(mixed, fixed)
+    return max(gap, 0.0), {}
 
-    def probe(lam, a1, a2, fixed, tag):
-        if in_rho:
-            mixed = DensityMatrix(lam * a1.mat + (1.0 - lam) * a2.mat)
-            gap = lam * f(a1, fixed) + (1.0 - lam) * f(a2, fixed) - f(mixed, fixed)
-        else:
-            mixed = DensityMatrix(lam * a1.mat + (1.0 - lam) * a2.mat)
-            gap = lam * f(fixed, a1) + (1.0 - lam) * f(fixed, a2) - f(fixed, mixed)
-        track.record(
-            max(gap, 0.0),
-            lambda: {
-                "kind": "concavity-rho" if in_rho else "concavity-sigma",
-                "functional": fid,
-                "tag": tag,
-                "lambda": lam,
-                "arg1": matrix_to_doc(a1.mat),
-                "arg2": matrix_to_doc(a2.mat),
-                "fixed": matrix_to_doc(fixed.mat),
-                "violation": max(gap, 0.0),
-            },
-        )
 
-    theta = math.pi / 5.0
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if in_rho:
+_SYMMETRY_NOTES = "joint value J(a,b) = marginal(b) + conditional(a|b) compared under swap"
+
+
+def _swap_probe() -> tuple:
+    """A commuting pair with asymmetric joints for the weighted functional."""
+    flat, uniform = DensityMatrix.diagonal([0.5, 0.5, 0.0]), DensityMatrix.maximally_mixed(3)
+    return (("constructed", {"rho": flat, "sigma": uniform}),)
+
+
+_CONDITIONS = (
+    _Condition(
+        1, "1-invariance", "conjugating both arguments by one unitary",
+        "invariance", _invariance, stream=21, threshold=1e-8,
+        draw=lambda rng, dim, t, cfg: {
+            "rho": _draw_density(dim, rng, cfg.rank_profile),
+            "sigma": _draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "unitary": rand.haar_unitary(dim, rng),
+        },
+    ),
+    _Condition(
+        2, "2-bounds", "two-sided bound 0 <= value <= entropy of the first argument",
+        "bound", _bound, stream=22, tag="sampled",
+        draw=lambda rng, dim, t, cfg: {
+            "rho": _draw_density(dim, rng, cfg.rank_profile),
+            "sigma": _draw_conditioning(dim, rng, t, cfg.gap_floor),
+        },
+        # Eigenvalue-blind conditioning can exceed S(rho).
+        probes=lambda: (("constructed", {
+            "rho": DensityMatrix.diagonal([0.9, 0.1]), "sigma": DensityMatrix.maximally_mixed(2)
+        }),),
+    ),
+    _Condition(
+        2, "2-eq-self", "conditioning a state on itself should give zero",
+        "eq-self", _eq_self, stream=23, tag="sampled",
+        draw=lambda rng, dim, t, cfg: {"rho": _draw_conditioning(dim, rng, t, cfg.gap_floor)},
+        probes=lambda: (("constructed", {"rho": DensityMatrix.maximally_mixed(2)}),),
+    ),
+    _Condition(
+        2, "2-eq-trivial",
+        "conditioning on the maximally mixed state reaches the functional's own "
+        "maximal value; max gap against the von Neumann entropy was {aside:.6g}",
+        "eq-trivial", _eq_trivial, stream=24,
+        draw=lambda rng, dim, t, cfg: {"rho": _draw_density(dim, rng, cfg.rank_profile)},
+        aside=lambda fid, x, details: abs(details["value"] - von_neumann_entropy(x["rho"])),
+    ),
+    _Condition(
+        3, "3-commuting-symmetry", _SYMMETRY_NOTES, "joint-symmetry", _joint_symmetry,
+        stream=25, draw=_draw_commuting_pair, tag="sampled-commuting", probes=_swap_probe,
+    ),
+    _Condition(
+        4, "4-symmetry", _SYMMETRY_NOTES, "joint-symmetry", _joint_symmetry,
+        stream=26, tag="sampled", probes=_swap_probe,
+        draw=lambda rng, dim, t, cfg: {
+            "rho": _draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "sigma": _draw_degenerate_state(dim, rng, cfg.gap_floor),
+        },
+    ),
+    _Condition(
+        5, "5-continuity-sigma",
+        "straight path from the maximally mixed state; the value jumps at the "
+        "degeneracy-pattern change at the endpoint",
+        "continuity", _continuity, threshold=0.0,
+        probes=lambda: ((None, {
+            "rho": _rotate(DensityMatrix.diagonal([0.7, 0.3]), _rotation(math.pi / 5.0)),
+            "sigma_end": DensityMatrix.diagonal([0.75, 0.25]),
+            "path": [k / 8 for k in range(9)],
+        }),),
+    ),
+    _Condition(
+        6, "6-concavity-rho", "mixing the first argument", "concavity-rho", _concavity,
+        stream=27, tag="sampled",
+        draw=lambda rng, dim, t, cfg: {
+            "lambda": float(rng.random()),
+            "arg1": _draw_density(dim, rng, cfg.rank_profile),
+            "arg2": _draw_density(dim, rng, cfg.rank_profile),
+            "fixed": _draw_degenerate_state(dim, rng, cfg.gap_floor),
+        },
         # Eigenvalue swap whose midpoint is maximally mixed: blind functionals
         # drop to zero there while both endpoints score ln 2.
-        probe(
-            0.5,
-            DensityMatrix.diagonal([0.3, 0.7]),
-            DensityMatrix.diagonal([0.7, 0.3]),
-            DensityMatrix.maximally_mixed(2),
-            "constructed",
-        )
-    else:
+        probes=lambda: (("constructed", {
+            "lambda": 0.5, "arg1": DensityMatrix.diagonal([0.3, 0.7]),
+            "arg2": DensityMatrix.diagonal([0.7, 0.3]), "fixed": DensityMatrix.maximally_mixed(2),
+        }),),
+    ),
+    _Condition(
+        6, "6-concavity-sigma", "mixing the conditioning state", "concavity-sigma",
+        lambda fid, x: _concavity(fid, x, first=False), stream=28, tag="sampled",
+        draw=lambda rng, dim, t, cfg: {
+            "lambda": float(rng.random()),
+            "arg1": _draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "arg2": _draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "fixed": _draw_density(dim, rng, cfg.rank_profile),
+        },
         # Midpoint of (uniform, pure) is nondegenerate, so the weighted
         # functional drops to zero against a positive average.
-        probe(
-            0.5,
-            DensityMatrix.maximally_mixed(2),
-            DensityMatrix.diagonal([1.0, 0.0]),
-            _rotate(DensityMatrix.diagonal([0.7, 0.3]), u),
-            "constructed",
-        )
-    stream = 27 if in_rho else 28
-    for dim in cfg.dims:
+        probes=lambda: (("constructed", {
+            "lambda": 0.5, "arg1": DensityMatrix.maximally_mixed(2),
+            "arg2": DensityMatrix.diagonal([1.0, 0.0]),
+            "fixed": _rotate(DensityMatrix.diagonal([0.7, 0.3]), _rotation(math.pi / 5.0)),
+        }),),
+    ),
+)
+_BY_KIND = {c.kind: c for c in _CONDITIONS}
+
+
+def _probes(c: _Condition, cfg: EnsembleConfig):
+    yield from c.probes()
+    for dim in cfg.dims if c.draw is not None else ():
         for t in range(cfg.trials):
-            rng = rand.rng_for(cfg.seed, stream, dim, t)
-            lam = float(rng.random())
-            if in_rho:
-                a1 = _draw_density(dim, rng, cfg.rank_profile)
-                a2 = _draw_density(dim, rng, cfg.rank_profile)
-                fixed = _draw_degenerate_state(dim, rng, cfg.gap_floor)
-            else:
-                a1 = _draw_degenerate_state(dim, rng, cfg.gap_floor)
-                a2 = _draw_degenerate_state(dim, rng, cfg.gap_floor)
-                fixed = _draw_density(dim, rng, cfg.rank_profile)
-            probe(lam, a1, a2, fixed, "sampled")
-    label = "6-concavity-rho" if in_rho else "6-concavity-sigma"
-    notes = "mixing the first argument" if in_rho else "mixing the conditioning state"
-    return track.entry(6, label, notes)
+            yield c.tag, c.draw(rand.rng_for(cfg.seed, c.stream, dim, t), dim, t, cfg)
+
+
+def _decode(key: str, value):
+    """Inverse of _encode: matrix documents are states, except the unitary."""
+    if not isinstance(value, dict):
+        return value
+    mat = doc_to_matrix(value)
+    return mat if key == "unitary" else DensityMatrix(mat)
+
+
+def _run(c: _Condition, fid: str, cfg: EnsembleConfig) -> ConditionEntry:
+    worst, witness, aside = 0.0, None, 0.0
+    for tag, inputs in _probes(c, cfg):
+        violation, details = c.violation(fid, inputs)
+        if c.aside is not None:
+            aside = max(aside, c.aside(fid, inputs, details))
+        if violation > worst:
+            worst = violation
+            if violation > c.threshold:
+                # Serialized only for a new worst, so most probes cost no encoding.
+                witness = {"kind": c.kind, "functional": fid}
+                if tag is not None:
+                    witness["tag"] = tag
+                witness.update((k, _encode(v)) for k, v in inputs.items())
+                witness.update(details, violation=violation)
+    verdict = HOLDS if witness is None else FAILS
+    notes = c.notes.format(aside=aside)
+    return ConditionEntry(c.condition, c.label, verdict, worst, witness, notes)
 
 
 def axiom_audit(functional_id: str, cfg: EnsembleConfig) -> AuditReport:
     """Audit one functional against the desiderata; deterministic per seed."""
-    if functional_id not in _FUNCTIONAL_IDS:
-        raise ValidationError(
-            f"unknown functional {functional_id!r}; use one of {_FUNCTIONAL_IDS}"
-        )
-    entries = (
-        _audit_invariance(functional_id, cfg),
-        _audit_bounds(functional_id, cfg),
-        _audit_eq_self(functional_id, cfg),
-        _audit_eq_trivial(functional_id, cfg),
-        _audit_symmetry(functional_id, cfg, commuting=True),
-        _audit_symmetry(functional_id, cfg, commuting=False),
-        _audit_continuity(functional_id, cfg),
-        _audit_concavity(functional_id, cfg, in_rho=True),
-        _audit_concavity(functional_id, cfg, in_rho=False),
-    )
+    _functional(functional_id)  # rejects an unknown id
+    entries = tuple(_run(c, functional_id, cfg) for c in _CONDITIONS)
     return AuditReport(functional_id=functional_id, config=cfg, entries=entries)
 
 
 def replay_witness(witness: dict) -> float:
-    """Recompute a witness's violation from its serialized inputs."""
-    kind = witness["kind"]
-    fid = witness.get("functional", "scond")
-    f = _functional(fid)
-
-    def density(key):
-        return DensityMatrix(doc_to_matrix(witness[key]))
-
-    if kind == "invariance":
-        rho, sigma = density("rho"), density("sigma")
-        u = doc_to_matrix(witness["unitary"])
-        return abs(f(_rotate(rho, u), _rotate(sigma, u)) - f(rho, sigma))
-    if kind == "bound":
-        rho, sigma = density("rho"), density("sigma")
-        value = f(rho, sigma)
-        return max(-value, value - von_neumann_entropy(rho), 0.0)
-    if kind == "eq-self":
-        rho = density("rho")
-        return abs(f(rho, rho))
-    if kind == "eq-trivial":
-        rho = density("rho")
-        uniform = DensityMatrix.maximally_mixed(rho.dim)
-        return abs(f(rho, uniform) - _trivial_benchmark(fid, rho))
-    if kind == "joint-symmetry":
-        rho, sigma = density("rho"), density("sigma")
-        return abs(_joint_value(fid, rho, sigma) - _joint_value(fid, sigma, rho))
-    if kind == "continuity":
-        rho = density("rho")
-        sigma_end = density("sigma_end")
-        path = witness["path"]
-        uniform = DensityMatrix.maximally_mixed(rho.dim)
-        values = [
-            f(rho, DensityMatrix((1.0 - t) * uniform.mat + t * sigma_end.mat))
-            for t in path[:2]
-        ]
-        return abs(values[1] - values[0])
-    if kind in ("concavity-rho", "concavity-sigma"):
-        lam = float(witness["lambda"])
-        a1, a2, fixed = density("arg1"), density("arg2"), density("fixed")
-        mixed = DensityMatrix(lam * a1.mat + (1.0 - lam) * a2.mat)
-        if kind == "concavity-rho":
-            gap = lam * f(a1, fixed) + (1.0 - lam) * f(a2, fixed) - f(mixed, fixed)
-        else:
-            gap = lam * f(fixed, a1) + (1.0 - lam) * f(fixed, a2) - f(fixed, mixed)
-        return max(gap, 0.0)
-    raise ValidationError(f"unknown witness kind {kind!r}")
+    """Recompute a witness's violation: its condition's violation on its inputs."""
+    condition = _BY_KIND.get(witness["kind"])
+    if condition is None:
+        raise ValidationError(f"unknown witness kind {witness['kind']!r}")
+    inputs = {k: _decode(k, v) for k, v in witness.items()}
+    return condition.violation(witness.get("functional", "scond"), inputs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -891,10 +728,7 @@ def impossibility_demos() -> dict:
     rho1 = DensityMatrix.diagonal([0.3, 0.7])
     lam = _decomposition_weight(rho, rho1)
     rho2 = DensityMatrix((rho.mat - lam * rho1.mat) / (1.0 - lam))
-    theta = math.pi / 6.0
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    rho1_rot = _rotate(rho1, u)
+    rho1_rot = _rotate(rho1, _rotation(math.pi / 6.0))
     lam_rot = _decomposition_weight(rho, rho1_rot)
     rho2_rot = DensityMatrix((rho.mat - lam_rot * rho1_rot.mat) / (1.0 - lam_rot))
     value_rot = conditional_entropy_of_states(rho1_rot, rho)
@@ -1047,10 +881,7 @@ def tilted_family_probe(
 
 def dim2_demo(seed: int = 0) -> dict:
     """Smallest-dimension tour of the conditional entropy's behavior."""
-    theta = math.pi / 7.0
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    rho = _rotate(DensityMatrix.diagonal([0.7, 0.3]), u)
+    rho = _rotate(DensityMatrix.diagonal([0.7, 0.3]), _rotation(math.pi / 7.0))
     uniform = DensityMatrix.maximally_mixed(2)
     sigma = _draw_nondegenerate_state(2, rand.rng_for(seed, 99), 1e-3)
     return {

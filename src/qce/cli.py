@@ -11,9 +11,10 @@ Entropies are computed in nats; --units bits divides displayed entropy rows
 by ln 2 and nothing else. --format json emits a versioned document
 {"schema": "qce/1", "command", "settings", "rows", "report"}.
 
-Exit codes: 0 success; 2 malformed input; 3 failed validation; 4 optimizer
-did not converge; 5 a sweep found a property violation (the audit verdicts
-departed from the expected table).
+Exit codes: 0 success; 2 malformed input, including a negative or
+non-integer --seed or QCE_SEED; 3 failed validation; 4 optimizer did not
+converge; 5 a sweep found a property violation (the audit verdicts departed
+from the expected table).
 """
 
 from __future__ import annotations
@@ -82,14 +83,23 @@ _LN2 = math.log(2.0)
 __all__ = ["main"]
 
 
+def _seed_arg(text: str) -> int:
+    """A seed from --seed or QCE_SEED: a nonnegative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _seed_default() -> int:
     raw = os.environ.get("QCE_SEED", "")
-    if not raw:
-        return 0
     try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"QCE_SEED must be an integer, got {raw!r}") from None
+        return _seed_arg(raw) if raw else 0
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"QCE_SEED: {exc}") from None
 
 
 def _dims_arg(text: str) -> tuple[int, ...]:
@@ -107,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--units", choices=("nats", "bits"), default="nats")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument(
-        "--seed", type=int, default=None, help="RNG seed (default: QCE_SEED or 0)"
+        "--seed", type=_seed_arg, default=None, help="RNG seed (default: QCE_SEED or 0)"
     )
     common.add_argument(
         "--cluster-tol", type=float, default=None, help="eigenvalue clustering scale"

@@ -72,6 +72,15 @@ def _blocks(res) -> IdentityResolution:
     )
 
 
+def _block_overlaps(pb: IdentityResolution, qb: IdentityResolution) -> np.ndarray:
+    """tr(P_i Q_j) for all block pairs: block sums of |V* W|^2 over the frames."""
+    if pb.dim != qb.dim:
+        raise DimMismatch(f"resolutions have dims {pb.dim} and {qb.dim}")
+    overlap = np.abs(pb.frame.conj().T @ qb.frame) ** 2
+    rows = np.add.reduceat(overlap, pb.bounds[:-1], axis=0)
+    return np.add.reduceat(rows, qb.bounds[:-1], axis=1)
+
+
 def partition_from_resolutions(
     p_res, q_res, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ClassicalPartitionData:
@@ -82,12 +91,7 @@ def partition_from_resolutions(
     and W, tr(P_i Q_j) is the sum of |V* W|^2 over block (i, j).
     """
     pb, qb = _blocks(p_res), _blocks(q_res)
-    if pb.dim != qb.dim:
-        raise DimMismatch(f"resolutions have dims {pb.dim} and {qb.dim}")
-    overlap = np.abs(pb.frame.conj().T @ qb.frame) ** 2
-    rows = np.add.reduceat(overlap, pb.bounds[:-1], axis=0)
-    joint = np.add.reduceat(rows, qb.bounds[:-1], axis=1) / pb.dim
-    return ClassicalPartitionData.from_joint(joint, tol)
+    return ClassicalPartitionData.from_joint(_block_overlaps(pb, qb) / pb.dim, tol)
 
 
 def resolution_entropy(res, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -127,32 +131,28 @@ class OrderWitness:
 def resolution_leq(p_res, q_res, tol: Tolerances = DEFAULT_TOLERANCES) -> OrderWitness:
     """Whether each block of p_res sits inside a unique block of q_res.
 
-    The order also requires every coarse block to be hit; for consistent
+    Fine block P_i sits inside coarse block Q_j when max|Q_j P_i - P_i| <=
+    tol.orth. While 2 * dim * tol.orth < 1, such a Q_j holds more than half
+    of tr(P_i) and no other coarse block can also hold P_i, so only the
+    coarse block with the largest tr(P_i Q_j) is tested, on the frames. The
+    order also requires every coarse block to be hit; for consistent
     resolutions that follows automatically, and it is re-checked here.
     """
     pb, qb = _blocks(p_res), _blocks(q_res)
-    if pb.dim != qb.dim:
-        raise DimMismatch(f"resolutions have dims {pb.dim} and {qb.dim}")
-    assignment = []
-    for i, p in enumerate(pb.projectors):
-        hits = [
-            j
-            for j, q in enumerate(qb.projectors)
-            if max_abs(q.mat @ p.mat - p.mat) <= tol.orth
-        ]
-        if not hits:
+    candidates = np.argmax(_block_overlaps(pb, qb), axis=1)
+    fine, coarse = pb.bases(), qb.bases()
+    for i, j in enumerate(candidates):
+        v, w = fine[i], coarse[j]
+        outside = v - w @ (w.conj().T @ v)  # (I - Q_j) V_i
+        if max_abs(outside @ v.conj().T) > tol.orth:
             return OrderWitness(False, violation=f"block {i} lies inside no coarse block")
-        if len(hits) > 1:
-            return OrderWitness(
-                False, violation=f"block {i} lies inside blocks {hits} ambiguously"
-            )
-        assignment.append(hits[0])
+    assignment = tuple(int(j) for j in candidates)
     missing = set(range(len(qb))) - set(assignment)
     if missing:
         return OrderWitness(
             False, violation=f"coarse blocks {sorted(missing)} contain no fine block"
         )
-    return OrderWitness(True, assignment=tuple(assignment))
+    return OrderWitness(True, assignment=assignment)
 
 
 def more_mixed(
@@ -177,11 +177,12 @@ def more_mixed(
     res_s = spectral_resolution(sigma, cluster_tol, tol)
     if not resolution_leq(res_r.blocks(), res_s.blocks(), tol).holds:
         return False
-    for val, q in zip(res_s.eigenvalues, res_s.projectors):
-        mass = float(np.trace(rho.mat @ q.mat).real)
-        if abs(mass - val * q.rank) > 1e-8:
-            return False
-    return True
+    # tr(rho Q_j) is the sum of the diagonal of V_j* rho V_j.
+    v = res_s.frame
+    diag = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
+    masses = np.add.reduceat(diag, res_s.blocks().bounds[:-1])
+    targets = np.asarray(res_s.eigenvalues) * np.asarray(res_s.ranks())
+    return bool(np.all(np.abs(masses - targets) <= 1e-8))
 
 
 def commutant_dim(

@@ -53,6 +53,8 @@ def test_ensemble_config_validation():
         EnsembleConfig(dims=(1,))
     with pytest.raises(ValidationError, match="trials"):
         EnsembleConfig(trials=0)
+    with pytest.raises(ValidationError, match="seed"):
+        EnsembleConfig(seed=-1)
     with pytest.raises(ValidationError, match="rank_profile"):
         EnsembleConfig(rank_profile="weird")
     with pytest.raises(ValidationError, match="gap_floor"):
@@ -152,14 +154,35 @@ def test_audit_failures_carry_witnesses():
             assert entry.verdict == HOLDS
 
 
+WITNESS_KEYS = {
+    "invariance": ("rho", "sigma", "unitary", "value", "value_moved"),
+    "bound": ("tag", "rho", "sigma", "value", "entropy_rho"),
+    "eq-self": ("tag", "rho", "value"),
+    "eq-trivial": ("rho", "value", "benchmark"),
+    "joint-symmetry": ("tag", "rho", "sigma", "joint", "joint_swapped"),
+    "continuity": ("rho", "sigma_end", "path", "values", "jump", "smooth_variation"),
+    "concavity-rho": ("tag", "lambda", "arg1", "arg2", "fixed"),
+    "concavity-sigma": ("tag", "lambda", "arg1", "arg2", "fixed"),
+}
+
+
 def test_audit_witnesses_replay():
-    for fid in ("scond", "hres"):
-        report = axiom_audit(fid, SMALL)
-        for entry in report.entries:
-            if entry.witness is None:
-                continue
-            replayed = replay_witness(entry.witness)
-            assert replayed == pytest.approx(entry.max_violation, abs=1e-10)
+    c10 = EnsembleConfig(dims=(2, 3, 4), trials=50, seed=0)
+    for cfg in (SMALL, c10):
+        kinds = set()
+        for fid in ("scond", "hres"):
+            for entry in axiom_audit(fid, cfg).entries:
+                w = entry.witness
+                if w is None:
+                    continue
+                kinds.add(w["kind"])
+                keys = ("kind", "functional", *WITNESS_KEYS[w["kind"]], "violation")
+                assert tuple(w) == keys
+                assert w["functional"] == fid
+                assert w["violation"] == pytest.approx(entry.max_violation, abs=1e-10)
+                assert replay_witness(w) == pytest.approx(w["violation"], abs=1e-10)
+        # Every kind but invariance and eq-trivial, which hold for both.
+        assert kinds == set(WITNESS_KEYS) - {"invariance", "eq-trivial"}
 
 
 def test_audit_deterministic():

@@ -132,10 +132,11 @@ def test_trace_violation_is_a_validation_error(capsys):
 
 
 def test_bad_env_seed_is_a_parse_error(monkeypatch, capsys):
-    monkeypatch.setenv("QCE_SEED", "pi")
-    code, _, err = run(["entropy", diag_doc(0.5, 0.5)], capsys)
-    assert code == 2
-    assert "QCE_SEED" in err
+    for raw in ("pi", "-3"):
+        monkeypatch.setenv("QCE_SEED", raw)
+        code, _, err = run(["entropy", diag_doc(0.5, 0.5)], capsys)
+        assert code == 2
+        assert "QCE_SEED" in err
 
 
 def test_env_seed_and_flag_override(monkeypatch, capsys):
@@ -146,7 +147,12 @@ def test_env_seed_and_flag_override(monkeypatch, capsys):
     assert doc["settings"]["seed"] == 5
 
 
-@pytest.mark.parametrize("argv", [["bogus"], ["demo", "nope"], ["audit", "--functional", "x"]])
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    ["demo", "nope"],
+    ["audit", "--functional", "x"],
+    ["audit", "--functional", "scond", "--seed", "-1"],
+])
 def test_unknown_choices_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qce import (
+    DEFAULT_TOLERANCES,
     DensityMatrix,
     DimMismatch,
     IdentityResolution,
@@ -26,8 +27,11 @@ from qce import (
     resolution_joint_entropy,
     resolution_leq,
     spectral_resolution,
+    tolerance_profile,
     von_neumann_entropy,
 )
+from qce.matcore import max_abs
+from qce.resolutions import OrderWitness
 
 H_PI6 = 0.75 * math.log(4.0 / 3.0) + 0.25 * math.log(4.0)
 
@@ -41,6 +45,46 @@ def rank1_basis_resolution(dim, theta=0.0):
     return IdentityResolution(
         [Projector.from_basis(u[:, [k]]) for k in range(dim)]
     )
+
+
+def dense_resolution_leq(p_res, q_res, tol=DEFAULT_TOLERANCES):
+    """Oracle: test every (fine, coarse) pair of dense block projectors."""
+    assignment = []
+    for i, p in enumerate(p_res.projectors):
+        hits = [
+            j
+            for j, q in enumerate(q_res.projectors)
+            if max_abs(q.mat @ p.mat - p.mat) <= tol.orth
+        ]
+        if not hits:
+            return OrderWitness(False, violation=f"block {i} lies inside no coarse block")
+        if len(hits) > 1:
+            return OrderWitness(
+                False, violation=f"block {i} lies inside blocks {hits} ambiguously"
+            )
+        assignment.append(hits[0])
+    missing = set(range(len(q_res))) - set(assignment)
+    if missing:
+        return OrderWitness(
+            False, violation=f"coarse blocks {sorted(missing)} contain no fine block"
+        )
+    return OrderWitness(True, assignment=tuple(assignment))
+
+
+def frame_resolution(frame, sizes, tol=DEFAULT_TOLERANCES):
+    bounds = np.cumsum([0] + list(sizes))
+    return IdentityResolution(
+        [Projector.from_basis(frame[:, a:b], tol) for a, b in zip(bounds, bounds[1:])],
+        tol,
+    )
+
+
+def random_sizes(rng, total):
+    sizes = []
+    while total:
+        sizes.append(int(rng.integers(1, total + 1)))
+        total -= sizes[-1]
+    return sizes
 
 
 def conjugated(res, u):
@@ -197,6 +241,43 @@ def test_resolution_leq_reflexive():
     assert w.assignment == (0, 1, 2)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
+def test_resolution_leq_matches_dense_pairwise_oracle(dim):
+    rng = np.random.default_rng(dim)
+    loose = tolerance_profile("loose")
+    outcomes = set()
+    for _ in range(3):
+        coarse_sizes = random_sizes(rng, dim - 1) + [1]
+        frame = random_unitary(dim, seed=int(rng.integers(1 << 30)))
+        # A refinement: rotate inside each coarse block, then split it.
+        fine_sizes, start = [], 0
+        for s in coarse_sizes:
+            inner = random_unitary(s, seed=int(rng.integers(1 << 30)))
+            frame[:, start:start + s] = frame[:, start:start + s] @ inner
+            fine_sizes += random_sizes(rng, s)
+            start += s
+        coarse = frame_resolution(frame, coarse_sizes)
+        fine = frame_resolution(frame, fine_sizes)
+        other = random_resolution(dim, random_sizes(rng, dim), int(rng.integers(1 << 30)))
+        pairs = [(fine, coarse), (coarse, fine), (fine, other), (other, coarse)]
+        # Tilt the first column into the last coarse block by an angle (in
+        # units of tol.orth). The criterion lands between angle / dim and
+        # angle: below tol.orth at 0.5, above it at 4 dim, and anywhere in
+        # between for the third angle.
+        loose_coarse = frame_resolution(frame, coarse_sizes, loose)
+        for angle in (0.5, 4.0 * dim, 10.0 ** rng.uniform(0.0, np.log10(4.0 * dim))):
+            c, s = np.cos(angle * loose.orth), np.sin(angle * loose.orth)
+            tilted = frame.copy()
+            tilted[:, 0] = c * frame[:, 0] + s * frame[:, -1]
+            tilted[:, -1] = -s * frame[:, 0] + c * frame[:, -1]
+            pairs.append((frame_resolution(tilted, fine_sizes, loose), loose_coarse, loose))
+        for p_res, q_res, *tol in pairs:
+            expected = dense_resolution_leq(p_res, q_res, *tol)
+            assert resolution_leq(p_res, q_res, *tol) == expected
+            outcomes.add((len(tol), expected.holds))
+    assert outcomes == {(0, True), (0, False), (1, True), (1, False)}
+
+
 def test_everything_below_trivial_resolution():
     for sizes in ([1, 1, 1, 1], [2, 2], [3, 1]):
         res = IdentityResolution.coordinate(4, sizes)
@@ -263,6 +344,27 @@ def test_more_mixed_accepts_constructed_coarsening():
     rho = DensityMatrix.diagonal([0.5, 0.3, 0.2])
     sigma = DensityMatrix.diagonal([0.4, 0.4, 0.2])
     assert more_mixed(rho, sigma)
+
+
+@pytest.mark.parametrize("dim", [3, 16, 64])
+def test_more_mixed_block_masses_in_a_rotated_frame(dim):
+    # sigma averages rho over blocks of one Haar frame; shifting mass between
+    # two blocks keeps the refinement but breaks the mass condition.
+    rng = np.random.default_rng(dim)
+    u = random_unitary(dim, seed=dim)
+    levels = np.sort(rng.random(dim) + 0.5)[::-1]
+    levels /= levels.sum()
+    sizes = [1] + [2] * ((dim - 1) // 2) + [1] * ((dim - 1) % 2)
+    bounds = np.cumsum([0] + sizes)
+    avg = np.concatenate([np.full(b - a, levels[a:b].mean()) for a, b in zip(bounds, bounds[1:])])
+    rho = DensityMatrix((u * levels) @ u.conj().T)
+    assert more_mixed(rho, DensityMatrix((u * avg) @ u.conj().T))
+    shifted = avg.copy()
+    shifted[0] += 1e-3
+    shifted[bounds[-2]:] -= 1e-3 / sizes[-1]
+    sigma = DensityMatrix((u * shifted) @ u.conj().T)
+    assert resolution_leq(spectral_resolution(rho), spectral_resolution(sigma)).holds
+    assert not more_mixed(rho, sigma)
 
 
 def test_more_mixed_implies_entropy_and_commutant_growth():

@@ -36,7 +36,7 @@ from .audit import (
     impossibility_demos,
     tilted_family_probe,
 )
-from .config import DEFAULT_TOLERANCES, tolerance_profile
+from .config import tolerance_profile
 from .entropy import (
     conditional_entropy,
     conditional_entropy_given_blocks,
@@ -205,10 +205,10 @@ def _resolution(arg: str, tol):
 
 def _cmd_entropy(args, tol):
     rho = _density(args.rho, tol)
-    res = spectral_resolution(rho, args.cluster_tol, tol)
+    res = spectral_resolution(rho, tol)
     rows = [
         _row("entropy", von_neumann_entropy(rho, tol), "nats"),
-        _row("commutant_dim", commutant_dim(rho, args.cluster_tol, tol)),
+        _row("commutant_dim", commutant_dim(rho, tol)),
     ]
     report = {
         "spectrum": [
@@ -222,15 +222,11 @@ def _cmd_entropy(args, tol):
 def _cmd_cond(args, tol):
     rho = _density(args.rho, tol)
     sigma = _density(args.sigma, tol)
-    breakdown = conditional_entropy(rho, sigma, args.cluster_tol, tol)
+    breakdown = conditional_entropy(rho, sigma, tol)
     rows = [
         _row("conditional_entropy", breakdown.total, "nats"),
         _row("entropy_rho", von_neumann_entropy(rho, tol), "nats"),
-        _row(
-            "information_gain",
-            information_gain(rho, sigma, args.cluster_tol, tol),
-            "nats",
-        ),
+        _row("information_gain", information_gain(rho, sigma, tol), "nats"),
     ]
     report = {
         "per_block": [
@@ -311,19 +307,19 @@ def _witness_dict(witness) -> dict:
 def _cmd_orders(args, tol):
     rho = _density(args.rho, tol)
     sigma = _density(args.sigma, tol)
-    res_r = spectral_resolution(rho, args.cluster_tol, tol).blocks()
-    res_s = spectral_resolution(sigma, args.cluster_tol, tol).blocks()
+    res_r = spectral_resolution(rho, tol).blocks()
+    res_s = spectral_resolution(sigma, tol).blocks()
     rows = [
         _row("entropy_rho", von_neumann_entropy(rho, tol), "nats"),
         _row("entropy_sigma", von_neumann_entropy(sigma, tol), "nats"),
-        _row("commutant_dim_rho", commutant_dim(rho, args.cluster_tol, tol)),
-        _row("commutant_dim_sigma", commutant_dim(sigma, args.cluster_tol, tol)),
+        _row("commutant_dim_rho", commutant_dim(rho, tol)),
+        _row("commutant_dim_sigma", commutant_dim(sigma, tol)),
     ]
     report = {
         "rho_refines_sigma": _witness_dict(resolution_leq(res_r, res_s, tol)),
         "sigma_refines_rho": _witness_dict(resolution_leq(res_s, res_r, tol)),
-        "sigma_more_mixed_than_rho": more_mixed(rho, sigma, args.cluster_tol, tol),
-        "rho_more_mixed_than_sigma": more_mixed(sigma, rho, args.cluster_tol, tol),
+        "sigma_more_mixed_than_rho": more_mixed(rho, sigma, tol),
+        "rho_more_mixed_than_sigma": more_mixed(sigma, rho, tol),
     }
     return rows, report, EXIT_OK
 
@@ -464,13 +460,14 @@ def _convert_rows(rows: list, units: str) -> list:
     return out
 
 
-def _settings(args, tol) -> dict:
+def _settings(args, profile) -> dict:
+    """The run's settings; tolerances are the profile's, --cluster-tol is its own key."""
     return {
         "units": args.units,
         "seed": args.seed,
         "cluster_tol": args.cluster_tol,
         "tol_profile": args.tol_profile,
-        "tolerances": dataclasses.asdict(tol),
+        "tolerances": dataclasses.asdict(profile),
         "optimizer": dataclasses.asdict(OptimizeConfig(seed=args.seed)),
         "report_units": "nats",
     }
@@ -523,11 +520,10 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _seed_default()
-        tol = (
-            DEFAULT_TOLERANCES
-            if args.tol_profile == "default"
-            else tolerance_profile(args.tol_profile)
-        )
+        profile = tolerance_profile(args.tol_profile)
+        tol = profile
+        if args.cluster_tol is not None:
+            tol = dataclasses.replace(profile, cluster=args.cluster_tol)
         rows, report, code = _HANDLERS[args.command](args, tol)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -535,7 +531,7 @@ def main(argv=None) -> int:
     except QceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    settings = _settings(args, tol)
+    settings = _settings(args, profile)
     rows = _convert_rows(rows, args.units)
     if args.format == "json":
         doc = {

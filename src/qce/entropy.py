@@ -38,13 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (
-    DimMismatch,
-    NotApplicable,
-    NotCommuting,
-    NotPSD,
-    ZeroCompression,
-)
+from .errors import DimMismatch, NotPSD, ZeroCompression
 from .matcore import (
     DensityMatrix,
     IdentityResolution,
@@ -52,24 +46,20 @@ from .matcore import (
     as_complex_matrix,
     compress,
     hermitize,
-    max_abs,
     spectral_resolution,
     trace_xlnx,
     _require_hermitian,
 )
-from .shannon import ProbabilityVector, shannon_entropy
+from .shannon import ProbabilityVector
 
 __all__ = [
     "BlockTerm",
     "EntropyBreakdown",
     "ProbabilityVector",
     "block_distribution",
-    "classical_entropy",
     "compressed_entropy",
     "compressed_state",
     "conditional_entropy",
-    "conditional_entropy_commuting",
-    "conditional_entropy_flat",
     "conditional_entropy_given_blocks",
     "information_gain",
     "joint_entropy",
@@ -81,9 +71,6 @@ __all__ = [
     "unnormalized_compressed_entropy",
     "von_neumann_entropy",
 ]
-
-# Commutation and flatness checks for the specialized formulas use this scale.
-_STRUCTURE_TOL = 1e-8
 
 
 class BlockTerm(NamedTuple):
@@ -122,11 +109,6 @@ def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
     """-tr(rho ln rho), in nats."""
     _check_density(rho, "rho")
     return -trace_xlnx(rho.mat, tol)
-
-
-def classical_entropy(p) -> float:
-    """Entropy of a probability vector, in nats."""
-    return shannon_entropy(p)
 
 
 def relative_entropy(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -234,10 +216,7 @@ def compressed_state(
 
 
 def conditional_entropy(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> EntropyBreakdown:
     """Conditional entropy of rho given sigma, with its per-block terms.
 
@@ -251,7 +230,7 @@ def conditional_entropy(
     _check_density(rho, "rho")
     _check_density(sigma, "sigma")
     _check_same_dim(rho, sigma)
-    res = spectral_resolution(sigma, cluster_tol, tol)
+    res = spectral_resolution(sigma, tol)
     terms = []
     total = 0.0
     for j, (level, basis) in enumerate(zip(res.eigenvalues, res.bases())):
@@ -265,9 +244,7 @@ def conditional_entropy(
 
 
 def self_conditional_entropy(
-    rho: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """Conditional entropy of a state given itself, via the closed form.
 
@@ -275,93 +252,11 @@ def self_conditional_entropy(
     degenerate eigenvalues contribute.
     """
     _check_density(rho, "rho")
-    res = spectral_resolution(rho, cluster_tol, tol)
+    res = spectral_resolution(rho, tol)
     total = 0.0
     for val, rank in zip(res.eigenvalues, res.ranks()):
         if rank > 1:
             total += (val * rank) ** 2 * math.log(rank)
-    return total
-
-
-def conditional_entropy_flat(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
-    """Fast path for conditioning blocks that compress rho to flat operators.
-
-    Applicable when every block Q_j of sigma with positive weight satisfies
-    Q_j rho Q_j = c_j * (projector of rank r_j) for some c_j >= 0; the block
-    then contributes tr(Q_j rho) * tr(Q_j sigma) * ln r_j. Raises
-    NotApplicable when a block's compression is not flat within 1e-8.
-    """
-    _check_density(rho, "rho")
-    _check_density(sigma, "sigma")
-    _check_same_dim(rho, sigma)
-    res = spectral_resolution(sigma, cluster_tol, tol)
-    total = 0.0
-    for j, (level, basis) in enumerate(zip(res.eigenvalues, res.bases())):
-        weight = level * basis.shape[1]
-        if weight <= tol.support:
-            continue
-        m = hermitize(basis.conj().T @ rho.mat @ basis)
-        mu, u = np.linalg.eigh(m)
-        mu = np.clip(mu, 0.0, None)
-        t = float(mu.sum())
-        if t <= tol.support:
-            continue
-        top = float(mu[-1])
-        flat_rank = int(np.count_nonzero(mu >= top / 2.0))
-        level = t / flat_rank
-        flat_basis = basis @ u[:, mu >= top / 2.0]
-        residual = max_abs(
-            basis @ m @ basis.conj().T - level * (flat_basis @ flat_basis.conj().T)
-        )
-        if residual > _STRUCTURE_TOL:
-            raise NotApplicable(
-                f"block {j}: compression is not a projector multiple "
-                f"(residual {residual:.3e})"
-            )
-        total += t * weight * math.log(flat_rank)
-    return total
-
-
-def conditional_entropy_commuting(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
-    """Conditional entropy for commuting operands via the double-sum formula.
-
-    With {P_i} the blocks of rho (eigenvalues r_i) and {Q_j} the blocks of
-    sigma, the value is
-
-        -sum_{j,i} tr(Q_j sigma) * r_i * tr(P_i Q_j) * ln(r_i / tr(rho Q_j)).
-
-    Raises NotCommuting when the operands fail to commute within 1e-8.
-    """
-    _check_density(rho, "rho")
-    _check_density(sigma, "sigma")
-    _check_same_dim(rho, sigma)
-    if max_abs(rho.mat @ sigma.mat - sigma.mat @ rho.mat) > _STRUCTURE_TOL:
-        raise NotCommuting("operands do not commute within 1e-8")
-    res_r = spectral_resolution(rho, cluster_tol, tol)
-    res_s = spectral_resolution(sigma, cluster_tol, tol)
-    total = 0.0
-    for q in res_s.projectors:
-        w_sigma = max(float(np.trace(q.mat @ sigma.mat).real), 0.0)
-        w_rho = max(float(np.trace(q.mat @ rho.mat).real), 0.0)
-        if w_sigma <= tol.support or w_rho <= tol.support:
-            continue
-        for rval, p in zip(res_r.eigenvalues, res_r.projectors):
-            if rval <= tol.support:
-                continue
-            overlap = float(np.trace(p.mat @ q.mat).real)
-            if overlap < 0.5:
-                continue
-            total -= w_sigma * rval * overlap * math.log(rval / w_rho)
     return total
 
 
@@ -409,62 +304,46 @@ def pinch(
 
 
 def joint_entropy(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """S(sigma) + S(rho | sigma). Not symmetric in its arguments."""
-    return von_neumann_entropy(sigma, tol) + conditional_entropy(
-        rho, sigma, cluster_tol, tol
-    ).total
+    return von_neumann_entropy(sigma, tol) + conditional_entropy(rho, sigma, tol).total
 
 
 def information_gain(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """S(rho) - S(rho | sigma); between 0 and S(rho)."""
-    return von_neumann_entropy(rho, tol) - conditional_entropy(
-        rho, sigma, cluster_tol, tol
-    ).total
+    return von_neumann_entropy(rho, tol) - conditional_entropy(rho, sigma, tol).total
 
 
 def self_information_gain(
-    rho: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """S(rho) - S(rho | rho), the information a state carries about itself."""
-    return von_neumann_entropy(rho, tol) - self_conditional_entropy(rho, cluster_tol, tol)
+    return von_neumann_entropy(rho, tol) - self_conditional_entropy(rho, tol)
 
 
 def spectrum_distribution(
-    rho: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ProbabilityVector:
     """Eigenvalues of rho repeated with multiplicity, descending."""
     _check_density(rho, "rho")
-    res = spectral_resolution(rho, cluster_tol, tol)
+    res = spectral_resolution(rho, tol)
     reps = np.repeat(res.eigenvalues, res.ranks())
     return ProbabilityVector(reps, tol)
 
 
 def block_distribution(
-    rho: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ProbabilityVector:
     """Total weight rank_i * value_i carried by each distinct eigenvalue.
 
     With the state's own eigenvalues as weights this splits the entropy
-    exactly: S(rho) = classical_entropy(block_distribution(rho))
+    exactly: S(rho) = shannon_entropy(block_distribution(rho))
     + sum_i rank_i * value_i * ln(rank_i).
     """
     _check_density(rho, "rho")
-    res = spectral_resolution(rho, cluster_tol, tol)
+    res = spectral_resolution(rho, tol)
     weights = [v * r for v, r in zip(res.eigenvalues, res.ranks())]
     return ProbabilityVector(weights, tol)

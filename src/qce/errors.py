@@ -4,7 +4,7 @@ ValidationError covers every "the object you handed me is not what the
 operation requires" failure; its subclasses name the specific broken
 invariant so callers can branch on them. Errors outside that branch signal
 conditions arising during a computation (ambiguous eigenvalue clustering,
-a fast path whose precondition does not hold, and so on).
+a formula whose precondition does not hold, and so on).
 """
 
 
@@ -49,7 +49,7 @@ class ZeroCompression(QceError):
 
 
 class NotApplicable(QceError):
-    """Fast-path precondition does not hold for the given inputs."""
+    """A formula's precondition does not hold for the given inputs."""
 
 
 class NotCommuting(QceError):

@@ -43,7 +43,7 @@ from .errors import (
     ZeroCompression,
 )
 from .entropy import self_information_gain, von_neumann_entropy
-from .matcore import DensityMatrix, Projector, hermitize, max_abs
+from .matcore import DensityMatrix, Projector, commutator_residual, hermitize
 from .rand import haar_basis, rng_for
 
 __all__ = [
@@ -83,6 +83,8 @@ class OptimizeConfig:
         )
         if not ok:
             raise ValidationError("invalid ascent parameters")
+        if self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -258,9 +260,7 @@ def maximize_compressed_entropy(
             iterations=0,
             converged=True,
             restart_values=(0.0,),
-            commutation_residual=max_abs(
-                rho.mat @ best_q.mat - best_q.mat @ rho.mat
-            ),
+            commutation_residual=commutator_residual(rho.mat, best_q.mat),
         )
     runs = []
     total_iters = 0
@@ -285,7 +285,7 @@ def maximize_compressed_entropy(
         iterations=total_iters,
         converged=best_converged,
         restart_values=tuple(run[0] for run in runs),
-        commutation_residual=max_abs(rho.mat @ best_q.mat - best_q.mat @ rho.mat),
+        commutation_residual=commutator_residual(rho.mat, best_q.mat),
     )
 
 

@@ -22,10 +22,11 @@ the frame's column blocks (bases()); the projectors attribute is a lazily
 built tuple of Projector views over those blocks, trusted without a second
 check.
 
-Eigenvalue clustering turns a raw descending spectrum into distinct levels.
-Gaps at most cluster_tol/4 merge, gaps of at least cluster_tol separate, and
-gaps strictly between signal an unstable grouping and raise ClusterAmbiguity
-rather than silently committing to either reading.
+Eigenvalue clustering turns a raw descending spectrum into distinct levels
+at the scale tol.cluster, which must be finite and positive. Gaps at most
+tol.cluster/4 merge, gaps of at least tol.cluster separate, and gaps strictly
+between signal an unstable grouping and raise ClusterAmbiguity rather than
+silently committing to either reading.
 """
 
 from __future__ import annotations
@@ -353,22 +354,21 @@ class SpectralResolution:
         projectors,
         tol: Tolerances = DEFAULT_TOLERANCES,
         *,
-        cluster_tol: float | None = None,
         density: bool = False,
     ):
-        self._adopt(eigenvalues, IdentityResolution(projectors, tol), tol, cluster_tol, density)
+        self._adopt(eigenvalues, IdentityResolution(projectors, tol), tol, density)
 
     @classmethod
     def _from_frame(
-        cls, eigenvalues, frame, sizes, tol: Tolerances, cluster_tol: float, density: bool
+        cls, eigenvalues, frame, sizes, tol: Tolerances, density: bool
     ) -> "SpectralResolution":
         res = cls.__new__(cls)
         blocks = IdentityResolution._from_frame(frame, sizes, tol)
-        res._adopt(eigenvalues, blocks, tol, cluster_tol, density)
+        res._adopt(eigenvalues, blocks, tol, density)
         return res
 
-    def _adopt(self, eigenvalues, blocks, tol, cluster_tol, density) -> None:
-        ctol = tol.cluster if cluster_tol is None else float(cluster_tol)
+    def _adopt(self, eigenvalues, blocks, tol, density) -> None:
+        ctol = _cluster_scale(tol)
         vals = tuple(float(x) for x in eigenvalues)
         if len(vals) != len(blocks):
             raise ValidationError("eigenvalue and projector counts differ")
@@ -424,6 +424,14 @@ class SpectralResolution:
         return f"SpectralResolution(dim={self.dim}, [{pairs}])"
 
 
+def _cluster_scale(tol: Tolerances) -> float:
+    """tol.cluster, checked finite and positive (NaN or inf would merge every gap)."""
+    ctol = float(tol.cluster)
+    if not 0.0 < ctol < np.inf:
+        raise ValidationError("cluster tolerance must be positive")
+    return ctol
+
+
 def _cluster_sizes(w_desc: np.ndarray, ctol: float) -> list[int]:
     """Group a descending spectrum into clusters, refusing the ambiguous band."""
     gaps = w_desc[:-1] - w_desc[1:]
@@ -437,22 +445,17 @@ def _cluster_sizes(w_desc: np.ndarray, ctol: float) -> list[int]:
     return np.diff(np.concatenate(([0], cuts, [len(w_desc)]))).tolist()
 
 
-def spectral_resolution(
-    rho,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> SpectralResolution:
+def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralResolution:
     """Canonical spectral resolution of a density matrix (or Hermitian matrix).
 
-    Eigenvalues are clustered at the cluster_tol scale (default tol.cluster);
-    each cluster becomes one block of the eigenvector frame, with the
-    cluster's mean eigenvalue as the level. Raises ClusterAmbiguity when a
-    gap falls strictly between cluster_tol/4 and cluster_tol, or when merging
-    leaves two adjacent levels closer than cluster_tol.
+    Eigenvalues are clustered at the scale tol.cluster; each cluster becomes
+    one block of the eigenvector frame, with the cluster's mean eigenvalue as
+    the level. Raises ValidationError when tol.cluster is not finite and
+    positive, and ClusterAmbiguity when a gap falls strictly between
+    tol.cluster/4 and tol.cluster, or when merging leaves two adjacent levels
+    closer than tol.cluster.
     """
-    ctol = tol.cluster if cluster_tol is None else float(cluster_tol)
-    if ctol <= 0.0:
-        raise ValidationError("cluster tolerance must be positive")
+    ctol = _cluster_scale(tol)
     density = isinstance(rho, DensityMatrix)
     mat = rho.mat if density else _require_hermitian(as_complex_matrix(rho), tol)
     w, v = np.linalg.eigh(mat)
@@ -466,7 +469,7 @@ def spectral_resolution(
             "clustered levels collapsed within the clustering scale; "
             "no stable grouping at this tolerance"
         )
-    return SpectralResolution._from_frame(levels, v, sizes, tol, ctol, density)
+    return SpectralResolution._from_frame(levels, v, sizes, tol, density)
 
 
 def support_projector(a, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector:

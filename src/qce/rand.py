@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def rng_for(*tags: int) -> np.random.Generator:
-    """Generator keyed by a tuple of integers."""
-    return np.random.default_rng(tuple(int(t) for t in tags))
+    """Generator keyed by a tuple of nonnegative integers (a seed and stream tags)."""
+    key = tuple(int(t) for t in tags)
+    if any(t < 0 for t in key):
+        raise ValidationError(f"seed must be a nonnegative integer, got tags {key}")
+    return np.random.default_rng(key)
 
 
 def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -156,10 +156,7 @@ def resolution_leq(p_res, q_res, tol: Tolerances = DEFAULT_TOLERANCES) -> OrderW
 
 
 def more_mixed(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> bool:
     """Whether sigma is a coarsening of rho that reproduces its block masses.
 
@@ -173,8 +170,8 @@ def more_mixed(
         raise TypeError("more_mixed expects two DensityMatrix operands")
     if rho.dim != sigma.dim:
         raise DimMismatch(f"operands have dims {rho.dim} and {sigma.dim}")
-    res_r = spectral_resolution(rho, cluster_tol, tol)
-    res_s = spectral_resolution(sigma, cluster_tol, tol)
+    res_r = spectral_resolution(rho, tol)
+    res_s = spectral_resolution(sigma, tol)
     if not resolution_leq(res_r.blocks(), res_s.blocks(), tol).holds:
         return False
     # tr(rho Q_j) is the sum of the diagonal of V_j* rho V_j.
@@ -185,11 +182,7 @@ def more_mixed(
     return bool(np.all(np.abs(masses - targets) <= 1e-8))
 
 
-def commutant_dim(
-    rho: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> int:
+def commutant_dim(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Dimension sum rank_i^2 of the algebra commuting with rho.
 
     Equals dim^2 exactly for multiples of the identity and dim exactly for
@@ -197,15 +190,12 @@ def commutant_dim(
     """
     if not isinstance(rho, DensityMatrix):
         raise TypeError("commutant_dim expects a DensityMatrix")
-    res = spectral_resolution(rho, cluster_tol, tol)
+    res = spectral_resolution(rho, tol)
     return int(sum(r * r for r in res.ranks()))
 
 
 def conditional_entropy_of_states(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    cluster_tol: float | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """H(P(rho) | Q(sigma)): the resolution-only conditional entropy of states.
 
@@ -217,6 +207,6 @@ def conditional_entropy_of_states(
         raise TypeError("conditional_entropy_of_states expects two DensityMatrix operands")
     if rho.dim != sigma.dim:
         raise DimMismatch(f"operands have dims {rho.dim} and {sigma.dim}")
-    res_r = spectral_resolution(rho, cluster_tol, tol)
-    res_s = spectral_resolution(sigma, cluster_tol, tol)
+    res_r = spectral_resolution(rho, tol)
+    res_s = spectral_resolution(sigma, tol)
     return resolution_conditional_entropy(res_r.blocks(), res_s.blocks(), tol)

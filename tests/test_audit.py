@@ -92,6 +92,22 @@ def test_random_resolution_partitions_identity():
     np.testing.assert_allclose(total, np.eye(5), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: random_unitary(2, seed=-1),
+        lambda: random_density(2, seed=-1),
+        lambda: random_projector(2, 1, seed=-1),
+        lambda: random_resolution(2, [1, 1], seed=-1),
+        lambda: dim2_demo(seed=-1),
+    ],
+    ids=["random_unitary", "random_density", "random_projector", "random_resolution", "dim2_demo"],
+)
+def test_seeded_entry_points_reject_negative_seeds(draw):
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        draw()
+
+
 # ----------------------------------------------------------------- sweeps
 
 

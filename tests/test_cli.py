@@ -181,6 +181,17 @@ def test_cluster_tol_ambiguous_band_is_a_validation_error(capsys):
     assert "unstable" in err
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_cluster_tol_must_be_finite_and_positive(scale, capsys):
+    # sigma is nondegenerate, so a NaN or inf scale that merged its spectrum
+    # would print S(rho) instead of 0.
+    argv = ["cond", diag_doc(0.9, 0.1), diag_doc(0.7, 0.3), "--cluster-tol", scale]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "cluster tolerance must be positive" in err
+
+
 # -- per-command behavior ----------------------------------------------------
 
 def test_cond_on_uniform_recovers_the_entropy(capsys):

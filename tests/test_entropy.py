@@ -15,12 +15,9 @@ from qce import (
     Projector,
     ZeroCompression,
     block_distribution,
-    classical_entropy,
     compressed_entropy,
     compressed_state,
     conditional_entropy,
-    conditional_entropy_commuting,
-    conditional_entropy_flat,
     conditional_entropy_given_blocks,
     hermitize,
     information_gain,
@@ -32,6 +29,7 @@ from qce import (
     relative_entropy,
     self_conditional_entropy,
     self_information_gain,
+    shannon_entropy,
     spectral_resolution,
     spectrum_distribution,
     unnormalized_compressed_entropy,
@@ -386,13 +384,89 @@ def test_self_information_gain_consistency():
     )
 
 
-# ---------------------------------------------------------- fast paths
+# ------------------------------------------- dense oracles for two formulas
+#
+# Two closed forms of S(rho|sigma), kept as test oracles that do not touch the
+# frame code: the eigenprojectors come from numpy's eigh, and every weight,
+# mass and overlap is a trace of dense dim x dim products.
+
+ORACLE_TOL = 1e-8  # scale of the commutation and flatness checks
+
+
+def dense_eigenprojectors(state):
+    """(level, Q) for each distinct eigenvalue of a state, Q a dense matrix.
+
+    Eigenvalues closer than 1e-6 share a projector; every oracle input here is
+    exactly degenerate or split by far more than that.
+    """
+    w, v = np.linalg.eigh(state.mat)
+    groups = np.split(np.arange(len(w)), np.nonzero(np.diff(w) > 1e-6)[0] + 1)
+    return [(float(w[g].mean()), v[:, g] @ v[:, g].conj().T) for g in groups]
+
+
+def flat_oracle(rho, sigma):
+    """S(rho|sigma) when every block of sigma compresses rho to a flat operator.
+
+    Applicable when every block Q_j of sigma with positive weight satisfies
+    Q_j rho Q_j = c_j * (projector of rank r_j) for some c_j >= 0; the block
+    then contributes tr(Q_j rho) * tr(Q_j sigma) * ln r_j. Raises
+    NotApplicable when a block's compression is not flat within 1e-8.
+    """
+    total = 0.0
+    for j, (_, q) in enumerate(dense_eigenprojectors(sigma)):
+        weight = float(np.trace(q @ sigma.mat).real)
+        if weight <= 1e-9:
+            continue
+        c = hermitize(q @ rho.mat @ q)
+        mu, u = np.linalg.eigh(c)
+        mu = np.clip(mu, 0.0, None)
+        t = float(mu.sum())
+        if t <= 1e-9:
+            continue
+        top = mu >= mu[-1] / 2.0
+        flat_rank = int(np.count_nonzero(top))
+        residual = max_abs(c - (t / flat_rank) * (u[:, top] @ u[:, top].conj().T))
+        if residual > ORACLE_TOL:
+            raise NotApplicable(
+                f"block {j}: compression is not a projector multiple "
+                f"(residual {residual:.3e})"
+            )
+        total += t * weight * math.log(flat_rank)
+    return total
+
+
+def commuting_oracle(rho, sigma):
+    """S(rho|sigma) for commuting operands via the double-sum formula.
+
+    With {P_i} the blocks of rho (eigenvalues r_i) and {Q_j} the blocks of
+    sigma, the value is
+
+        -sum_{j,i} tr(Q_j sigma) * r_i * tr(P_i Q_j) * ln(r_i / tr(rho Q_j)).
+
+    Raises NotCommuting when the operands fail to commute within 1e-8.
+    """
+    if max_abs(rho.mat @ sigma.mat - sigma.mat @ rho.mat) > ORACLE_TOL:
+        raise NotCommuting("operands do not commute within 1e-8")
+    total = 0.0
+    for _, q in dense_eigenprojectors(sigma):
+        w_sigma = max(float(np.trace(q @ sigma.mat).real), 0.0)
+        w_rho = max(float(np.trace(q @ rho.mat).real), 0.0)
+        if w_sigma <= 1e-9 or w_rho <= 1e-9:
+            continue
+        for rval, p in dense_eigenprojectors(rho):
+            if rval <= 1e-9:
+                continue
+            overlap = float(np.trace(p @ q).real)
+            if overlap < 0.5:
+                continue
+            total -= w_sigma * rval * overlap * math.log(rval / w_rho)
+    return total
 
 
 def test_flat_path_matches_general_on_mixed_state():
     sigma = DensityMatrix.diagonal([0.5, 0.3, 0.2])
     rho = DensityMatrix.maximally_mixed(3)
-    assert conditional_entropy_flat(rho, sigma) == pytest.approx(
+    assert flat_oracle(rho, sigma) == pytest.approx(
         conditional_entropy(rho, sigma).total, abs=1e-12
     )
 
@@ -400,19 +474,19 @@ def test_flat_path_matches_general_on_mixed_state():
 def test_flat_path_orthogonal_supports():
     rho = DensityMatrix.diagonal([1.0, 0.0])
     sigma = DensityMatrix.diagonal([0.0, 1.0])
-    assert conditional_entropy_flat(rho, sigma) == 0.0
+    assert flat_oracle(rho, sigma) == 0.0
 
 
 def test_flat_path_rejects_structureless_block():
     rho = rotated([0.8, 0.2], 0.3)
     with pytest.raises(NotApplicable, match="projector multiple"):
-        conditional_entropy_flat(rho, DensityMatrix.maximally_mixed(2))
+        flat_oracle(rho, DensityMatrix.maximally_mixed(2))
 
 
 def test_commuting_path_matches_general():
     rho = DensityMatrix.diagonal([0.6, 0.3, 0.1])
     sigma = DensityMatrix.diagonal([0.5, 0.25, 0.25])
-    assert conditional_entropy_commuting(rho, sigma) == pytest.approx(
+    assert commuting_oracle(rho, sigma) == pytest.approx(
         conditional_entropy(rho, sigma).total, abs=1e-10
     )
 
@@ -420,8 +494,8 @@ def test_commuting_path_matches_general():
 def test_commuting_path_asymmetry_witness():
     rho = DensityMatrix.diagonal([0.5, 0.5, 0.0])
     sigma = DensityMatrix.maximally_mixed(3)
-    forward = conditional_entropy_commuting(rho, sigma)
-    backward = conditional_entropy_commuting(sigma, rho)
+    forward = commuting_oracle(rho, sigma)
+    backward = commuting_oracle(sigma, rho)
     assert forward == pytest.approx(LN2, abs=1e-12)
     assert backward == pytest.approx((2.0 / 3.0) * LN2, abs=1e-12)
     assert backward == pytest.approx(0.462098, abs=5e-7)
@@ -432,7 +506,74 @@ def test_commuting_path_rejects_noncommuting():
     rho = rotated([0.8, 0.2], 0.5)
     sigma = DensityMatrix.diagonal([0.7, 0.3])
     with pytest.raises(NotCommuting, match="commute"):
-        conditional_entropy_commuting(rho, sigma)
+        commuting_oracle(rho, sigma)
+
+
+def exact_blocks(dim, rng, zero_level):
+    """Block sizes (fewer blocks than dim, so one has rank >= 2) and distinct levels.
+
+    With zero_level and more than one block, one level is 0 (rank deficiency).
+    """
+    k = int(rng.integers(1, dim))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=k - 1, replace=False))
+    sizes = np.diff(np.concatenate(([0], cuts, [dim])))
+    levels = rng.permutation(np.arange(1.0, k + 1.0))
+    if zero_level and k > 1:
+        levels[rng.integers(k)] = 0.0
+    return sizes, levels / float(levels @ sizes)
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_conditional_entropy_matches_commuting_oracle(dim):
+    # Two exactly degenerate spectra on shuffled columns of one Haar frame:
+    # the states commute, and their blocks cut across each other.
+    rng = np.random.default_rng(dim)
+    u = random_unitary(dim, seed=300 + dim)
+    values = []
+    for trial in range(4):
+        pair = []
+        for zero_level in (trial % 2 == 1, trial >= 2):
+            sizes, levels = exact_blocks(dim, rng, zero_level)
+            diag = rng.permutation(np.repeat(levels, sizes))
+            pair.append(DensityMatrix(hermitize((u * diag) @ u.conj().T)))
+        for a, b in (pair, pair[::-1]):
+            value = conditional_entropy(a, b).total
+            assert abs(value - commuting_oracle(a, b)) <= 1e-12
+            values.append(value)
+    assert max(values) > 0.1
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_conditional_entropy_matches_flat_oracle(dim):
+    # rho = W M W* / tr M, where W holds orthonormal columns inside each block
+    # of sigma and M is c_j * I on its diagonal blocks; off-diagonal coupling
+    # (on odd trials) keeps Q_j rho Q_j = c_j P_j but breaks commutation.
+    rng = np.random.default_rng(100 + dim)
+    u = random_unitary(dim, seed=400 + dim)
+    for trial in range(4):
+        sizes, levels = exact_blocks(dim, rng, zero_level=trial >= 2)
+        sigma = DensityMatrix(hermitize((u * np.repeat(levels, sizes)) @ u.conj().T))
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        cols, flat = [], []
+        for j, size in enumerate(sizes):
+            rank = int(rng.integers(1, size + 1))
+            inner = random_unitary(size, seed=int(rng.integers(1 << 30)))[:, :rank]
+            cols.append(u[:, bounds[j]:bounds[j + 1]] @ inner)
+            flat.append(np.full(rank, rng.uniform(0.5, 2.0)))
+        w = np.concatenate(cols, axis=1)
+        c = np.concatenate(flat)
+        m = np.diag(c).astype(complex)
+        if trial % 2 == 1:
+            g = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+            owner = np.repeat(np.arange(len(sizes)), [len(f) for f in flat])
+            g = hermitize(np.where(owner[:, None] != owner[None, :], g, 0.0))
+            if max_abs(g) > 0.0:
+                m += g * (0.5 * c.min() / np.linalg.norm(g, 2))
+        rho = DensityMatrix(hermitize(w @ m @ w.conj().T) / c.sum())
+        assert abs(conditional_entropy(rho, sigma).total - flat_oracle(rho, sigma)) <= 1e-12
+
+
+# --------------------------------------------- conditioning on bare blocks
 
 
 def test_given_blocks_trivial_resolution():
@@ -539,14 +680,14 @@ def test_spectrum_distribution_lists_multiplicities():
 def test_block_distribution_oracle():
     rho = DensityMatrix.diagonal([0.4, 0.4, 0.2])
     np.testing.assert_allclose(block_distribution(rho).weights, [0.8, 0.2])
-    assert classical_entropy(block_distribution(rho).weights) == pytest.approx(
+    assert shannon_entropy(block_distribution(rho).weights) == pytest.approx(
         0.500402, abs=5e-7
     )
 
 
 def test_entropy_splits_into_classical_and_degeneracy_parts():
     rho = DensityMatrix.diagonal([0.4, 0.4, 0.2])
-    split = classical_entropy(block_distribution(rho).weights) + 0.8 * LN2
+    split = shannon_entropy(block_distribution(rho).weights) + 0.8 * LN2
     assert von_neumann_entropy(rho) == pytest.approx(split, abs=1e-12)
     assert von_neumann_entropy(rho) == pytest.approx(1.054920, abs=5e-7)
 
@@ -557,6 +698,6 @@ def test_entropy_split_holds_on_random_degenerate_states():
         u = random_unitary(4, seed=int(rng.integers(1 << 30)))
         vals = np.array([0.3, 0.3, 0.3, 0.1])
         rho = DensityMatrix(u @ np.diag(vals) @ u.conj().T)
-        parts = classical_entropy(block_distribution(rho).weights)
+        parts = shannon_entropy(block_distribution(rho).weights)
         parts += 0.9 * math.log(3)
         assert von_neumann_entropy(rho) == pytest.approx(parts, abs=1e-9)

@@ -138,6 +138,8 @@ def test_config_validation():
         OptimizeConfig(shrink=1.0)
     with pytest.raises(ValidationError, match="ascent"):
         OptimizeConfig(max_iters=0)
+    with pytest.raises(ValidationError, match="seed"):
+        OptimizeConfig(seed=-1)
 
 
 def test_maximize_full_rank_returns_entropy():

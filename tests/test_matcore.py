@@ -1,5 +1,7 @@
 """Validation, spectral clustering, and projector algebra checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,10 +193,16 @@ def test_spectral_resolution_splits_clear_gap():
 
 def test_spectral_resolution_cluster_tol_override():
     rho = DensityMatrix(np.diag([0.500001, 0.499999]))
-    assert spectral_resolution(rho, cluster_tol=1e-4).ranks() == (2,)
-    assert spectral_resolution(rho, cluster_tol=1e-9).ranks() == (1, 1)
-    with pytest.raises(ValidationError, match="positive"):
-        spectral_resolution(rho, cluster_tol=-1.0)
+    assert spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=1e-4)).ranks() == (2,)
+    assert spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=1e-9)).ranks() == (1, 1)
+    # NaN or inf would fail every "gap >= scale" test and merge the spectrum.
+    p, q = Projector.coordinate(2, [0]), Projector.coordinate(2, [1])
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
+        tol = replace(DEFAULT_TOLERANCES, cluster=bad)
+        with pytest.raises(ValidationError, match="positive"):
+            spectral_resolution(rho, tol)
+        with pytest.raises(ValidationError, match="positive"):
+            SpectralResolution([0.7, 0.3], [p, q], tol)
 
 
 def test_spectral_blocks_keep_the_callers_tolerances():

@@ -13,7 +13,6 @@ from qce import (
     InvalidPartitionData,
     ProbabilityVector,
     ValidationError,
-    classical_entropy,
     conditional_shannon_entropy,
     is_consequence,
     is_independent,
@@ -51,11 +50,6 @@ def test_shannon_entropy_point_mass():
 def test_shannon_entropy_oracle():
     assert shannon_entropy(probs(0.75, 0.25)) == pytest.approx(H_CONDITIONAL)
     assert shannon_entropy(probs(0.8, 0.2)) == pytest.approx(0.500402, abs=5e-7)
-
-
-def test_classical_entropy_is_alias():
-    p = probs(0.6, 0.3, 0.1)
-    assert classical_entropy(p) == shannon_entropy(p)
 
 
 def test_probability_vector_validation():

@@ -46,7 +46,7 @@ from .entropy import (
 )
 from .errors import ParseError, QceError
 from .grassopt import OptimizeConfig, maximize_compressed_entropy
-from .matcore import DensityMatrix, spectral_resolution
+from .matcore import DensityMatrix, _cluster_scale, spectral_resolution
 from .resolutions import (
     commutant_dim,
     more_mixed,
@@ -64,6 +64,7 @@ from .serialize import (
     matrix_to_doc,
 )
 from .shannon import (
+    ProbabilityVector,
     conditional_shannon_entropy,
     is_consequence,
     is_independent,
@@ -267,8 +268,8 @@ def _cmd_pinch(args, tol):
 def _cmd_classical(args, tol):
     data = doc_to_partition(load_document(args.data), tol)
     rows = [
-        _row("h_p", shannon_entropy(data.p), "nats"),
-        _row("h_q", shannon_entropy(data.q), "nats"),
+        _row("h_p", shannon_entropy(ProbabilityVector(data.p, tol)), "nats"),
+        _row("h_q", shannon_entropy(ProbabilityVector(data.q, tol)), "nats"),
         _row("h_p_given_q", conditional_shannon_entropy(data), "nats"),
         _row("h_q_given_p", conditional_shannon_entropy(data.swapped()), "nats"),
         _row("h_joint", joint_shannon_entropy(data), "nats"),
@@ -524,6 +525,7 @@ def main(argv=None) -> int:
         tol = profile
         if args.cluster_tol is not None:
             tol = dataclasses.replace(profile, cluster=args.cluster_tol)
+            _cluster_scale(tol)
         rows, report, code = _HANDLERS[args.command](args, tol)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

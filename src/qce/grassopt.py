@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
@@ -355,85 +354,69 @@ def _integer_partitions(n: int, cap: int | None = None):
             yield (first,) + rest
 
 
-def _pattern_gain(multiplicities: np.ndarray, x: np.ndarray) -> float:
-    # Gain for eigenvalue x_i with multiplicity m_i: entropy minus the
-    # self-conditioning closed form.
-    entropy = float(-np.sum(multiplicities * x * np.log(x)))
-    self_cond = float(np.sum((multiplicities * x) ** 2 * np.log(multiplicities)))
-    return entropy - self_cond
+def _pattern_weights(mult: np.ndarray) -> np.ndarray:
+    """Block weights p maximizing H(p) + sum_i p_i (1 - p_i) ln m_i on the simplex.
+
+    The maximizer solves ln p_i + ln m_i (2 p_i - 1) = s with sum_i p_i = 1.
+    The left side (in u = ln p_i) and sum_i p_i(s) are increasing and convex,
+    so Newton steps started right of each root descend onto it.
+    """
+    a = np.log(mult)
+    s = float(np.max(a * (2.0 / mult.size - 1.0) - math.log(mult.size)))
+    for _ in range(100):
+        u = np.minimum(s + a, 0.0)
+        for _ in range(100):
+            e = 2.0 * a * np.exp(u)
+            step = (u + e - s - a) / (1.0 + e)
+            u = u - step
+            if float(step.max()) <= 1e-15:
+                break
+        p = np.exp(u)
+        ds = (float(p.sum()) - 1.0) / float(np.sum(p / (1.0 + 2.0 * a * p)))
+        s -= ds
+        if ds <= 1e-16:
+            break
+    return p
 
 
 def probe_max_self_gain(
     dim: int,
-    config: OptimizeConfig = OptimizeConfig(),
     tol: Tolerances = DEFAULT_TOLERANCES,
     min_gap: float = 1e-6,
 ) -> SelfGainProbe:
-    """Search for the largest self-information gain in a given dimension.
+    """The largest self-information gain S(rho) - S(rho | rho) in a given dimension.
 
-    For each degeneracy pattern (multiset of multiplicities summing to dim)
-    the block eigenvalues are optimized under a pairwise-distinctness floor
-    of min_gap; the winner is re-evaluated through the full entropy pipeline
-    on an explicitly constructed diagonal state. The supremum is typically
-    approached, not attained, at the boundary where eigenvalues coincide
-    (the coincident point itself belongs to a coarser pattern and scores
-    differently), so the reported gain sits just under the boundary value.
+    A pattern with multiplicities m_i and block weights p_i = m_i x_i has the
+    strictly concave gain H(p) + sum_i p_i (1 - p_i) ln m_i, maximized exactly
+    by _pattern_weights. Equal multiplicities tie there, and a tie belongs to
+    a coarser pattern, so each tied group is spread symmetrically by min_gap:
+    the reported gain sits just under the supremum. A pattern whose
+    eigenvalues then come closer than min_gap/2, or reach zero, is skipped;
+    the rest are scored through self_information_gain on a diagonal
+    DensityMatrix.
     """
     dim = int(dim)
     if dim < 1:
         raise BadShape("dimension must be positive")
-    per_pattern = []
-    best_gain = -math.inf
-    best_state = None
-    best_pattern = None
+    scored = []
     for pattern in _integer_partitions(dim):
-        mult = np.asarray(pattern, dtype=float)
-        k = mult.size
-        if k == 1:
+        if len(pattern) == 1:
             state = DensityMatrix.maximally_mixed(dim, tol)
-            gain = self_information_gain(state, tol=tol)
-            candidates = [(gain, state)]
         else:
-            candidates = []
-            rng = rng_for(config.seed, 77, dim, k, int(mult[0]))
-
-            def objective(y, mult=mult):
-                z = np.exp(y - y.max())
-                x = z / float(np.dot(mult, z))
-                penalty = 0.0
-                for i in range(len(x)):
-                    for j in range(i + 1, len(x)):
-                        gap = abs(x[i] - x[j])
-                        if gap < min_gap:
-                            penalty += 10.0 * (min_gap - gap) / min_gap
-                return -_pattern_gain(mult, x) + penalty
-
-            starts = [np.zeros(k)] + [rng.standard_normal(k) for _ in range(3)]
-            for y0 in starts:
-                res = minimize(
-                    objective, y0, method="Nelder-Mead",
-                    options={"maxiter": 600, "fatol": 1e-12, "xatol": 1e-9},
-                )
-                z = np.exp(res.x - res.x.max())
-                x = z / float(np.dot(mult, z))
-                order = np.argsort(-x)
-                x, m_sorted = x[order], mult[order]
-                gaps = np.diff(x[::-1])
-                if gaps.size and float(np.min(gaps)) < min_gap / 2.0:
-                    continue
-                values = np.repeat(x, m_sorted.astype(int))
-                state = DensityMatrix.diagonal(values, tol)
-                candidates.append((self_information_gain(state, tol=tol), state))
-        if not candidates:
-            continue
-        gain, state = max(candidates, key=lambda c: c[0])
-        per_pattern.append((tuple(pattern), gain))
-        if gain > best_gain:
-            best_gain, best_state, best_pattern = gain, state, tuple(pattern)
+            mult = np.asarray(pattern, dtype=float)
+            x = _pattern_weights(mult) / mult
+            for m in set(pattern):
+                group = np.flatnonzero(mult == m)
+                x[group] += min_gap * (np.arange(group.size) - (group.size - 1) / 2.0)
+            if float(x.min()) <= 0.0 or float(np.diff(np.sort(x)).min()) < min_gap / 2.0:
+                continue
+            state = DensityMatrix.diagonal(np.repeat(x, pattern), tol)
+        scored.append((self_information_gain(state, tol=tol), pattern, state))
+    best_gain, best_pattern, best_state = max(scored, key=lambda c: c[0])
     return SelfGainProbe(
         dim=dim,
         best_state=best_state,
         best_gain=best_gain,
         pattern=best_pattern,
-        per_pattern=tuple(per_pattern),
+        per_pattern=tuple((pattern, gain) for gain, pattern, _ in scored),
     )

@@ -59,16 +59,21 @@ def _grid(doc: dict, key: str, dim: int) -> np.ndarray:
     return arr
 
 
-def doc_to_matrix(doc: dict) -> np.ndarray:
-    """Matrix document -> complex ndarray."""
-    if "dim" not in doc or "re" not in doc:
-        raise ParseError('matrix document needs "dim" and "re" fields')
+def _dim(doc: dict) -> int:
     try:
         dim = int(doc["dim"])
     except (TypeError, ValueError):
         raise ParseError('"dim" must be an integer') from None
     if dim < 1:
         raise ParseError(f'"dim" must be positive, got {dim}')
+    return dim
+
+
+def doc_to_matrix(doc: dict) -> np.ndarray:
+    """Matrix document -> complex ndarray."""
+    if "dim" not in doc or "re" not in doc:
+        raise ParseError('matrix document needs "dim" and "re" fields')
+    dim = _dim(doc)
     try:
         re = _grid(doc, "re", dim)
         im = _grid(doc, "im", dim) if "im" in doc else np.zeros((dim, dim))
@@ -102,12 +107,13 @@ def doc_to_resolution(doc: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> Identi
     blocks = doc["blocks"]
     if not isinstance(blocks, list) or not blocks:
         raise ParseError('"blocks" must be a nonempty list of matrix documents')
+    dim = _dim(doc)
     projs = []
     for k, entry in enumerate(blocks):
         if not isinstance(entry, dict):
             raise ParseError(f"block {k} is not a matrix document")
         mat = doc_to_matrix(entry)
-        if mat.shape[0] != int(doc["dim"]):
+        if mat.shape[0] != dim:
             raise ParseError(f'block {k} dim {mat.shape[0]} != document dim {doc["dim"]}')
         projs.append(Projector(mat, tol))
     return IdentityResolution(projs, tol)
@@ -123,7 +129,10 @@ def resolution_to_doc(res: IdentityResolution) -> dict:
 def doc_to_partition(doc: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> ClassicalPartitionData:
     """Partition document -> ClassicalPartitionData."""
     if "joint" in doc:
-        joint = np.asarray(doc["joint"], dtype=float)
+        try:
+            joint = np.asarray(doc["joint"], dtype=float)
+        except (TypeError, ValueError):
+            raise ParseError('"joint" must be a numeric matrix') from None
         if joint.ndim != 2 or 0 in joint.shape:
             raise ParseError(f'"joint" must be a 2-D matrix, got shape {joint.shape}')
         if not np.all(np.isfinite(joint)):

@@ -73,6 +73,7 @@ class ClassicalPartitionData:
     _EPS = 1e-9
 
     def __init__(self, p, q, p_given_q, q_given_p, tol: Tolerances = DEFAULT_TOLERANCES):
+        self._tol = tol
         self.p = _as_weights(ProbabilityVector(p, tol))
         self.q = _as_weights(ProbabilityVector(q, tol))
         pg = np.array(p_given_q, dtype=float, copy=True)
@@ -120,7 +121,7 @@ class ClassicalPartitionData:
             raise InvalidPartitionData(f"joint has a negative entry {j.min():.3e}")
         np.clip(j, 0.0, None, out=j)
         if abs(j.sum() - 1.0) > cls._EPS:
-            raise InvalidPartitionData(f"joint sums to {j.sum()!r}, not 1")
+            raise InvalidPartitionData(f"joint sums to {float(j.sum())!r}, not 1")
         p = j.sum(axis=1)
         q = j.sum(axis=0)
         n, m = j.shape
@@ -151,7 +152,7 @@ class ClassicalPartitionData:
 
     def swapped(self) -> "ClassicalPartitionData":
         """The same pair with the roles of X and Y exchanged."""
-        return ClassicalPartitionData(self.q, self.p, self.q_given_p, self.p_given_q)
+        return ClassicalPartitionData(self.q, self.p, self.q_given_p, self.p_given_q, self._tol)
 
     def __repr__(self) -> str:
         return f"ClassicalPartitionData(|X|={self.p.size}, |Y|={self.q.size})"

@@ -125,6 +125,22 @@ def test_missing_field_is_a_parse_error(capsys):
     assert '"re"' in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classical", '{"joint": [[0.5, "a"]]}'],
+        ["classical", '{"joint": [[0.5], [0.5, 0]]}'],
+        ["cond-res", diag_doc(0.5, 0.5), '{"dim": "x", "blocks": [{"dim": 2, "re": [[1, 0], [0, 1]]}]}'],
+    ],
+    ids=["joint-string-entry", "joint-ragged", "resolution-dim-string"],
+)
+def test_malformed_documents_are_parse_errors(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_trace_violation_is_a_validation_error(capsys):
     code, _, err = run(["entropy", diag_doc(0.9, 0.9)], capsys)
     assert code == 3
@@ -192,6 +208,28 @@ def test_cluster_tol_must_be_finite_and_positive(scale, capsys):
     assert "cluster tolerance must be positive" in err
 
 
+_UNCLUSTERED_COMMANDS = {
+    "cond-res": ["cond-res", diag_doc(0.5, 0.3, 0.2), blocks_doc(3, [[0], [1, 2]])],
+    "pinch": ["pinch", diag_doc(0.5, 0.3, 0.2), blocks_doc(3, [[0], [1, 2]])],
+    "classical": ["classical", json.dumps({"joint": [[0.2, 0.1], [0.3, 0.4]]})],
+    "hres": ["hres", blocks_doc(2, [[0], [1]]), blocks_doc(2, [[0, 1]])],
+    "optimize": ["optimize", diag_doc(0.5, 0.3, 0.2), "--rank", "2"],
+    "audit": ["audit", "--functional", "scond", "--dims", "2", "--trials", "1"],
+    "demo": ["demo", "dim2"],
+}
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", sorted(_UNCLUSTERED_COMMANDS))
+def test_cluster_tol_is_checked_by_every_command(command, scale, capsys):
+    # These commands never cluster a spectrum, so only main() can refuse the flag.
+    argv = _UNCLUSTERED_COMMANDS[command] + ["--cluster-tol", scale, "--format", "json"]
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "cluster tolerance must be positive" in err
+
+
 # -- per-command behavior ----------------------------------------------------
 
 def test_cond_on_uniform_recovers_the_entropy(capsys):
@@ -243,6 +281,20 @@ def test_classical_joint_table(capsys):
         atol=1e-12,
     )
     assert doc["report"] == {"consequence": False, "independent": False}
+
+
+def test_classical_keeps_the_loose_profile_for_both_directions(capsys):
+    # The marginals sum to 1 + 1e-8: inside the loose trace tolerance only.
+    doc = json.dumps({
+        "p": [0.5, 0.50000001], "q": [0.5, 0.50000001],
+        "p_given_q": [[1, 0], [0, 1]], "q_given_p": [[1, 0], [0, 1]],
+    })
+    code, out = run_json(["classical", doc, "--tol-profile", "loose"], capsys)
+    assert code == 0
+    assert row_value(out, "h_q_given_p") == 0.0
+    code, _, err = run(["classical", doc], capsys)
+    assert code == 3
+    assert "sum to" in err
 
 
 def test_hres_trivial_conditioning(capsys):

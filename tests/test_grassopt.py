@@ -2,11 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import qce
 from qce import (
     BadShape,
     DensityMatrix,
@@ -287,3 +291,54 @@ def test_self_gain_probe_dim3_patterns():
     assert gains[(3,)] == pytest.approx(0.0, abs=1e-12)
     assert probe.best_gain <= math.log(3) + 1e-9
     assert probe.best_gain == pytest.approx(max(gains.values()), abs=1e-12)
+
+
+def test_self_gain_probe_equal_blocks_reach_the_closed_form():
+    # k blocks of size m: the supremum is ln k + (1 - 1/k) ln m.
+    checked = 0
+    for dim in range(2, 9):
+        gains = dict(probe_max_self_gain(dim).per_pattern)
+        for k in range(2, dim + 1):
+            if dim % k:
+                continue
+            m = dim // k
+            sup = math.log(k) + (1.0 - 1.0 / k) * math.log(m)
+            assert gains[(m,) * k] == pytest.approx(sup, abs=1e-9)
+            checked += 1
+    assert checked == 12
+
+
+def test_self_gain_probe_two_blocks_match_a_grid_maximum():
+    p1 = np.linspace(0.0, 1.0, 100_001)[1:-1]
+    weights = np.stack([p1, 1.0 - p1])
+    entropy = -np.sum(weights * np.log(weights), axis=0)
+    for dim in range(2, 9):
+        gains = dict(probe_max_self_gain(dim).per_pattern)
+        for m2 in range(1, dim // 2 + 1):
+            mult = np.array([dim - m2, m2], dtype=float)[:, None]
+            grid = entropy + np.sum(weights * (1.0 - weights) * np.log(mult), axis=0)
+            assert gains[(dim - m2, m2)] == pytest.approx(float(grid.max()), abs=1e-8)
+
+
+def test_self_gain_probe_scores_its_states_through_the_pipeline():
+    probe = probe_max_self_gain(4)
+    values = np.sort(np.linalg.eigvalsh(probe.best_state.mat))
+    assert probe.pattern == (1, 1, 1, 1)
+    assert np.min(np.diff(values)) >= 0.5e-6
+    # Nondegenerate: S(rho | rho) = 0, so the gain is the Shannon entropy.
+    assert probe.best_gain == pytest.approx(-np.sum(values * np.log(values)), abs=1e-12)
+
+
+def test_self_gain_probe_skips_spreads_that_leave_the_simplex():
+    # Spreading three eigenvalues near 1/3 by 0.5 would make one negative.
+    probe = probe_max_self_gain(3, min_gap=0.5)
+    assert set(dict(probe.per_pattern)) == {(3,), (2, 1)}
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, qce; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qce.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

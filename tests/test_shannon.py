@@ -19,6 +19,7 @@ from qce import (
     joint_shannon_entropy,
     mutual_information,
     shannon_entropy,
+    tolerance_profile,
 )
 
 # Joint law with marginals (1/2, 1/2) on both sides and conditionals
@@ -108,6 +109,19 @@ def test_joint_must_normalize():
         ClassicalPartitionData.from_joint([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(InvalidPartitionData, match="negative"):
         ClassicalPartitionData.from_joint([[1.2, -0.2], [0.0, 0.0]])
+
+
+def test_joint_sum_message_prints_a_plain_float():
+    with pytest.raises(InvalidPartitionData, match=r"^joint sums to 1\.00000001, not 1$"):
+        ClassicalPartitionData.from_joint([[0.5, 0.50000001]])
+
+
+def test_swapped_keeps_the_construction_tolerances():
+    p = [0.5, 0.50000001]
+    with pytest.raises(ValidationError):
+        ClassicalPartitionData(p, p, np.eye(2), np.eye(2))
+    data = ClassicalPartitionData(p, p, np.eye(2), np.eye(2), tolerance_profile("loose"))
+    assert conditional_shannon_entropy(data.swapped()) == 0.0
 
 
 def test_conditional_entropy_oracle():

@@ -13,8 +13,9 @@ by ln 2 and nothing else. --format json emits a versioned document
 
 Exit codes: 0 success; 2 malformed input, including a negative or
 non-integer --seed or QCE_SEED; 3 failed validation; 4 optimizer did not
-converge; 5 a sweep found a property violation (the audit verdicts departed
-from the expected table).
+converge (kept in the taxonomy; the exact solve always converges); 5 a
+sweep found a property violation (the audit verdicts departed from the
+expected table).
 """
 
 from __future__ import annotations
@@ -327,8 +328,7 @@ def _cmd_orders(args, tol):
 
 def _cmd_optimize(args, tol):
     rho = _density(args.rho, tol)
-    config = OptimizeConfig(seed=args.seed)
-    result = maximize_compressed_entropy(rho, args.rank, config, tol)
+    result = maximize_compressed_entropy(rho, args.rank, tol)
     entropy = von_neumann_entropy(rho, tol)
     rows = [
         _row("best_value", result.best_value, "nats"),

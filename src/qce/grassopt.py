@@ -1,26 +1,25 @@
-"""Ascent over fixed-rank projectors for the compressed entropy.
+"""Exact rank-constrained maximum of the compressed entropy.
 
-The functional Q -> compressed_entropy(rho, Q) is smooth along unitary
-orbits Q(t) = e^{-itK} Q e^{itK} wherever the compression keeps full rank on
-the range of Q, with directional derivative tr(G K) for the Hermitian
+Over projectors Q of rank r, the compressed entropy F(rho, Q) is maximized
+by the span of the top r eigenvectors of rho. Let mu_1 >= ... >= mu_r be the
+spectrum of the compression Q rho Q on the range of Q. Cauchy interlacing
+(Horn and Johnson, Matrix Analysis, 2nd ed., Cor. 4.3.37) gives
+mu_i <= lambda_i, the i-th largest eigenvalue of rho, and
+
+    g(mu) = t ln t - sum_i mu_i ln mu_i,   t = sum_i mu_i,
+
+has partial derivatives ln(t / mu_i) >= 0, so g(mu) <= g(lambda_1..lambda_r),
+which the top-r eigenspace attains. The solve is therefore one eigh of rho.
+
+The functional is also smooth along unitary orbits Q(t) = e^{-itK} Q e^{itK}
+wherever the compression keeps full rank on the range of Q, with
+directional derivative tr(G K) for the Hermitian
 
     G = i [B, rho],   B = ln(tr Q rho Q) Q - Q ln(Q rho Q) Q,
 
-where the logarithm is taken on the range of Q only. Steepest ascent
-therefore moves Q by conjugation with e^{i eta G}; stationary points have
-G = 0, which forces Q to commute with rho, so maximizers over a fixed rank
-are found among the spectral subspaces of rho. The optimizer exploits this
-only as a diagnostic (the commutation residual of the returned projector);
-the search itself is plain Armijo-backtracked ascent from Haar-random
-starts, restarted several times.
-
-Iterates carry an orthonormal basis of the range (the projector is its
-outer product), so conjugation reduces to multiplying the basis by a
-unitary; a QR pass every few iterations removes accumulated rounding.
-Every functional evaluation recomputes the compressed spectrum from
-scratch; no eigenstructure is tracked along the path, so a line-search step
-crossing a spectral degeneracy of the compression is harmless (the value is
-continuous there even though the spectral resolution is not).
+where the logarithm is taken on the range of Q only. variational_gradient
+returns G, and the optimizer reports its norm at the answer, where it
+vanishes because the top-r eigenspace commutes with rho.
 
 Rank-one projectors are global flats: the functional vanishes identically
 on them and the gradient is exactly zero.
@@ -43,7 +42,6 @@ from .errors import (
 )
 from .entropy import self_information_gain, von_neumann_entropy
 from .matcore import DensityMatrix, Projector, commutator_residual, hermitize
-from .rand import haar_basis, rng_for
 
 __all__ = [
     "GapReport",
@@ -59,7 +57,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Ascent parameters; defaults are the tested ones."""
+    """Armijo ascent parameters, validated at construction.
+
+    maximize_compressed_entropy solves exactly and does not read them. The
+    CLI reports the defaults as settings.optimizer in every command, and the
+    test suite's reference ascent runs on them.
+    """
 
     step_init: float = 0.5
     armijo_c: float = 1e-4
@@ -88,12 +91,12 @@ class OptimizeConfig:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best projector found over all restarts.
+    """The rank-constrained maximum and the projector that attains it.
 
-    restart_values holds the final value of each restart; best_value is
-    their maximum. converged reports whether the winning restart met the
-    gradient tolerance. commutation_residual is the entrywise max norm of
-    [rho, best_projector], which vanishes at true stationary points.
+    The solve is exact, so iterations is 0, converged is True and
+    restart_values holds best_value alone. grad_norm is the norm of the
+    variational gradient at best_projector, and commutation_residual the
+    entrywise max norm of [rho, best_projector]; both vanish up to rounding.
     """
 
     best_value: float
@@ -159,83 +162,42 @@ def variational_gradient(
     return _gradient_from_basis(rho.mat, q.range_basis(), tol.support, tol.psd)
 
 
-def _commuting_polish(rho_mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Eigenbasis columns of rho closest to the span of the given basis.
-
-    Stationary points of the ascent commute with rho, so the final iterate
-    of a successful run hugs a span of rho-eigenvectors; snapping to the
-    columns with the largest overlap removes the last stretch of noise-
-    limited creep. The caller keeps the snap only if it does not lower the
-    value.
-    """
-    _, v = np.linalg.eigh(rho_mat)
-    overlap = np.sum(np.abs(v.conj().T @ basis) ** 2, axis=1)
-    order = np.sort(np.argsort(-overlap)[: basis.shape[1]])
-    return np.ascontiguousarray(v[:, order])
+def _positive_eigenvectors(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvectors of rho in ascending eigenvalue order, once rho > 1e-6 is checked."""
+    vals, vecs = np.linalg.eigh(rho.mat)
+    min_eig = float(vals[0])
+    if min_eig <= 1e-6:
+        raise NotStrictlyPositive(
+            f"min eigenvalue {min_eig:.3e} <= 1e-6; the optimizer needs rho > 0"
+        )
+    return vecs
 
 
-def _ascend(
-    rho_mat: np.ndarray,
-    basis: np.ndarray,
-    config: OptimizeConfig,
-    tol: Tolerances,
-) -> tuple[np.ndarray, float, bool, int]:
-    """One restart of Armijo-backtracked ascent. Returns (basis, value, converged, iters)."""
-    value = _value_from_basis(rho_mat, basis)
-    iters = 0
-    for it in range(config.max_iters):
-        grad = _gradient_from_basis(rho_mat, basis, tol.support, tol.psd)
-        gsq = float(np.sum(np.abs(grad) ** 2))
-        if math.sqrt(gsq) <= config.grad_tol:
-            return basis, value, True, iters
-        gw, gv = np.linalg.eigh(grad)
-        eta = config.step_init
-        accepted = False
-        while eta >= 1e-12:
-            unitary = (gv * np.exp(1j * eta * gw)) @ gv.conj().T
-            trial = unitary @ basis
-            trial_value = _value_from_basis(rho_mat, trial)
-            if trial_value >= value + config.armijo_c * eta * gsq:
-                accepted = True
-                break
-            eta *= config.shrink
-        if not accepted:
-            return basis, value, False, iters
-        basis, value = trial, trial_value
-        iters += 1
-        if (it + 1) % config.resync_every == 0:
-            basis = np.linalg.qr(basis)[0]
-    return basis, value, False, iters
+def _top_value(rho_mat: np.ndarray, vecs: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
+    """The top-rank eigenbasis and the compressed entropy it attains."""
+    basis = np.ascontiguousarray(vecs[:, -rank:])
+    return basis, _value_from_basis(rho_mat, basis)
 
 
 def maximize_compressed_entropy(
     rho: DensityMatrix,
     rank: int,
-    config: OptimizeConfig = OptimizeConfig(),
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> OptimizeResult:
     """Maximize compressed_entropy(rho, Q) over projectors of the given rank.
 
-    rho must be strictly positive (min eigenvalue above 1e-6). Runs
-    config.restarts independent ascents from Haar-random starts and returns
-    the best: the value sequence within each restart is non-decreasing.
-    A full-rank request returns the entropy of rho with zero iterations, and
-    a rank-one request returns value zero at the top spectral direction
-    (the functional is identically zero there, so that maximizer is as good
-    as any and commutes with rho). A result with converged=False (the
-    winning restart stalled before reaching grad_tol) is still returned,
-    flagged.
+    rho must be strictly positive (min eigenvalue above 1e-6). The maximizer
+    is the top-rank eigenspace of rho (see the module docstring), found with
+    one eigh. A full-rank request returns the entropy of rho, and a rank-one
+    request returns value zero at the top spectral direction (the functional
+    is identically zero there, so that maximizer is as good as any).
     """
     if not isinstance(rho, DensityMatrix):
         raise TypeError("rho must be a DensityMatrix")
     rank = int(rank)
     if rank < 1 or rank > rho.dim:
         raise BadShape(f"rank {rank} outside [1, {rho.dim}]")
-    min_eig = float(np.linalg.eigvalsh(rho.mat)[0])
-    if min_eig <= 1e-6:
-        raise NotStrictlyPositive(
-            f"min eigenvalue {min_eig:.3e} <= 1e-6; the ascent needs rho > 0"
-        )
+    vecs = _positive_eigenvectors(rho)
     if rank == rho.dim:
         value = von_neumann_entropy(rho, tol)
         return OptimizeResult(
@@ -248,9 +210,6 @@ def maximize_compressed_entropy(
             commutation_residual=0.0,
         )
     if rank == 1:
-        # The functional vanishes identically at rank one, so every projector
-        # is a global maximizer; return the canonical commuting one.
-        _, vecs = np.linalg.eigh(rho.mat)
         best_q = Projector.from_basis(vecs[:, -1:], tol)
         return OptimizeResult(
             best_value=0.0,
@@ -261,36 +220,23 @@ def maximize_compressed_entropy(
             restart_values=(0.0,),
             commutation_residual=commutator_residual(rho.mat, best_q.mat),
         )
-    runs = []
-    total_iters = 0
-    for r in range(config.restarts):
-        start = haar_basis(rho.dim, rank, rng_for(config.seed, 9001, r))
-        basis, value, converged, iters = _ascend(rho.mat, start, config, tol)
-        total_iters += iters
-        runs.append((value, basis, converged))
-    best_value, best_basis, best_converged = max(runs, key=lambda t: t[0])
-    best_basis = np.linalg.qr(best_basis)[0]
-    polished = _commuting_polish(rho.mat, best_basis)
-    polished_value = _value_from_basis(rho.mat, polished)
-    if polished_value >= best_value - 1e-12:
-        best_basis, best_value = polished, polished_value
-    grad = _gradient_from_basis(rho.mat, best_basis, tol.support, tol.psd)
-    best_converged = best_converged or float(np.linalg.norm(grad)) <= config.grad_tol
-    best_q = Projector.from_basis(best_basis, tol)
+    basis, best_value = _top_value(rho.mat, vecs, rank)
+    grad = _gradient_from_basis(rho.mat, basis, tol.support, tol.psd)
+    best_q = Projector.from_basis(basis, tol)
     return OptimizeResult(
         best_value=best_value,
         best_projector=best_q,
         grad_norm=float(np.linalg.norm(grad)),
-        iterations=total_iters,
-        converged=best_converged,
-        restart_values=tuple(run[0] for run in runs),
+        iterations=0,
+        converged=True,
+        restart_values=(best_value,),
         commutation_residual=commutator_residual(rho.mat, best_q.mat),
     )
 
 
 @dataclass(frozen=True)
 class GapReport:
-    """Observed gap between the rank-constrained maxima and the entropy."""
+    """Gap between the rank-constrained maxima and the entropy."""
 
     dim: int
     entropy: float
@@ -304,30 +250,34 @@ class GapReport:
 
 def entropy_gap_report(
     rho: DensityMatrix,
-    config: OptimizeConfig = OptimizeConfig(),
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> GapReport:
-    """Maximize the compressed entropy at every rank below full.
+    """The rank-constrained maximum of the compressed entropy at every rank below full.
 
-    Reports the margins entropy - max_value per rank. The margins are
-    observed quantities: strict positivity is expected for strictly positive
-    rho and is reported, not enforced.
+    One eigh of rho serves every rank; each value equals
+    maximize_compressed_entropy(rho, r).best_value bit for bit. With
+    lambda_1 >= ... >= lambda_d the spectrum of rho and t_r the sum of its
+    top r eigenvalues, the margin at rank r is
+
+        S(rho) - max_value = -t_r ln t_r - sum_{i>r} lambda_i ln lambda_i,
+
+    which is positive whenever t_r < 1, so all_strict holds for every
+    strictly positive rho (up to rounding of the computed margins).
     """
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError("rho must be a DensityMatrix")
+    vecs = _positive_eigenvectors(rho)
     entropy = von_neumann_entropy(rho, tol)
-    ranks, values, margins, flags = [], [], [], []
-    for rank in range(1, rho.dim):
-        result = maximize_compressed_entropy(rho, rank, config, tol)
-        ranks.append(rank)
-        values.append(result.best_value)
-        margins.append(entropy - result.best_value)
-        flags.append(result.converged)
+    ranks = tuple(range(1, rho.dim))
+    values = tuple(_top_value(rho.mat, vecs, rank)[1] for rank in ranks)
+    margins = tuple(entropy - value for value in values)
     return GapReport(
         dim=rho.dim,
         entropy=entropy,
-        ranks=tuple(ranks),
-        values=tuple(values),
-        margins=tuple(margins),
-        converged=tuple(flags),
+        ranks=ranks,
+        values=values,
+        margins=margins,
+        converged=(True,) * len(ranks),
         min_margin=min(margins) if margins else entropy,
         all_strict=all(m > 0.0 for m in margins),
     )

@@ -67,10 +67,9 @@ class ClassicalPartitionData:
     q_given_p[b, a] = P(Y=b | X=a). Consistency (mixture identities and the
     Bayes rule) is validated entrywise at construction; columns conditioned
     on a zero-probability outcome are dead branches and are only required to
-    be finite and nonnegative.
+    be finite and nonnegative. Sums, mixtures and the Bayes rule are checked
+    against tol.trace; negative entries and live outcomes against tol.support.
     """
-
-    _EPS = 1e-9
 
     def __init__(self, p, q, p_given_q, q_given_p, tol: Tolerances = DEFAULT_TOLERANCES):
         self._tol = tol
@@ -86,23 +85,23 @@ class ClassicalPartitionData:
         for name, arr in (("p_given_q", pg), ("q_given_p", qg)):
             if not np.all(np.isfinite(arr)):
                 raise InvalidPartitionData(f"{name} has non-finite entries")
-            if arr.min() < -self._EPS:
+            if arr.min() < -tol.support:
                 raise InvalidPartitionData(f"{name} has a negative entry {arr.min():.3e}")
             np.clip(arr, 0.0, None, out=arr)
-        live_q = self.q > self._EPS
-        live_p = self.p > self._EPS
+        live_q = self.q > tol.support
+        live_p = self.p > tol.support
         col_err = np.abs(pg[:, live_q].sum(axis=0) - 1.0)
-        if live_q.any() and col_err.max() > self._EPS:
+        if live_q.any() and col_err.max() > tol.trace:
             raise InvalidPartitionData("columns of p_given_q do not sum to 1")
         col_err = np.abs(qg[:, live_p].sum(axis=0) - 1.0)
-        if live_p.any() and col_err.max() > self._EPS:
+        if live_p.any() and col_err.max() > tol.trace:
             raise InvalidPartitionData("columns of q_given_p do not sum to 1")
-        if np.abs(pg @ self.q - self.p).max() > self._EPS:
+        if np.abs(pg @ self.q - self.p).max() > tol.trace:
             raise InvalidPartitionData("mixture of p_given_q columns does not give p")
-        if np.abs(qg @ self.p - self.q).max() > self._EPS:
+        if np.abs(qg @ self.p - self.q).max() > tol.trace:
             raise InvalidPartitionData("mixture of q_given_p columns does not give q")
         bayes = pg * self.q[None, :] - (qg * self.p[None, :]).T
-        if np.abs(bayes).max() > self._EPS:
+        if np.abs(bayes).max() > tol.trace:
             raise InvalidPartitionData("Bayes rule fails: p(a|b) q(b) != q(b|a) p(a)")
         pg.flags.writeable = False
         qg.flags.writeable = False
@@ -117,18 +116,18 @@ class ClassicalPartitionData:
             raise BadShape(f"joint must be a nonempty 2-D matrix, got shape {j.shape}")
         if not np.all(np.isfinite(j)):
             raise InvalidPartitionData("joint has non-finite entries")
-        if j.min() < -cls._EPS:
+        if j.min() < -tol.support:
             raise InvalidPartitionData(f"joint has a negative entry {j.min():.3e}")
         np.clip(j, 0.0, None, out=j)
-        if abs(j.sum() - 1.0) > cls._EPS:
+        if abs(j.sum() - 1.0) > tol.trace:
             raise InvalidPartitionData(f"joint sums to {float(j.sum())!r}, not 1")
         p = j.sum(axis=1)
         q = j.sum(axis=0)
         n, m = j.shape
         pg = np.full((n, m), 1.0 / n)
         qg = np.full((m, n), 1.0 / m)
-        live_q = q > cls._EPS
-        live_p = p > cls._EPS
+        live_q = q > tol.support
+        live_p = p > tol.support
         pg[:, live_q] = j[:, live_q] / q[live_q]
         qg[:, live_p] = j.T[:, live_p] / p[live_p]
         return cls(p, q, pg, qg, tol)

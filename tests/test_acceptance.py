@@ -17,7 +17,6 @@ import scipy.linalg
 from qce import (
     DensityMatrix,
     EnsembleConfig,
-    OptimizeConfig,
     Projector,
     axiom_audit,
     audit_deviations,
@@ -240,7 +239,6 @@ def test_c07_gradient_matches_finite_differences():
 def test_c08_optimizer_matches_brute_force_over_coordinate_projectors():
     start = time.monotonic()
     rng = np.random.default_rng(808)
-    config = OptimizeConfig(restarts=5, max_iters=1500, seed=1)
     for case in range(50):
         dim = 3 + case % 4
         while True:
@@ -253,14 +251,14 @@ def test_c08_optimizer_matches_brute_force_over_coordinate_projectors():
                 compressed_entropy(rho, Projector.coordinate(dim, comb))
                 for comb in itertools.combinations(range(dim), rank)
             )
-            result = maximize_compressed_entropy(rho, rank, config)
+            result = maximize_compressed_entropy(rho, rank)
             assert result.converged
             assert abs(result.best_value - brute) <= 1e-6
             assert result.commutation_residual <= 1e-4
     for dim in (3, 4, 5, 6):
         base = random_density(dim, seed=dim)
         positive = DensityMatrix(0.8 * base.mat + 0.2 * np.eye(dim) / dim)
-        report = entropy_gap_report(positive, config)
+        report = entropy_gap_report(positive)
         assert report.converged == (True,) * (dim - 1)
         assert report.all_strict
         assert report.min_margin > 0.0

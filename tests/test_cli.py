@@ -297,6 +297,16 @@ def test_classical_keeps_the_loose_profile_for_both_directions(capsys):
     assert "sum to" in err
 
 
+def test_classical_joint_table_takes_the_tolerance_profile(capsys):
+    # The joint sums to 1 + 1e-8: inside the loose trace tolerance only.
+    data = '{"joint": [[0.5, 0.50000001]]}'
+    code, _ = run_json(["classical", data, "--tol-profile", "loose"], capsys)
+    assert code == 0
+    code, _, err = run(["classical", data], capsys)
+    assert code == 3
+    assert "joint sums to" in err
+
+
 def test_hres_trivial_conditioning(capsys):
     basis = blocks_doc(2, [(0,), (1,)])
     trivial = blocks_doc(2, [(0, 1)])
@@ -339,7 +349,8 @@ def test_optimize_rank_two_finds_the_maximum(capsys):
     assert code == 0
     assert doc["report"]["converged"] is True
     assert doc["report"]["rank"] == 2
-    assert len(doc["report"]["restart_values"]) == 8
+    assert doc["report"]["restart_values"] == [row_value(doc, "best_value")]
+    assert row_value(doc, "iterations") == 0
     np.testing.assert_allclose(row_value(doc, "best_value"), 0.529251, atol=5e-6)
     np.testing.assert_allclose(
         row_value(doc, "margin"),

@@ -831,9 +831,13 @@ def coupled_family_probe(grid_points: int = 101) -> dict:
     }
 
 
-def tilted_family_probe(
-    grid_points: int = 50, weight1: float = 0.9, special=(0.1, 0.9)
-) -> dict:
+# The tilted-pair probe's first weight and its special point (cos^2 phi1,
+# cos^2 phi2), where the compression is half the projector.
+_TILTED_WEIGHT1 = 0.9
+_TILTED_SPECIAL = (0.1, 0.9)
+
+
+def tilted_family_probe(grid_points: int = 50) -> dict:
     """Sweep the tilted-pair family for the compressed-entropy bound.
 
     At the special point the compression is half the projector, so the
@@ -842,10 +846,10 @@ def tilted_family_probe(
     small because the compression carries little mass. Across the grid the
     compressed entropy never exceeds the state entropy.
     """
-    cos2_1, cos2_2 = special
+    cos2_1, cos2_2 = _TILTED_SPECIAL
     phi1 = math.acos(math.sqrt(cos2_1))
     phi2 = math.acos(math.sqrt(cos2_2))
-    rho, q = tilted_pair_state(phi1, phi2, weight1)
+    rho, q = tilted_pair_state(phi1, phi2, _TILTED_WEIGHT1)
     value = compressed_entropy(rho, q)
     entropy = von_neumann_entropy(rho)
     inside = compressed_state(rho, q)
@@ -856,11 +860,11 @@ def tilted_family_probe(
         for j in range(grid_points):
             a = 0.5 * math.pi * i / (grid_points - 1)
             b = 0.5 * math.pi * j / (grid_points - 1)
-            r, qq = tilted_pair_state(a, b, weight1)
+            r, qq = tilted_pair_state(a, b, _TILTED_WEIGHT1)
             excess = compressed_entropy(r, qq) - von_neumann_entropy(r)
             max_excess = max(max_excess, excess)
     return {
-        "weight1": weight1,
+        "weight1": _TILTED_WEIGHT1,
         "special_point": {
             "cos2_phi1": cos2_1,
             "cos2_phi2": cos2_2,

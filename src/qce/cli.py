@@ -65,7 +65,6 @@ from .serialize import (
     matrix_to_doc,
 )
 from .shannon import (
-    ProbabilityVector,
     conditional_shannon_entropy,
     is_consequence,
     is_independent,
@@ -269,8 +268,8 @@ def _cmd_pinch(args, tol):
 def _cmd_classical(args, tol):
     data = doc_to_partition(load_document(args.data), tol)
     rows = [
-        _row("h_p", shannon_entropy(ProbabilityVector(data.p, tol)), "nats"),
-        _row("h_q", shannon_entropy(ProbabilityVector(data.q, tol)), "nats"),
+        _row("h_p", shannon_entropy(data.p, tol), "nats"),
+        _row("h_q", shannon_entropy(data.q, tol), "nats"),
         _row("h_p_given_q", conditional_shannon_entropy(data), "nats"),
         _row("h_q_given_p", conditional_shannon_entropy(data.swapped()), "nats"),
         _row("h_joint", joint_shannon_entropy(data), "nats"),

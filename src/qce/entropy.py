@@ -38,17 +38,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DimMismatch, NotPSD, ZeroCompression
+from .errors import DimMismatch, ZeroCompression
 from .matcore import (
     DensityMatrix,
     IdentityResolution,
     Projector,
-    as_complex_matrix,
     compress,
     hermitize,
     spectral_resolution,
     trace_xlnx,
-    _require_hermitian,
 )
 from .shannon import ProbabilityVector
 
@@ -64,11 +62,9 @@ __all__ = [
     "information_gain",
     "joint_entropy",
     "pinch",
-    "relative_entropy",
     "self_conditional_entropy",
     "self_information_gain",
     "spectrum_distribution",
-    "unnormalized_compressed_entropy",
     "von_neumann_entropy",
 ]
 
@@ -111,44 +107,6 @@ def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
     return -trace_xlnx(rho.mat, tol)
 
 
-def relative_entropy(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """tr(A ln A) - tr(A ln B) for PSD A, B; +inf when supp(A) leaves supp(B).
-
-    Accepts density matrices or plain PSD matrices (the quantity is
-    positively homogeneous, so normalization is not required). The support
-    check compares the eigenvalues of B restricted to the support of A
-    against the support tolerance.
-    """
-    amat = a.mat if isinstance(a, DensityMatrix) else _require_hermitian(as_complex_matrix(a), tol)
-    bmat = b.mat if isinstance(b, DensityMatrix) else _require_hermitian(as_complex_matrix(b), tol)
-    if amat.shape != bmat.shape:
-        raise DimMismatch(f"operands have shapes {amat.shape} and {bmat.shape}")
-    wa, va = np.linalg.eigh(amat)
-    wb, vb = np.linalg.eigh(bmat)
-    if wa[0] < -tol.psd:
-        raise NotPSD(f"first operand eigenvalue {wa[0]:.3e} below -{tol.psd:g}")
-    if wb[0] < -tol.psd:
-        raise NotPSD(f"second operand eigenvalue {wb[0]:.3e} below -{tol.psd:g}")
-    wa = np.clip(wa, 0.0, None)
-    wb = np.clip(wb, 0.0, None)
-    support_a = wa > tol.support
-    if not support_a.any():
-        return 0.0
-    va_s = va[:, support_a]
-    restricted = hermitize(va_s.conj().T @ bmat @ va_s)
-    if np.linalg.eigvalsh(restricted)[0] <= tol.support:
-        return math.inf
-    pos_a = wa[support_a]
-    tr_a_ln_a = float(np.sum(pos_a * np.log(pos_a)))
-    support_b = wb > tol.support
-    vb_s = vb[:, support_b]
-    # Diagonal of B-eigenbasis expectation values of A; B-kernel terms vanish
-    # because supp(A) is inside supp(B) here.
-    diag_a = np.einsum("ij,jk,ki->i", vb_s.conj().T, amat, vb_s).real
-    tr_a_ln_b = float(np.sum(np.log(wb[support_b]) * diag_a))
-    return tr_a_ln_a - tr_a_ln_b
-
-
 def _compressed_spectrum(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Spectrum of V* A V, the nonzero block of Q A Q for Q = V V*, ascending."""
     m = hermitize(basis.conj().T @ mat @ basis)
@@ -179,24 +137,6 @@ def compressed_entropy(
     _check_density(rho, "rho")
     _check_same_dim(rho, q)
     return _span_entropy(rho.mat, q.range_basis(), tol)
-
-
-def unnormalized_compressed_entropy(
-    rho: DensityMatrix, q: Projector, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """-tr(QrhoQ ln QrhoQ), without the t ln t correction.
-
-    This variant exceeds compressed_entropy (by -t ln t >= 0) and does not
-    vanish on rank-one compressions, so it fails the bound by the entropy of
-    rho; it is kept as the natural comparison quantity.
-    """
-    _check_density(rho, "rho")
-    _check_same_dim(rho, q)
-    if q.rank == 0:
-        return 0.0
-    mu = _compressed_spectrum(rho.mat, q.range_basis())
-    pos = mu[mu > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
 
 
 def compressed_state(

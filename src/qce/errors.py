@@ -4,7 +4,7 @@ ValidationError covers every "the object you handed me is not what the
 operation requires" failure; its subclasses name the specific broken
 invariant so callers can branch on them. Errors outside that branch signal
 conditions arising during a computation (ambiguous eigenvalue clustering,
-a formula whose precondition does not hold, and so on).
+a vanishing compression, a state that is not strictly positive).
 """
 
 
@@ -46,14 +46,6 @@ class ClusterAmbiguity(QceError):
 
 class ZeroCompression(QceError):
     """Compression Q rho Q vanishes where the operation needs mass."""
-
-
-class NotApplicable(QceError):
-    """A formula's precondition does not hold for the given inputs."""
-
-
-class NotCommuting(QceError):
-    """Operands fail the commutation check a formula requires."""
 
 
 class NotStrictlyPositive(QceError):

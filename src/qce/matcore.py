@@ -87,20 +87,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def eig_hermitian(
-    a, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (w, v) with eigenvalues w in descending order and the matching
-    orthonormal eigenvectors as columns of v. Raises NotHermitian when the
-    input is not symmetric within tol.herm.
-    """
-    m = _require_hermitian(as_complex_matrix(a), tol)
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def trace_xlnx(a, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """tr(A ln A) for PSD A, with the 0 ln 0 = 0 convention.
 
@@ -470,19 +456,6 @@ def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralRe
             "no stable grouping at this tolerance"
         )
     return SpectralResolution._from_frame(levels, v, sizes, tol, density)
-
-
-def support_projector(a, tol: Tolerances = DEFAULT_TOLERANCES) -> Projector:
-    """Projector onto the span of eigenvectors with eigenvalue above tol.support.
-
-    The input must be PSD within tol.psd.
-    """
-    mat = a.mat if isinstance(a, DensityMatrix) else _require_hermitian(as_complex_matrix(a), tol)
-    w, v = np.linalg.eigh(mat)
-    if w[0] < -tol.psd:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol.psd:g}")
-    cols = v[:, w > tol.support]
-    return Projector.from_basis(np.ascontiguousarray(cols), tol)
 
 
 def compress(rho, q: Projector, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

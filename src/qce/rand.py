@@ -19,7 +19,7 @@ def rng_for(*tags: int) -> np.random.Generator:
     return np.random.default_rng(key)
 
 
-def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def _complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (
         rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     ) / np.sqrt(2.0)
@@ -27,7 +27,7 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian with phase fixing."""
-    z = complex_gaussian(rng, dim, dim)
+    z = _complex_gaussian(rng, dim, dim)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     ph = d / np.abs(d)
@@ -41,6 +41,6 @@ def haar_basis(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 
 def ginibre_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Density-matrix sample G G* / tr(G G*) with G complex Gaussian dim x rank."""
-    g = complex_gaussian(rng, dim, rank)
+    g = _complex_gaussian(rng, dim, rank)
     a = g @ g.conj().T
     return a / np.trace(a).real

@@ -31,7 +31,6 @@ from .matcore import (
     DensityMatrix,
     IdentityResolution,
     SpectralResolution,
-    as_complex_matrix,
     max_abs,
     spectral_resolution,
 )
@@ -47,19 +46,12 @@ __all__ = [
     "commutant_dim",
     "conditional_entropy_of_states",
     "more_mixed",
-    "normalized_trace",
     "partition_from_resolutions",
     "resolution_conditional_entropy",
     "resolution_entropy",
     "resolution_joint_entropy",
     "resolution_leq",
 ]
-
-
-def normalized_trace(a) -> complex:
-    """tau(A) = tr(A) / dim, a faithful tracial state on matrices."""
-    m = as_complex_matrix(a)
-    return complex(np.trace(m)) / m.shape[0]
 
 
 def _blocks(res) -> IdentityResolution:
@@ -97,7 +89,7 @@ def partition_from_resolutions(
 def resolution_entropy(res, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Entropy of the dimension distribution (rank_i / dim)."""
     b = _blocks(res)
-    return shannon_entropy(np.asarray(b.ranks(), dtype=float) / b.dim)
+    return shannon_entropy(np.asarray(b.ranks(), dtype=float) / b.dim, tol)
 
 
 def resolution_conditional_entropy(
@@ -162,7 +154,8 @@ def more_mixed(
 
     True when (a) the spectral blocks of rho each sit inside a unique
     spectral block of sigma, and (b) for every block Q_j of sigma,
-    tr(rho Q_j) equals sigma's eigenvalue times rank(Q_j) within 1e-8.
+    tr(rho Q_j) equals sigma's eigenvalue times rank(Q_j) within tol.orth,
+    the tolerance of the refinement test in (a).
     Implies S(rho) <= S(sigma) and that the commutant of rho is contained
     in that of sigma.
     """
@@ -179,7 +172,7 @@ def more_mixed(
     diag = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
     masses = np.add.reduceat(diag, res_s.blocks().bounds[:-1])
     targets = np.asarray(res_s.eigenvalues) * np.asarray(res_s.ranks())
-    return bool(np.all(np.abs(masses - targets) <= 1e-8))
+    return bool(np.all(np.abs(masses - targets) <= tol.orth))
 
 
 def commutant_dim(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> int:

@@ -43,21 +43,26 @@ class ProbabilityVector:
         return f"ProbabilityVector({np.array2string(self.weights, precision=6)})"
 
 
-def _as_weights(p) -> np.ndarray:
-    if isinstance(p, ProbabilityVector):
-        return p.weights
-    return ProbabilityVector(p).weights
-
-
 def _h(w: np.ndarray) -> float:
     # -sum x ln x over positive entries; zero entries contribute nothing.
+    # Weights accepted at a sum of 1 + tol.trace can give a result just below
+    # zero, which is reported as 0; -0.0 fails h < 0.0 and prints as before.
     pos = w[w > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    h = float(-np.sum(pos * np.log(pos)))
+    if h < 0.0:
+        return 0.0
+    return h
 
 
-def shannon_entropy(p) -> float:
-    """Entropy -sum p ln p of a distribution, in nats."""
-    return _h(_as_weights(p))
+def shannon_entropy(p, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+    """Entropy -sum p ln p of a distribution, in nats.
+
+    A ProbabilityVector is used as it is; anything else is validated as one
+    under tol.
+    """
+    if not isinstance(p, ProbabilityVector):
+        p = ProbabilityVector(p, tol)
+    return _h(p.weights)
 
 
 class ClassicalPartitionData:
@@ -73,8 +78,8 @@ class ClassicalPartitionData:
 
     def __init__(self, p, q, p_given_q, q_given_p, tol: Tolerances = DEFAULT_TOLERANCES):
         self._tol = tol
-        self.p = _as_weights(ProbabilityVector(p, tol))
-        self.q = _as_weights(ProbabilityVector(q, tol))
+        self.p = ProbabilityVector(p, tol).weights
+        self.q = ProbabilityVector(q, tol).weights
         pg = np.array(p_given_q, dtype=float, copy=True)
         qg = np.array(q_given_p, dtype=float, copy=True)
         n, m = self.p.size, self.q.size
@@ -137,7 +142,7 @@ class ClassicalPartitionData:
         cls, p_given_q, q, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> "ClassicalPartitionData":
         """Build from q and the conditional columns p_given_q[:, b]."""
-        qv = _as_weights(ProbabilityVector(q, tol))
+        qv = ProbabilityVector(q, tol).weights
         pg = np.asarray(p_given_q, dtype=float)
         if pg.ndim != 2 or pg.shape[1] != qv.size:
             raise BadShape(
@@ -176,18 +181,28 @@ def mutual_information(data: ClassicalPartitionData) -> float:
     return _h(data.p) - conditional_shannon_entropy(data)
 
 
-def is_consequence(data: ClassicalPartitionData, eps: float = 1e-9) -> bool:
-    """True when X is determined by Y: every live column of p_given_q is 0/1."""
-    live = data.q > eps
+def is_consequence(data: ClassicalPartitionData) -> bool:
+    """True when X is determined by Y: every live column of p_given_q is 0/1.
+
+    Outcomes with q above the data's tol.support are live; the 0/1 test
+    allows tol.trace.
+    """
+    tol = data._tol
+    live = data.q > tol.support
     if not live.any():
         return True
-    return bool(data.p_given_q[:, live].max(axis=0).min() >= 1.0 - eps)
+    return bool(data.p_given_q[:, live].max(axis=0).min() >= 1.0 - tol.trace)
 
 
-def is_independent(data: ClassicalPartitionData, eps: float = 1e-9) -> bool:
-    """True when every live conditional column equals the marginal p."""
-    live = data.q > eps
+def is_independent(data: ClassicalPartitionData) -> bool:
+    """True when every live conditional column equals the marginal p.
+
+    Outcomes with q above the data's tol.support are live; columns may
+    differ from p by tol.trace.
+    """
+    tol = data._tol
+    live = data.q > tol.support
     if not live.any():
         return True
     dev = np.abs(data.p_given_q[:, live] - data.p[:, None])
-    return bool(dev.max() <= eps)
+    return bool(dev.max() <= tol.trace)

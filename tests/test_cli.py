@@ -307,6 +307,26 @@ def test_classical_joint_table_takes_the_tolerance_profile(capsys):
     assert "joint sums to" in err
 
 
+def test_classical_loose_entropies_are_never_negative(capsys):
+    # The one-outcome marginal p = [1.00000001] gives -p ln p < 0 unclamped.
+    data = '{"joint": [[0.5, 0.50000001]]}'
+    code, doc = run_json(["classical", data, "--tol-profile", "loose"], capsys)
+    assert code == 0
+    assert row_value(doc, "h_p") == 0.0
+    assert row_value(doc, "mutual_information") >= 0.0
+
+
+def test_classical_consequence_takes_the_tolerance_profile(capsys):
+    # The first column of p_given_q is (1 - 4e-8, 4e-8): 0/1 only within 1e-7.
+    data = '{"joint": [[0.5, 0.0], [2e-8, 0.49999998]]}'
+    code, doc = run_json(["classical", data], capsys)
+    assert code == 0
+    assert doc["report"]["consequence"] is False
+    code, doc = run_json(["classical", data, "--tol-profile", "loose"], capsys)
+    assert code == 0
+    assert doc["report"]["consequence"] is True
+
+
 def test_hres_trivial_conditioning(capsys):
     basis = blocks_doc(2, [(0,), (1,)])
     trivial = blocks_doc(2, [(0, 1)])

@@ -21,13 +21,10 @@ from qce import (
     ValidationError,
     commutator_residual,
     compress,
-    eig_hermitian,
     hermitize,
     max_abs,
-    normalized_trace,
     random_unitary,
     spectral_resolution,
-    support_projector,
     tolerance_profile,
     trace_xlnx,
 )
@@ -261,24 +258,11 @@ def test_cluster_band_up_to_d128(dim_k, band, u, seed):
     np.testing.assert_allclose(sr.reconstruct(), mat, rtol=0.0, atol=gap + 1e-12)
 
 
-def test_eig_hermitian_descending():
-    w, v = eig_hermitian(np.diag([0.3, 0.1, 0.6]))
-    np.testing.assert_allclose(w, [0.6, 0.3, 0.1])
-    np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
-
-
 def test_trace_xlnx_values():
     np.testing.assert_allclose(trace_xlnx(np.diag([0.5, 0.5])), -np.log(2))
     assert trace_xlnx(np.diag([1.0, 0.0])) == 0.0
     with pytest.raises(NotPSD):
         trace_xlnx(np.diag([1.5, -0.5]))
-
-
-def test_support_projector():
-    s = support_projector(np.diag([0.5, 0.5, 0.0]))
-    assert s.rank == 2
-    np.testing.assert_allclose(s.mat, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-    assert support_projector(np.eye(3) / 3).rank == 3
 
 
 def test_compress_masks_block():
@@ -295,7 +279,6 @@ def test_small_helpers():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     np.testing.assert_allclose(hermitize(a), np.array([[0.0, 0.5], [0.5, 0.0]]))
     assert max_abs(np.array([1.0, -3.0, 2.0])) == 3.0
-    assert normalized_trace(np.eye(4)) == pytest.approx(1.0)
     assert commutator_residual(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert commutator_residual(np.diag([1.0, 2.0]), x) > 0.5

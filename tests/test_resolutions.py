@@ -16,7 +16,6 @@ from qce import (
     is_consequence,
     is_independent,
     more_mixed,
-    normalized_trace,
     partition_from_resolutions,
     pinch,
     random_density,
@@ -96,19 +95,13 @@ def conjugated(res, u):
 # ------------------------------------------------------ tau and bayes data
 
 
-def test_normalized_trace_values():
-    assert normalized_trace(np.eye(3)) == pytest.approx(1.0)
-    q = Projector.coordinate(4, [0, 2])
-    assert normalized_trace(q.mat) == pytest.approx(0.5)
-
-
 def test_projector_products_have_nonnegative_tau():
     rng = np.random.default_rng(2)
     for _ in range(20):
         u = random_unitary(3, seed=int(rng.integers(1 << 30)))
         p = Projector.coordinate(3, [0, 1])
         q = Projector(u @ np.diag([1.0, 0.0, 0.0]) @ u.conj().T)
-        val = normalized_trace(p.mat @ q.mat)
+        val = np.trace(p.mat @ q.mat) / 3
         assert val.real >= -1e-12
         assert abs(val.imag) <= 1e-12
 
@@ -365,6 +358,21 @@ def test_more_mixed_block_masses_in_a_rotated_frame(dim):
     sigma = DensityMatrix((u * shifted) @ u.conj().T)
     assert resolution_leq(spectral_resolution(rho), spectral_resolution(sigma)).holds
     assert not more_mixed(rho, sigma)
+
+
+def test_more_mixed_block_masses_follow_the_tolerance_profile():
+    # A 1e-9 mass shift passes the default orth tolerance (1e-8), not the
+    # strict one (1e-10); the refinement holds under both.
+    dim = 3
+    u = random_unitary(dim, seed=dim)
+    levels = np.array([0.5, 0.3, 0.2])
+    rho = DensityMatrix((u * levels) @ u.conj().T)
+    shifted = np.array([0.5 + 1e-9, 0.25 - 0.5e-9, 0.25 - 0.5e-9])
+    sigma = DensityMatrix((u * shifted) @ u.conj().T)
+    strict = tolerance_profile("strict")
+    assert resolution_leq(spectral_resolution(rho, strict), spectral_resolution(sigma, strict)).holds
+    assert more_mixed(rho, sigma)
+    assert not more_mixed(rho, sigma, strict)
 
 
 def test_more_mixed_implies_entropy_and_commutant_growth():

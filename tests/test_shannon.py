@@ -170,6 +170,28 @@ def test_independence_means_full_conditional_entropy():
     assert not is_independent(ClassicalPartitionData.from_joint(DIAG_JOINT))
 
 
+def test_consequence_and_independence_follow_the_data_tolerances():
+    # Both tests are off by 4e-8: beyond the default trace tolerance (1e-9),
+    # inside the loose one (1e-7).
+    loose = tolerance_profile("loose")
+    near_consequence = [[0.5, 0.0], [2e-8, 0.49999998]]
+    assert not is_consequence(ClassicalPartitionData.from_joint(near_consequence))
+    assert is_consequence(ClassicalPartitionData.from_joint(near_consequence, loose))
+    near_product = [[0.25 + 2e-8, 0.25 - 2e-8], [0.25 - 2e-8, 0.25 + 2e-8]]
+    assert not is_independent(ClassicalPartitionData.from_joint(near_product))
+    assert is_independent(ClassicalPartitionData.from_joint(near_product, loose))
+
+
+def test_shannon_entropy_validates_with_the_given_tolerances():
+    over = np.array([1.0 + 5e-8])
+    with pytest.raises(ValidationError, match="sum"):
+        shannon_entropy(over)
+    # Accepted under the loose trace tolerance; -p ln p < 0 is reported as 0.
+    assert shannon_entropy(over, tolerance_profile("loose")) == 0.0
+    pv = ProbabilityVector([0.5, 0.5])
+    assert shannon_entropy(pv, tolerance_profile("strict")) == math.log(2.0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(simplex(4))
 def test_entropy_bounds_property(p):

@@ -41,7 +41,6 @@ from .config import tolerance_profile
 from .entropy import (
     conditional_entropy,
     conditional_entropy_given_blocks,
-    information_gain,
     pinch,
     von_neumann_entropy,
 )
@@ -224,10 +223,12 @@ def _cmd_cond(args, tol):
     rho = _density(args.rho, tol)
     sigma = _density(args.sigma, tol)
     breakdown = conditional_entropy(rho, sigma, tol)
+    s_rho = von_neumann_entropy(rho, tol)
     rows = [
         _row("conditional_entropy", breakdown.total, "nats"),
-        _row("entropy_rho", von_neumann_entropy(rho, tol), "nats"),
-        _row("information_gain", information_gain(rho, sigma, tol), "nats"),
+        _row("entropy_rho", s_rho, "nats"),
+        # information_gain(rho, sigma), without computing both terms again.
+        _row("information_gain", s_rho - breakdown.total, "nats"),
     ]
     report = {
         "per_block": [
@@ -500,6 +501,10 @@ def _emit_text(command: str, settings: dict, rows: list, report: dict) -> None:
             print(f"{label:<24} {verdict}{marker}")
         if report["deviations"]:
             print(f"deviations: {', '.join(report['deviations'])}")
+    elif command == "classical":
+        print()
+        for key in ("consequence", "independent"):
+            print(f"{key}: {report[key]}")
     elif command == "orders":
         print()
         for key in ("rho_refines_sigma", "sigma_refines_rho"):

@@ -107,22 +107,53 @@ def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
     return -trace_xlnx(rho.mat, tol)
 
 
-def _compressed_spectrum(mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Spectrum of V* A V, the nonzero block of Q A Q for Q = V V*, ascending."""
-    m = hermitize(basis.conj().T @ mat @ basis)
-    return np.clip(np.linalg.eigvalsh(m), 0.0, None)
+def _spectrum_entropy(w: np.ndarray, tol: Tolerances) -> float:
+    """Entropy mass t ln t - sum mu ln mu of one compression from its spectrum w.
 
-
-def _span_entropy(mat: np.ndarray, basis: np.ndarray, tol: Tolerances) -> float:
-    """compressed_entropy of a state matrix in the span of orthonormal columns."""
-    if basis.shape[1] <= 1:
-        return 0.0
-    mu = _compressed_spectrum(mat, basis)
+    mu is w clipped at zero and t = sum mu; a mass t at or below the support
+    tolerance gives 0.0.
+    """
+    mu = np.clip(w, 0.0, None)
     t = float(mu.sum())
     if t <= tol.support:
         return 0.0
     pos = mu[mu > 0.0]
     return float(t * math.log(t) - np.sum(pos * np.log(pos)))
+
+
+def _span_entropy(mat: np.ndarray, basis: np.ndarray, tol: Tolerances) -> float:
+    """compressed_entropy of a state matrix in the span of orthonormal columns V.
+
+    The spectrum of V* A V is that of the nonzero block of Q A Q, Q = V V*.
+    """
+    if basis.shape[1] <= 1:
+        return 0.0
+    m = hermitize(basis.conj().T @ mat @ basis)
+    return _spectrum_entropy(np.linalg.eigvalsh(m), tol)
+
+
+def _block_entropies(mat: np.ndarray, bases, tol: Tolerances) -> list[float]:
+    """_span_entropy of a state matrix in each block, in block order.
+
+    Blocks of equal rank m >= 2 are compressed together: their bases are
+    stacked as (k, dim, m), compressed into (k, m, m) and diagonalized by one
+    batched eigvalsh. A rank with a single block takes the 2-D path, and
+    rank-one blocks give 0.0 without a compression.
+    """
+    factors = [0.0] * len(bases)
+    by_rank: dict[int, list[int]] = {}
+    for j, basis in enumerate(bases):
+        if basis.shape[1] > 1:
+            by_rank.setdefault(basis.shape[1], []).append(j)
+    for group in by_rank.values():
+        if len(group) == 1:
+            factors[group[0]] = _span_entropy(mat, bases[group[0]], tol)
+            continue
+        stack = np.stack([bases[j] for j in group])
+        m = hermitize(stack.conj().swapaxes(1, 2) @ mat @ stack)
+        for j, w in zip(group, np.linalg.eigvalsh(m)):
+            factors[j] = _spectrum_entropy(w, tol)
+    return factors
 
 
 def compressed_entropy(
@@ -163,21 +194,25 @@ def conditional_entropy(
     sigma is resolved into distinct eigenprojectors Q_j; the total is
     sum_j tr(Q_j sigma) * compressed_entropy(rho, Q_j). The weight
     tr(Q_j sigma) is taken as level_j * rank_j, and each factor from the
-    compression V_j* rho V_j onto the block's frame columns V_j; rank-one
+    compression V_j* rho V_j onto the block's frame columns V_j; blocks of
+    equal rank are compressed and diagonalized as one stack, and rank-one
     blocks contribute factor 0.0 without any compression. Blocks whose sigma
-    weight is below the support tolerance are stored with weight 0.0.
+    weight is below the support tolerance are stored with weight 0.0. The
+    resolution of sigma is memoised on sigma, so conditioning many states on
+    one sigma object resolves it once.
     """
     _check_density(rho, "rho")
     _check_density(sigma, "sigma")
     _check_same_dim(rho, sigma)
     res = spectral_resolution(sigma, tol)
+    bases = res.bases()
+    factors = _block_entropies(rho.mat, bases, tol)
     terms = []
     total = 0.0
-    for j, (level, basis) in enumerate(zip(res.eigenvalues, res.bases())):
+    for j, (level, basis, factor) in enumerate(zip(res.eigenvalues, bases, factors)):
         weight = level * basis.shape[1]
         if weight <= tol.support:
             weight = 0.0
-        factor = _span_entropy(rho.mat, basis, tol)
         terms.append(BlockTerm(j, weight, factor))
         total += weight * factor
     return EntropyBreakdown(total=total, per_block=tuple(terms))
@@ -217,9 +252,10 @@ def conditional_entropy_given_blocks(
     if not isinstance(blocks, IdentityResolution):
         raise TypeError("blocks must be an IdentityResolution")
     _check_same_dim(rho, blocks)
+    factors = _block_entropies(rho.mat, blocks.bases(), tol)
     total = 0.0
-    for basis in blocks.bases():
-        total += (basis.shape[1] / rho.dim) * _span_entropy(rho.mat, basis, tol)
+    for rank, factor in zip(blocks.ranks(), factors):
+        total += (rank / rho.dim) * factor
     return total
 
 

@@ -22,6 +22,14 @@ the frame's column blocks (bases()); the projectors attribute is a lazily
 built tuple of Projector views over those blocks, trusted without a second
 check.
 
+A DensityMatrix is immutable, and its spectral resolution depends on the
+state and the Tolerances record alone, so spectral_resolution memoises it on
+the state, keyed by the (frozen, hashable) Tolerances. Every caller that
+resolves the same state object under the same tolerances shares one eigh,
+one clustering and one frame check. The cluster scale is validated before
+the lookup and a failed resolution is never stored, so errors repeat on
+every call; raw arrays and equal but distinct states are resolved afresh.
+
 Eigenvalue clustering turns a raw descending spectrum into distinct levels
 at the scale tol.cluster, which must be finite and positive. Gaps at most
 tol.cluster/4 merge, gaps of at least tol.cluster separate, and gaps strictly
@@ -67,8 +75,8 @@ def max_abs(a) -> float:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """(A + A*)/2, the Hermitian part."""
-    return 0.5 * (a + a.conj().T)
+    """(A + A*)/2, the Hermitian part; of each matrix, for a stack (..., n, n)."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -105,7 +113,8 @@ class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
     Eigenvalues in (-eps_psd, 0) are clamped to zero at construction; the
-    stored array is frozen. dim is the ambient dimension.
+    stored array is frozen. dim is the ambient dimension. The spectral
+    resolution is memoised per Tolerances record (see spectral_resolution).
     """
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -121,6 +130,7 @@ class DensityMatrix:
             a = hermitize((v * w) @ v.conj().T)
         self.mat = _freeze(a)
         self.dim = a.shape[0]
+        self._resolutions = {}  # Tolerances -> SpectralResolution
 
     @classmethod
     def diagonal(cls, values, tol: Tolerances = DEFAULT_TOLERANCES) -> "DensityMatrix":
@@ -440,10 +450,21 @@ def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralRe
     positive, and ClusterAmbiguity when a gap falls strictly between
     tol.cluster/4 and tol.cluster, or when merging leaves two adjacent levels
     closer than tol.cluster.
+
+    A DensityMatrix keeps its resolution per Tolerances record, so resolving
+    the same state again under the same tolerances returns the same object.
+    Failures are not kept, and raw arrays are resolved on every call.
     """
     ctol = _cluster_scale(tol)
-    density = isinstance(rho, DensityMatrix)
-    mat = rho.mat if density else _require_hermitian(as_complex_matrix(rho), tol)
+    if not isinstance(rho, DensityMatrix):
+        return _resolve(_require_hermitian(as_complex_matrix(rho), tol), ctol, tol, False)
+    res = rho._resolutions.get(tol)
+    if res is None:
+        res = rho._resolutions[tol] = _resolve(rho.mat, ctol, tol, True)
+    return res
+
+
+def _resolve(mat, ctol: float, tol: Tolerances, density: bool) -> SpectralResolution:
     w, v = np.linalg.eigh(mat)
     w, v = w[::-1], v[:, ::-1]
     sizes = _cluster_sizes(w, ctol)

@@ -14,7 +14,14 @@ from .errors import BadShape, InvalidPartitionData, ValidationError
 
 
 class ProbabilityVector:
-    """Nonnegative weights summing to 1; stored as a frozen float array."""
+    """Nonnegative weights summing to 1; stored as a frozen float array.
+
+    Weights are accepted when they sum to 1 within tol.trace, and are then
+    divided by their sum unless it is 1 within the rounding of the sum
+    itself (size * machine epsilon). Every entropy built on them sees a
+    normalized distribution, and validating stored weights again leaves
+    them unchanged.
+    """
 
     __slots__ = ("weights",)
 
@@ -30,6 +37,8 @@ class ProbabilityVector:
         total = float(w.sum())
         if abs(total - 1.0) > tol.trace:
             raise ValidationError(f"weights sum to {total!r}, not 1")
+        if abs(total - 1.0) > w.size * np.finfo(float).eps:
+            w /= total
         w.flags.writeable = False
         self.weights = w
 
@@ -45,8 +54,9 @@ class ProbabilityVector:
 
 def _h(w: np.ndarray) -> float:
     # -sum x ln x over positive entries; zero entries contribute nothing.
-    # Weights accepted at a sum of 1 + tol.trace can give a result just below
-    # zero, which is reported as 0; -0.0 fails h < 0.0 and prints as before.
+    # Conditional columns, which are not renormalized, can sum to 1 plus a
+    # rounding error and give a result just below zero; that is reported as
+    # 0, while -0.0 (a point mass) fails h < 0.0 and is returned as it is.
     pos = w[w > 0.0]
     h = float(-np.sum(pos * np.log(pos)))
     if h < 0.0:

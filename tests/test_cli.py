@@ -327,6 +327,26 @@ def test_classical_consequence_takes_the_tolerance_profile(capsys):
     assert doc["report"]["consequence"] is True
 
 
+def test_classical_loose_table_with_one_x_outcome_has_h_y_given_x_equal_h_y(capsys):
+    # X has one outcome, so H(Y|X) = H(Y); the marginals sum to 1 + 1e-8 and
+    # are renormalized, like the conditional column they must agree with.
+    data = '{"joint": [[0.5, 0.50000001]]}'
+    code, doc = run_json(["classical", data, "--tol-profile", "loose"], capsys)
+    assert code == 0
+    assert row_value(doc, "h_q_given_p") == row_value(doc, "h_q")
+    assert row_value(doc, "mutual_information") == 0.0
+
+
+def test_classical_text_output_shows_the_verdicts(capsys):
+    data = '{"joint": [[0.3, 0.0], [0.0, 0.7]]}'
+    code, out, _ = run(["classical", data], capsys)
+    assert code == 0
+    assert "\nconsequence: True\n" in out
+    assert "\nindependent: False\n" in out
+    _, doc = run_json(["classical", data], capsys)
+    assert doc["report"] == {"consequence": True, "independent": False}
+
+
 def test_hres_trivial_conditioning(capsys):
     basis = blocks_doc(2, [(0,), (1,)])
     trivial = blocks_doc(2, [(0, 1)])

@@ -1,5 +1,6 @@
 """Spectral entropy functionals: compressions, conditioning, pinching."""
 
+import itertools
 import math
 
 import numpy as np
@@ -346,31 +347,73 @@ def leveled_state(sizes, levels, seed):
     return DensityMatrix(hermitize((u * (diag / diag.sum())) @ u.conj().T))
 
 
+def mixed_sizes(dim):
+    """A leading block of rank dim // 4 + 1, then ranks 3, 2, 2, 3, 1 cycled."""
+    sizes = [dim // 4 + 1]
+    pattern = itertools.cycle((3, 2, 2, 3, 1))
+    while sum(sizes) < dim:
+        sizes.append(min(next(pattern), dim - sum(sizes)))
+    return sizes
+
+
+def cut_state(rho, bases):
+    """rho compressed out of the given blocks and renormalized."""
+    keep = np.concatenate(bases, axis=1)
+    c = keep @ (keep.conj().T @ rho.mat @ keep) @ keep.conj().T
+    return DensityMatrix(hermitize(c / np.trace(c).real))
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32, 64])
 def test_conditional_entropy_matches_dense_projector_terms(dim):
     # Weights and factors from the frame (level * rank, V_j* rho V_j) against
-    # the dense definition: tr(Q_j sigma) and compressed_entropy in Q_j.
+    # the dense definition: tr(Q_j sigma) and compressed_entropy in Q_j. Equal
+    # ranks are compressed as one stack, so the kinds cover many equal-rank
+    # blocks (up to dim/2 at rank 2), ranks held by a single block, and rank-
+    # deficient sigma, whose zero levels merge into one block.
     sizes = [len(c) for c in np.array_split(np.arange(dim), max(2, dim // 4))]
+    pairs = [2] * (dim // 2) + [1] * (dim % 2)
+    mixed = mixed_sizes(dim)
     sigmas = {
         "nondegenerate": random_density(dim, seed=dim),
         "few-block": leveled_state(sizes, np.arange(len(sizes), 0, -1), seed=dim + 1),
         "maximally-mixed": DensityMatrix.maximally_mixed(dim),
         "rank-deficient": leveled_state(sizes, [1.0] * (len(sizes) - 1) + [0.0], seed=dim + 2),
+        "rank-two": leveled_state(pairs, np.arange(len(pairs), 0, -1), seed=dim + 3),
+        "mixed-ranks": leveled_state(mixed, np.arange(len(mixed), 0, -1), seed=dim + 4),
+        "rank-two-deficient": leveled_state(
+            pairs, [float(j) if j % 3 else 0.0 for j in range(len(pairs), 0, -1)], seed=dim + 5
+        ),
     }
     rho = random_density(dim, seed=100 + dim)  # complex Ginibre: entries carry phases
     assert max_abs(rho.mat.imag) > 0.0
     for kind, sigma in sigmas.items():
-        breakdown = conditional_entropy(rho, sigma)
-        bases = spectral_resolution(sigma).bases()
-        assert len(breakdown.per_block) == len(bases)
-        for term, basis in zip(breakdown.per_block, bases):
-            q = Projector.from_basis(basis)
-            weight = max(float(np.trace(q.mat @ sigma.mat).real), 0.0)
-            weight = 0.0 if weight <= 1e-9 else weight
-            assert abs(term.weight - weight) <= 1e-12, kind
-            assert abs(term.factor - compressed_entropy(rho, q)) <= 1e-12, kind
-        if kind == "nondegenerate":
-            assert breakdown.total == 0.0
+        res = spectral_resolution(sigma)
+        bases = res.bases()
+        rhos = [rho]
+        if len(bases) > 2:
+            # Zero mass in the last two blocks: their factors take the t <= support cut.
+            rhos.append(cut_state(rho, bases[:-2]))
+        for r in rhos:
+            breakdown = conditional_entropy(r, sigma)
+            assert len(breakdown.per_block) == len(bases)
+            for term, basis in zip(breakdown.per_block, bases):
+                q = Projector.from_basis(basis)
+                weight = max(float(np.trace(q.mat @ sigma.mat).real), 0.0)
+                weight = 0.0 if weight <= 1e-9 else weight
+                assert abs(term.weight - weight) <= 1e-12, kind
+                assert abs(term.factor - compressed_entropy(r, q)) <= 1e-12, kind
+            if kind == "nondegenerate":
+                assert breakdown.total == 0.0
+            # The bare-resolution path shares the batched compressions.
+            given = sum(
+                b.shape[1] / dim * compressed_entropy(r, Projector.from_basis(b)) for b in bases
+            )
+            assert abs(conditional_entropy_given_blocks(r, res.blocks()) - given) <= 1e-12, kind
+    if dim >= 4:
+        assert spectral_resolution(sigmas["rank-two"]).ranks().count(2) == dim // 2
+    if dim >= 16:
+        ranks = spectral_resolution(sigmas["mixed-ranks"]).ranks()
+        assert ranks.count(ranks[0]) == 1 and ranks.count(2) > 1
 
 
 # ------------------------------------------------- self conditioning

@@ -202,6 +202,42 @@ def test_spectral_resolution_cluster_tol_override():
             SpectralResolution([0.7, 0.3], [p, q], tol)
 
 
+def test_spectral_resolution_is_memoised_per_state_and_tolerances():
+    rho = DensityMatrix(np.diag([0.500001, 0.499999]))
+    sr = spectral_resolution(rho)
+    assert spectral_resolution(rho) is sr
+    assert spectral_resolution(rho, DEFAULT_TOLERANCES) is sr
+    # An equal record is the same key; another cluster scale is another key.
+    assert spectral_resolution(rho, replace(DEFAULT_TOLERANCES)) is sr
+    coarse = spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=1e-4))
+    assert coarse is not sr
+    assert (len(sr), len(coarse)) == (2, 1)
+    assert spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=1e-4)) is coarse
+    assert spectral_resolution(rho) is sr
+    # Equal matrices in distinct states resolve separately.
+    twin = DensityMatrix(rho.mat)
+    assert spectral_resolution(twin) is not sr
+    assert spectral_resolution(twin).ranks() == sr.ranks()
+
+
+def test_spectral_resolution_failures_are_never_memoised():
+    gray = DensityMatrix(np.diag([0.5 + 3e-10, 0.5 - 3e-10]))
+    for _ in range(3):
+        with pytest.raises(ClusterAmbiguity, match="unstable band"):
+            spectral_resolution(gray)
+    # A valid resolution first, then a bad scale: the bad scale still raises.
+    rho = DensityMatrix(np.diag([0.7, 0.3]))
+    spectral_resolution(rho)
+    for bad in (float("nan"), 0.0):
+        tol = replace(DEFAULT_TOLERANCES, cluster=bad)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="positive"):
+                spectral_resolution(rho, tol)
+    # A raw array is resolved afresh on every call.
+    mat = np.diag([0.7, 0.3]).astype(complex)
+    assert spectral_resolution(mat) is not spectral_resolution(mat)
+
+
 def test_spectral_blocks_keep_the_callers_tolerances():
     # Two rank-one blocks 1e-7 off orthogonal: inside the loose profile's
     # orth tolerance, outside the default one.

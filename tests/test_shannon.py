@@ -65,6 +65,22 @@ def test_probability_vector_validation():
         ProbabilityVector([np.inf, 0.0])
 
 
+def test_probability_vector_renormalizes_accepted_weights():
+    loose = tolerance_profile("loose")
+    pv = ProbabilityVector([0.5, 0.50000001], loose)
+    np.testing.assert_array_equal(pv.weights, np.array([0.5, 0.50000001]) / 1.00000001)
+    # Normalized weights, and sums off by rounding only, are kept bit for bit.
+    np.testing.assert_array_equal(ProbabilityVector(pv.weights).weights, pv.weights)
+    thirds = np.array([1.0, 1.0, 1.0]) / 3.0
+    for w in (np.array([0.25, 0.75]), thirds, np.array([3.0, 2.0, 2.0]) / 7.0):
+        np.testing.assert_array_equal(ProbabilityVector(w).weights, w)
+    # One X outcome: the Y marginal and the conditional column are the same
+    # division, so H(Y|X) = H(Y) to the bit.
+    data = ClassicalPartitionData.from_joint([[0.5, 0.50000001]], loose)
+    np.testing.assert_array_equal(data.p, [1.0])
+    assert conditional_shannon_entropy(data.swapped()) == shannon_entropy(data.q)
+
+
 def test_from_joint_marginals_and_conditionals():
     data = ClassicalPartitionData.from_joint(DIAG_JOINT)
     np.testing.assert_allclose(data.p, [0.5, 0.5])
@@ -186,7 +202,7 @@ def test_shannon_entropy_validates_with_the_given_tolerances():
     over = np.array([1.0 + 5e-8])
     with pytest.raises(ValidationError, match="sum"):
         shannon_entropy(over)
-    # Accepted under the loose trace tolerance; -p ln p < 0 is reported as 0.
+    # Accepted under the loose trace tolerance, and renormalized to a point mass.
     assert shannon_entropy(over, tolerance_profile("loose")) == 0.0
     pv = ProbabilityVector([0.5, 0.5])
     assert shannon_entropy(pv, tolerance_profile("strict")) == math.log(2.0)

@@ -121,24 +121,13 @@ def _spectrum_entropy(w: np.ndarray, tol: Tolerances) -> float:
     return float(t * math.log(t) - np.sum(pos * np.log(pos)))
 
 
-def _span_entropy(mat: np.ndarray, basis: np.ndarray, tol: Tolerances) -> float:
-    """compressed_entropy of a state matrix in the span of orthonormal columns V.
+def _block_entropies(mat: np.ndarray, bases, tol: Tolerances) -> list[float]:
+    """Entropy mass of a state matrix in the span of each block, in block order.
 
     The spectrum of V* A V is that of the nonzero block of Q A Q, Q = V V*.
-    """
-    if basis.shape[1] <= 1:
-        return 0.0
-    m = hermitize(basis.conj().T @ mat @ basis)
-    return _spectrum_entropy(np.linalg.eigvalsh(m), tol)
-
-
-def _block_entropies(mat: np.ndarray, bases, tol: Tolerances) -> list[float]:
-    """_span_entropy of a state matrix in each block, in block order.
-
     Blocks of equal rank m >= 2 are compressed together: their bases are
     stacked as (k, dim, m), compressed into (k, m, m) and diagonalized by one
-    batched eigvalsh. A rank with a single block takes the 2-D path, and
-    rank-one blocks give 0.0 without a compression.
+    batched eigvalsh. Rank-one blocks give 0.0 without a compression.
     """
     factors = [0.0] * len(bases)
     by_rank: dict[int, list[int]] = {}
@@ -146,10 +135,7 @@ def _block_entropies(mat: np.ndarray, bases, tol: Tolerances) -> list[float]:
         if basis.shape[1] > 1:
             by_rank.setdefault(basis.shape[1], []).append(j)
     for group in by_rank.values():
-        if len(group) == 1:
-            factors[group[0]] = _span_entropy(mat, bases[group[0]], tol)
-            continue
-        stack = np.stack([bases[j] for j in group])
+        stack = np.array([bases[j] for j in group])
         m = hermitize(stack.conj().swapaxes(1, 2) @ mat @ stack)
         for j, w in zip(group, np.linalg.eigvalsh(m)):
             factors[j] = _spectrum_entropy(w, tol)
@@ -167,7 +153,7 @@ def compressed_entropy(
     """
     _check_density(rho, "rho")
     _check_same_dim(rho, q)
-    return _span_entropy(rho.mat, q.range_basis(), tol)
+    return _block_entropies(rho.mat, [q.range_basis()], tol)[0]
 
 
 def compressed_state(

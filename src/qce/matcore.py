@@ -18,9 +18,9 @@ dim columns that single O(dim^3) test covers both orthogonality of the blocks
 and completeness, so no block is checked on its own and no pair of blocks is
 multiplied. Built from projectors, the frame is their stacked range bases;
 built by spectral_resolution, it is the eigenvector matrix. Consumers work on
-the frame's column blocks (bases()); the projectors attribute is a lazily
-built tuple of Projector views over those blocks, trusted without a second
-check.
+the frame's column blocks (bases()); the projectors attribute builds dense
+Projector views over those blocks on each access, trusted without a second
+check and not kept.
 
 A DensityMatrix is immutable, and its spectral resolution depends on the
 state and the Tolerances record alone, so spectral_resolution memoises it on
@@ -29,6 +29,9 @@ resolves the same state object under the same tolerances shares one eigh,
 one clustering and one frame check. The cluster scale is validated before
 the lookup and a failed resolution is never stored, so errors repeat on
 every call; raw arrays and equal but distinct states are resolved afresh.
+The memo lives as long as the state: per Tolerances record it keeps one
+dim x dim complex frame, as much memory again as the state's own matrix,
+plus the levels and block bounds.
 
 Eigenvalue clustering turns a raw descending spectrum into distinct levels
 at the scale tol.cluster, which must be finite and positive. Gaps at most
@@ -114,7 +117,8 @@ class DensityMatrix:
 
     Eigenvalues in (-eps_psd, 0) are clamped to zero at construction; the
     stored array is frozen. dim is the ambient dimension. The spectral
-    resolution is memoised per Tolerances record (see spectral_resolution).
+    resolution is memoised per Tolerances record (see spectral_resolution);
+    each one keeps a dim x dim complex frame alive as long as the state.
     """
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -314,10 +318,15 @@ class IdentityResolution:
 
     @property
     def projectors(self) -> tuple[Projector, ...]:
-        """Block projectors; built on first use as unchecked views of the frame."""
-        if self._projectors is None:
-            self._projectors = tuple(Projector._view(b) for b in self.bases())
-        return self._projectors
+        """Block projectors.
+
+        Those given to the constructor are returned as they are; for a family
+        built from a frame, dense unchecked views of the frame are built on
+        each access and not kept, so a memoised resolution holds only its frame.
+        """
+        if self._projectors is not None:
+            return self._projectors
+        return tuple(Projector._view(b) for b in self.bases())
 
     def bases(self) -> tuple[np.ndarray, ...]:
         """Orthonormal basis of each block, as read-only views of the frame."""
@@ -453,7 +462,9 @@ def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralRe
 
     A DensityMatrix keeps its resolution per Tolerances record, so resolving
     the same state again under the same tolerances returns the same object.
-    Failures are not kept, and raw arrays are resolved on every call.
+    The kept resolution holds one dim x dim complex frame for as long as the
+    state lives. Failures are not kept, and raw arrays are resolved on every
+    call.
     """
     ctol = _cluster_scale(tol)
     if not isinstance(rho, DensityMatrix):

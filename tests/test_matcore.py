@@ -220,6 +220,16 @@ def test_spectral_resolution_is_memoised_per_state_and_tolerances():
     assert spectral_resolution(twin).ranks() == sr.ranks()
 
 
+def test_memoised_resolution_does_not_keep_its_dense_projectors():
+    res = spectral_resolution(DensityMatrix(np.diag([0.4, 0.4, 0.2])))
+    first = res.projectors
+    assert [p.rank for p in first] == [2, 1]
+    again = res.projectors
+    assert again is not first
+    for p, q in zip(first, again):
+        np.testing.assert_array_equal(p.mat, q.mat)
+
+
 def test_spectral_resolution_failures_are_never_memoised():
     gray = DensityMatrix(np.diag([0.5 + 3e-10, 0.5 - 3e-10]))
     for _ in range(3):

@@ -756,7 +756,7 @@ def impossibility_demos() -> dict:
 
 def _decomposition_weight(rho: DensityMatrix, rho1: DensityMatrix) -> float:
     """Largest lambda with lambda * rho1 <= rho, for strictly positive rho."""
-    w, v = np.linalg.eigh(rho.mat)
+    w, v = rho._eigh()
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     top = float(np.linalg.eigvalsh(hermitize(inv_sqrt @ rho1.mat @ inv_sqrt))[-1])
     return 1.0 / top

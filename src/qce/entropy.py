@@ -102,9 +102,9 @@ def _check_same_dim(a, b) -> None:
 
 
 def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """-tr(rho ln rho), in nats."""
+    """-tr(rho ln rho), in nats; a pure state gives +0.0, not -0.0."""
     _check_density(rho, "rho")
-    return -trace_xlnx(rho.mat, tol)
+    return 0.0 - trace_xlnx(rho.mat, tol)
 
 
 def _spectrum_entropy(w: np.ndarray, tol: Tolerances) -> float:

@@ -9,7 +9,8 @@ mu_i <= lambda_i, the i-th largest eigenvalue of rho, and
     g(mu) = t ln t - sum_i mu_i ln mu_i,   t = sum_i mu_i,
 
 has partial derivatives ln(t / mu_i) >= 0, so g(mu) <= g(lambda_1..lambda_r),
-which the top-r eigenspace attains. The solve is therefore one eigh of rho.
+which the top-r eigenspace attains. The solve therefore needs only the
+eigendecomposition of rho, which the state kept from its construction.
 
 The functional is also smooth along unitary orbits Q(t) = e^{-itK} Q e^{itK}
 wherever the compression keeps full rank on the range of Q, with
@@ -163,8 +164,8 @@ def variational_gradient(
 
 
 def _positive_eigenvectors(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvectors of rho in ascending eigenvalue order, once rho > 1e-6 is checked."""
-    vals, vecs = np.linalg.eigh(rho.mat)
+    """The state's kept eigenvectors, ascending, once rho > 1e-6 is checked."""
+    vals, vecs = rho._eigh()
     min_eig = float(vals[0])
     if min_eig <= 1e-6:
         raise NotStrictlyPositive(
@@ -187,10 +188,11 @@ def maximize_compressed_entropy(
     """Maximize compressed_entropy(rho, Q) over projectors of the given rank.
 
     rho must be strictly positive (min eigenvalue above 1e-6). The maximizer
-    is the top-rank eigenspace of rho (see the module docstring), found with
-    one eigh. A full-rank request returns the entropy of rho, and a rank-one
-    request returns value zero at the top spectral direction (the functional
-    is identically zero there, so that maximizer is as good as any).
+    is the top-rank eigenspace of rho (see the module docstring), read off
+    the eigendecomposition the state kept. A full-rank request returns the
+    entropy of rho, and a rank-one request returns value zero at the top
+    spectral direction (the functional is identically zero there, so that
+    maximizer is as good as any).
     """
     if not isinstance(rho, DensityMatrix):
         raise TypeError("rho must be a DensityMatrix")
@@ -254,7 +256,7 @@ def entropy_gap_report(
 ) -> GapReport:
     """The rank-constrained maximum of the compressed entropy at every rank below full.
 
-    One eigh of rho serves every rank; each value equals
+    The state's kept eigendecomposition serves every rank; each value equals
     maximize_compressed_entropy(rho, r).best_value bit for bit. With
     lambda_1 >= ... >= lambda_d the spectrum of rho and t_r the sum of its
     top r eigenvalues, the margin at rank r is

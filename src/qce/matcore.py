@@ -22,16 +22,21 @@ the frame's column blocks (bases()); the projectors attribute builds dense
 Projector views over those blocks on each access, trusted without a second
 check and not kept.
 
-A DensityMatrix is immutable, and its spectral resolution depends on the
-state and the Tolerances record alone, so spectral_resolution memoises it on
-the state, keyed by the (frozen, hashable) Tolerances. Every caller that
-resolves the same state object under the same tolerances shares one eigh,
-one clustering and one frame check. The cluster scale is validated before
-the lookup and a failed resolution is never stored, so errors repeat on
-every call; raw arrays and equal but distinct states are resolved afresh.
-The memo lives as long as the state: per Tolerances record it keeps one
-dim x dim complex frame, as much memory again as the state's own matrix,
-plus the levels and block bounds.
+A DensityMatrix is diagonalized once. The constructor's eigh, which checks
+positivity, is kept (frozen) when no eigenvalue had to be clamped; when one
+was, the matrix was rebuilt and is diagonalized again on first use. Its
+resolution, the optimizer and the audit all read that one decomposition.
+The state is immutable, and its spectral resolution depends on the state
+and the Tolerances record alone, so spectral_resolution memoises it on the
+state, keyed by the (frozen, hashable) Tolerances: every caller that
+resolves the same state object under the same tolerances shares one
+clustering and one frame check. The cluster scale is validated before the
+lookup and a failed resolution is never stored, so errors repeat on every
+call; raw arrays and equal but distinct states are resolved afresh.
+Memory: a state keeps its eigenvectors, one dim x dim complex frame, as
+much again as its own matrix, from construction on, resolved or not. A
+resolution's frame is the reversed view of those eigenvectors, so resolving
+adds no second frame, only levels and block bounds per Tolerances record.
 
 Eigenvalue clustering turns a raw descending spectrum into distinct levels
 at the scale tol.cluster, which must be finite and positive. Gaps at most
@@ -116,9 +121,11 @@ class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
     Eigenvalues in (-eps_psd, 0) are clamped to zero at construction; the
-    stored array is frozen. dim is the ambient dimension. The spectral
-    resolution is memoised per Tolerances record (see spectral_resolution);
-    each one keeps a dim x dim complex frame alive as long as the state.
+    stored array is frozen. dim is the ambient dimension. The state keeps
+    the eigendecomposition its constructor computed, one dim x dim complex
+    frame beside the matrix (after a clamp, that of the rebuilt matrix,
+    computed on first use); the spectral resolution, memoised per
+    Tolerances record (see spectral_resolution), is a view of that frame.
     """
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -130,11 +137,25 @@ class DensityMatrix:
         if w[0] < -tol.psd:
             raise NotPSD(f"density matrix eigenvalue {w[0]:.3e} below -{tol.psd:g}")
         if w[0] < 0.0:
-            w = np.clip(w, 0.0, None)
-            a = hermitize((v * w) @ v.conj().T)
+            a = hermitize((v * np.clip(w, 0.0, None)) @ v.conj().T)
+            # The rebuilt matrix is diagonalized afresh, on first use.
+            self._eig = None
+        else:
+            self._eig = (_freeze(w), _freeze(v))
         self.mat = _freeze(a)
         self.dim = a.shape[0]
         self._resolutions = {}  # Tolerances -> SpectralResolution
+
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """np.linalg.eigh(self.mat) as (ascending eigenvalues, eigenvectors), frozen.
+
+        Kept from construction when no eigenvalue was clamped; otherwise
+        computed once, on the first call.
+        """
+        if self._eig is None:
+            w, v = np.linalg.eigh(self.mat)
+            self._eig = (_freeze(w), _freeze(v))
+        return self._eig
 
     @classmethod
     def diagonal(cls, values, tol: Tolerances = DEFAULT_TOLERANCES) -> "DensityMatrix":
@@ -294,9 +315,12 @@ class IdentityResolution:
     def _from_frame(
         cls, frame, sizes, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> "IdentityResolution":
-        """Resolution whose blocks are consecutive column groups of a unitary frame."""
+        """Resolution whose blocks are consecutive column groups of a unitary frame.
+
+        A complex frame is adopted and frozen, not copied.
+        """
         res = cls.__new__(cls)
-        res._adopt(np.array(frame, dtype=np.complex128), _offsets(sizes), tol)
+        res._adopt(np.asarray(frame, dtype=np.complex128), _offsets(sizes), tol)
         return res
 
     def _adopt(self, frame: np.ndarray, bounds: tuple[int, ...], tol: Tolerances) -> None:
@@ -460,23 +484,26 @@ def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralRe
     tol.cluster/4 and tol.cluster, or when merging leaves two adjacent levels
     closer than tol.cluster.
 
-    A DensityMatrix keeps its resolution per Tolerances record, so resolving
-    the same state again under the same tolerances returns the same object.
-    The kept resolution holds one dim x dim complex frame for as long as the
-    state lives. Failures are not kept, and raw arrays are resolved on every
-    call.
+    A DensityMatrix is resolved from the eigendecomposition it kept at
+    construction, and keeps its resolution per Tolerances record, so
+    resolving the same state again under the same tolerances returns the
+    same object. The resolution's frame is a view of the state's kept
+    eigenvectors, so it adds no dim x dim array to the state. Failures are
+    not kept, and raw arrays are diagonalized and resolved on every call.
     """
     ctol = _cluster_scale(tol)
     if not isinstance(rho, DensityMatrix):
-        return _resolve(_require_hermitian(as_complex_matrix(rho), tol), ctol, tol, False)
+        mat = _require_hermitian(as_complex_matrix(rho), tol)
+        return _resolve(np.linalg.eigh(mat), ctol, tol, False)
     res = rho._resolutions.get(tol)
     if res is None:
-        res = rho._resolutions[tol] = _resolve(rho.mat, ctol, tol, True)
+        res = rho._resolutions[tol] = _resolve(rho._eigh(), ctol, tol, True)
     return res
 
 
-def _resolve(mat, ctol: float, tol: Tolerances, density: bool) -> SpectralResolution:
-    w, v = np.linalg.eigh(mat)
+def _resolve(eig, ctol: float, tol: Tolerances, density: bool) -> SpectralResolution:
+    """Cluster an ascending (eigenvalues, eigenvectors) pair; the frame is its reversed view."""
+    w, v = eig
     w, v = w[::-1], v[:, ::-1]
     sizes = _cluster_sizes(w, ctol)
     levels = np.add.reduceat(w, _offsets(sizes)[:-1]) / sizes

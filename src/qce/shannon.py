@@ -56,10 +56,11 @@ def _h(w: np.ndarray) -> float:
     # -sum x ln x over positive entries; zero entries contribute nothing.
     # Conditional columns, which are not renormalized, can sum to 1 plus a
     # rounding error and give a result just below zero; that is reported as
-    # 0, while -0.0 (a point mass) fails h < 0.0 and is returned as it is.
+    # 0, and so is the -0.0 of a point mass (-(1 ln 1)), which would print
+    # as -0.
     pos = w[w > 0.0]
     h = float(-np.sum(pos * np.log(pos)))
-    if h < 0.0:
+    if h <= 0.0:
         return 0.0
     return h
 

@@ -316,6 +316,27 @@ def test_classical_loose_entropies_are_never_negative(capsys):
     assert row_value(doc, "mutual_information") >= 0.0
 
 
+def test_classical_point_mass_prints_zero_not_negative_zero(capsys):
+    # X has one outcome: h_p = -(1 ln 1) and mutual_information = h_p - 0.
+    data = '{"joint": [[0.5, 0.5]]}'
+    code, doc = run_json(["classical", data], capsys)
+    assert code == 0
+    for name in ("h_p", "h_p_given_q", "mutual_information"):
+        assert math.copysign(1.0, row_value(doc, name)) == 1.0
+    code, out, _ = run(["classical", data], capsys)
+    assert code == 0
+    assert " -0 nats" not in out
+
+
+def test_entropy_of_a_pure_state_prints_zero_not_negative_zero(capsys):
+    code, doc = run_json(["entropy", diag_doc(1.0, 0.0)], capsys)
+    assert code == 0
+    assert math.copysign(1.0, row_value(doc, "entropy")) == 1.0
+    code, out, _ = run(["entropy", diag_doc(1.0, 0.0)], capsys)
+    assert code == 0
+    assert " -0 nats" not in out
+
+
 def test_classical_consequence_takes_the_tolerance_profile(capsys):
     # The first column of p_given_q is (1 - 4e-8, 4e-8): 0/1 only within 1e-7.
     data = '{"joint": [[0.5, 0.0], [2e-8, 0.49999998]]}'

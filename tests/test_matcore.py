@@ -21,13 +21,17 @@ from qce import (
     ValidationError,
     commutator_residual,
     compress,
+    conditional_entropy,
+    entropy_gap_report,
     hermitize,
     max_abs,
+    maximize_compressed_entropy,
     random_unitary,
     spectral_resolution,
     tolerance_profile,
     trace_xlnx,
 )
+from qce.audit import _decomposition_weight
 
 
 def rot(theta):
@@ -228,6 +232,64 @@ def test_memoised_resolution_does_not_keep_its_dense_projectors():
     assert again is not first
     for p, q in zip(first, again):
         np.testing.assert_array_equal(p.mat, q.mat)
+
+
+def test_a_state_is_diagonalized_once(monkeypatch):
+    # Resolution, conditioning, the optimizer, the gap report and the audit's
+    # decomposition weight all read the eigh the constructor computed.
+    u = random_unitary(4, seed=3)
+    mat = (u * [0.4, 0.3, 0.2, 0.1]) @ u.conj().T
+    other = DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]))
+    real_eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.shape(a) == mat.shape:  # the optimizer's compressions are smaller
+            calls.append(a)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rho = DensityMatrix(mat)
+    assert rho._eigh() is rho._eigh()
+    spectral_resolution(rho)
+    conditional_entropy(other, rho)
+    maximize_compressed_entropy(rho, 2)
+    entropy_gap_report(rho)
+    _decomposition_weight(rho, other)
+    assert len(calls) == 1
+
+
+def test_a_clamped_state_is_diagonalized_again_from_its_stored_matrix(monkeypatch):
+    v = np.array([1.0, 1j, 0.5])
+    mat = np.outer(v, v.conj()) / np.vdot(v, v).real
+    assert np.linalg.eigh(hermitize(mat))[0][0] < 0.0  # about -5e-17: clamped
+    rho = DensityMatrix(mat)
+    w, vecs = np.linalg.eigh(rho.mat)
+    res = spectral_resolution(rho)
+    assert res.ranks() == (1, 2)
+    np.testing.assert_array_equal(res.frame, vecs[:, ::-1])
+    real_eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real_eigh(a))
+    kept_w, kept_v = rho._eigh()
+    assert calls == []
+    np.testing.assert_array_equal(kept_w, w)
+    np.testing.assert_array_equal(kept_v, vecs)
+
+
+def test_kept_eigendecomposition_is_read_only_and_backs_the_resolution():
+    for rho in (
+        DensityMatrix(np.diag([0.5, 0.3, 0.2])),
+        DensityMatrix.pure([1.0, 1j, 0.5]),  # clamped: kept on first use
+    ):
+        w, v = rho._eigh()
+        assert not w.flags.writeable and not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
+        # The resolution's frame is a view of the kept eigenvectors, not a copy.
+        assert np.shares_memory(spectral_resolution(rho).frame, v)
+        loose = spectral_resolution(rho, tolerance_profile("loose"))
+        assert np.shares_memory(loose.frame, v)
 
 
 def test_spectral_resolution_failures_are_never_memoised():

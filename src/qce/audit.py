@@ -406,15 +406,13 @@ def _functional(functional_id: str):
 def _joint_value(functional_id: str, rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if functional_id == "scond":
         return joint_entropy(rho, sigma)
-    blocks_r = spectral_resolution(rho).blocks()
-    blocks_s = spectral_resolution(sigma).blocks()
-    return resolution_joint_entropy(blocks_r, blocks_s)
+    return resolution_joint_entropy(spectral_resolution(rho), spectral_resolution(sigma))
 
 
 def _trivial_benchmark(functional_id: str, rho: DensityMatrix) -> float:
     if functional_id == "scond":
         return von_neumann_entropy(rho)
-    return resolution_entropy(spectral_resolution(rho).blocks())
+    return resolution_entropy(spectral_resolution(rho))
 
 
 @dataclass(frozen=True)

@@ -309,8 +309,8 @@ def _witness_dict(witness) -> dict:
 def _cmd_orders(args, tol):
     rho = _density(args.rho, tol)
     sigma = _density(args.sigma, tol)
-    res_r = spectral_resolution(rho, tol).blocks()
-    res_s = spectral_resolution(sigma, tol).blocks()
+    res_r = spectral_resolution(rho, tol)
+    res_s = spectral_resolution(sigma, tol)
     rows = [
         _row("entropy_rho", von_neumann_entropy(rho, tol), "nats"),
         _row("entropy_sigma", von_neumann_entropy(sigma, tol), "nats"),

@@ -38,11 +38,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DimMismatch, ZeroCompression
+from .errors import ZeroCompression
 from .matcore import (
     DensityMatrix,
     IdentityResolution,
     Projector,
+    _check_resolution,
+    _check_same_dim,
+    _check_state,
     compress,
     hermitize,
     spectral_resolution,
@@ -90,20 +93,9 @@ class EntropyBreakdown:
     per_block: tuple[BlockTerm, ...]
 
 
-def _check_density(x, name: str) -> DensityMatrix:
-    if not isinstance(x, DensityMatrix):
-        raise TypeError(f"{name} must be a DensityMatrix, got {type(x).__name__}")
-    return x
-
-
-def _check_same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise DimMismatch(f"operands have dims {a.dim} and {b.dim}")
-
-
 def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """-tr(rho ln rho), in nats; a pure state gives +0.0, not -0.0."""
-    _check_density(rho, "rho")
+    _check_state(rho, "rho")
     return 0.0 - trace_xlnx(rho.mat, tol)
 
 
@@ -151,7 +143,7 @@ def compressed_entropy(
     t * S(compressed_state(rho, q)). Returns exactly 0.0 for rank(Q) <= 1
     and for vanishing compressions.
     """
-    _check_density(rho, "rho")
+    _check_state(rho, "rho")
     _check_same_dim(rho, q)
     return _block_entropies(rho.mat, [q.range_basis()], tol)[0]
 
@@ -163,7 +155,7 @@ def compressed_state(
 
     Raises ZeroCompression when the compression carries no mass.
     """
-    _check_density(rho, "rho")
+    _check_state(rho, "rho")
     _check_same_dim(rho, q)
     c = compress(rho, q, tol)
     t = float(np.trace(c).real)
@@ -187,8 +179,8 @@ def conditional_entropy(
     resolution of sigma is memoised on sigma, so conditioning many states on
     one sigma object resolves it once.
     """
-    _check_density(rho, "rho")
-    _check_density(sigma, "sigma")
+    _check_state(rho, "rho")
+    _check_state(sigma, "sigma")
     _check_same_dim(rho, sigma)
     res = spectral_resolution(sigma, tol)
     bases = res.bases()
@@ -212,7 +204,7 @@ def self_conditional_entropy(
     Each eigenvalue of multiplicity r contributes (value * r)^2 ln r; only
     degenerate eigenvalues contribute.
     """
-    _check_density(rho, "rho")
+    _check_state(rho, "rho")
     res = spectral_resolution(rho, tol)
     total = 0.0
     for val, rank in zip(res.eigenvalues, res.ranks()):
@@ -234,9 +226,8 @@ def conditional_entropy_given_blocks(
     value lies in [0, vn entropy of rho], equals that entropy for the
     trivial resolution, and vanishes when every block has rank one.
     """
-    _check_density(rho, "rho")
-    if not isinstance(blocks, IdentityResolution):
-        raise TypeError("blocks must be an IdentityResolution")
+    _check_state(rho, "rho")
+    _check_resolution(blocks, "blocks")
     _check_same_dim(rho, blocks)
     factors = _block_entropies(rho.mat, blocks.bases(), tol)
     total = 0.0
@@ -255,9 +246,8 @@ def pinch(
     The pinched state commutes with every block, the map is idempotent, and
     it never decreases entropy.
     """
-    _check_density(rho, "rho")
-    if not isinstance(blocks, IdentityResolution):
-        raise TypeError("blocks must be an IdentityResolution")
+    _check_state(rho, "rho")
+    _check_resolution(blocks, "blocks")
     _check_same_dim(rho, blocks)
     out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
     for q in blocks.projectors:
@@ -290,7 +280,7 @@ def spectrum_distribution(
     rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ProbabilityVector:
     """Eigenvalues of rho repeated with multiplicity, descending."""
-    _check_density(rho, "rho")
+    _check_state(rho, "rho")
     res = spectral_resolution(rho, tol)
     reps = np.repeat(res.eigenvalues, res.ranks())
     return ProbabilityVector(reps, tol)
@@ -305,7 +295,7 @@ def block_distribution(
     exactly: S(rho) = shannon_entropy(block_distribution(rho))
     + sum_i rank_i * value_i * ln(rank_i).
     """
-    _check_density(rho, "rho")
+    _check_state(rho, "rho")
     res = spectral_resolution(rho, tol)
     weights = [v * r for v, r in zip(res.eigenvalues, res.ranks())]
     return ProbabilityVector(weights, tol)

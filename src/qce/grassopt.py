@@ -36,13 +36,19 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     BadShape,
-    DimMismatch,
     NotStrictlyPositive,
     ValidationError,
     ZeroCompression,
 )
-from .entropy import self_information_gain, von_neumann_entropy
-from .matcore import DensityMatrix, Projector, commutator_residual, hermitize
+from .entropy import _spectrum_entropy, self_information_gain, von_neumann_entropy
+from .matcore import (
+    DensityMatrix,
+    Projector,
+    _check_same_dim,
+    _check_state,
+    commutator_residual,
+    hermitize,
+)
 
 __all__ = [
     "GapReport",
@@ -110,27 +116,21 @@ class OptimizeResult:
 
 
 def _compression_logdata(rho_mat: np.ndarray, basis: np.ndarray):
-    """Spectrum and eigenvectors of the compression in range coordinates."""
-    m = hermitize(basis.conj().T @ rho_mat @ basis)
-    mu, u = np.linalg.eigh(m)
-    return m, np.clip(mu, 0.0, None), u
+    """Spectrum (clipped at zero) and eigenvectors of the compression in range coordinates."""
+    mu, u = np.linalg.eigh(hermitize(basis.conj().T @ rho_mat @ basis))
+    return np.clip(mu, 0.0, None), u
 
 
-def _value_from_basis(rho_mat: np.ndarray, basis: np.ndarray) -> float:
+def _value_from_basis(rho_mat: np.ndarray, basis: np.ndarray, tol: Tolerances) -> float:
     if basis.shape[1] <= 1:
         return 0.0
-    _, mu, _ = _compression_logdata(rho_mat, basis)
-    t = float(mu.sum())
-    if t <= 0.0:
-        return 0.0
-    pos = mu[mu > 0.0]
-    return float(t * math.log(t) - np.sum(pos * np.log(pos)))
+    return _spectrum_entropy(_compression_logdata(rho_mat, basis)[0], tol)
 
 
 def _gradient_from_basis(
     rho_mat: np.ndarray, basis: np.ndarray, support_tol: float, psd_tol: float
 ) -> np.ndarray:
-    _, mu, u = _compression_logdata(rho_mat, basis)
+    mu, u = _compression_logdata(rho_mat, basis)
     t = float(mu.sum())
     if t <= support_tol:
         raise ZeroCompression(f"tr(Q rho) = {t:.3e} carries no mass")
@@ -152,12 +152,10 @@ def variational_gradient(
     Requires the compression to carry mass and be strictly positive on the
     range of Q; raises ZeroCompression otherwise.
     """
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError("rho must be a DensityMatrix")
+    _check_state(rho, "rho")
     if not isinstance(q, Projector):
         raise TypeError("q must be a Projector")
-    if rho.dim != q.dim:
-        raise DimMismatch(f"operands have dims {rho.dim} and {q.dim}")
+    _check_same_dim(rho, q)
     if q.rank == 0:
         raise ZeroCompression("the zero projector carries no mass")
     return _gradient_from_basis(rho.mat, q.range_basis(), tol.support, tol.psd)
@@ -174,10 +172,12 @@ def _positive_eigenvectors(rho: DensityMatrix) -> np.ndarray:
     return vecs
 
 
-def _top_value(rho_mat: np.ndarray, vecs: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
+def _top_value(
+    rho_mat: np.ndarray, vecs: np.ndarray, rank: int, tol: Tolerances
+) -> tuple[np.ndarray, float]:
     """The top-rank eigenbasis and the compressed entropy it attains."""
     basis = np.ascontiguousarray(vecs[:, -rank:])
-    return basis, _value_from_basis(rho_mat, basis)
+    return basis, _value_from_basis(rho_mat, basis, tol)
 
 
 def maximize_compressed_entropy(
@@ -194,45 +194,31 @@ def maximize_compressed_entropy(
     spectral direction (the functional is identically zero there, so that
     maximizer is as good as any).
     """
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError("rho must be a DensityMatrix")
+    _check_state(rho, "rho")
     rank = int(rank)
     if rank < 1 or rank > rho.dim:
         raise BadShape(f"rank {rank} outside [1, {rho.dim}]")
     vecs = _positive_eigenvectors(rho)
     if rank == rho.dim:
         value = von_neumann_entropy(rho, tol)
-        return OptimizeResult(
-            best_value=value,
-            best_projector=Projector.identity(rho.dim, tol),
-            grad_norm=0.0,
-            iterations=0,
-            converged=True,
-            restart_values=(value,),
-            commutation_residual=0.0,
-        )
-    if rank == 1:
-        best_q = Projector.from_basis(vecs[:, -1:], tol)
-        return OptimizeResult(
-            best_value=0.0,
-            best_projector=best_q,
-            grad_norm=0.0,
-            iterations=0,
-            converged=True,
-            restart_values=(0.0,),
-            commutation_residual=commutator_residual(rho.mat, best_q.mat),
-        )
-    basis, best_value = _top_value(rho.mat, vecs, rank)
-    grad = _gradient_from_basis(rho.mat, basis, tol.support, tol.psd)
-    best_q = Projector.from_basis(basis, tol)
+        best_q = Projector.identity(rho.dim, tol)
+        grad_norm = residual = 0.0
+    else:
+        basis, value = _top_value(rho.mat, vecs, rank, tol)
+        best_q = Projector.from_basis(basis, tol)
+        grad_norm = 0.0
+        if rank > 1:
+            grad = _gradient_from_basis(rho.mat, basis, tol.support, tol.psd)
+            grad_norm = float(np.linalg.norm(grad))
+        residual = commutator_residual(rho.mat, best_q.mat)
     return OptimizeResult(
-        best_value=best_value,
+        best_value=value,
         best_projector=best_q,
-        grad_norm=float(np.linalg.norm(grad)),
+        grad_norm=grad_norm,
         iterations=0,
         converged=True,
-        restart_values=(best_value,),
-        commutation_residual=commutator_residual(rho.mat, best_q.mat),
+        restart_values=(value,),
+        commutation_residual=residual,
     )
 
 
@@ -266,12 +252,11 @@ def entropy_gap_report(
     which is positive whenever t_r < 1, so all_strict holds for every
     strictly positive rho (up to rounding of the computed margins).
     """
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError("rho must be a DensityMatrix")
+    _check_state(rho, "rho")
     vecs = _positive_eigenvectors(rho)
     entropy = von_neumann_entropy(rho, tol)
     ranks = tuple(range(1, rho.dim))
-    values = tuple(_top_value(rho.mat, vecs, rank)[1] for rank in ranks)
+    values = tuple(_top_value(rho.mat, vecs, rank, tol)[1] for rank in ranks)
     margins = tuple(entropy - value for value in values)
     return GapReport(
         dim=rho.dim,

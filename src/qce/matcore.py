@@ -6,8 +6,10 @@ Everything downstream works with four value types built here:
 - Projector: Hermitian idempotent with integer rank (zero allowed).
 - IdentityResolution: one orthonormal frame V (dim x dim) cut into
   consecutive nonzero column blocks; block j is the projector V_j V_j*.
-- SpectralResolution: an IdentityResolution with one level per block,
-  strictly descending (the distinct eigenvalues of the resolved matrix).
+- SpectralResolution: the IdentityResolution subclass that adds one level
+  per block, strictly descending (the distinct eigenvalues of the resolved
+  matrix). It goes wherever a resolution of the identity is expected, and
+  the levels are then ignored.
 
 Construction is where validation and cleanup happen: matrices are
 symmetrized, eigenvalues in (-eps_psd, 0) are clamped to zero, and arrays are
@@ -18,9 +20,13 @@ dim columns that single O(dim^3) test covers both orthogonality of the blocks
 and completeness, so no block is checked on its own and no pair of blocks is
 multiplied. Built from projectors, the frame is their stacked range bases;
 built by spectral_resolution, it is the eigenvector matrix. Consumers work on
-the frame's column blocks (bases()); the projectors attribute builds dense
-Projector views over those blocks on each access, trusted without a second
-check and not kept.
+the frame's column blocks (bases()) of either kind of resolution; the
+projectors attribute builds dense Projector views over those blocks on each
+access, trusted without a second check and not kept.
+
+The operand checks shared by the functionals (a DensityMatrix, an
+IdentityResolution, equal dimensions) live here too, so every entry point
+raises the same TypeError or DimMismatch for the same fault.
 
 A DensityMatrix is diagonalized once. The constructor's eigh, which checks
 positivity, is kept (frozen) when no eigenvalue had to be clamped; when one
@@ -190,7 +196,7 @@ class DensityMatrix:
 class Projector:
     """Hermitian idempotent matrix with integer rank; the zero projector is allowed."""
 
-    def __init__(self, mat, tol: Tolerances = DEFAULT_TOLERANCES, *, basis: np.ndarray | None = None):
+    def __init__(self, mat, tol: Tolerances = DEFAULT_TOLERANCES):
         a = _require_hermitian(as_complex_matrix(mat), tol, "projector")
         if max_abs(a @ a - a) > tol.idem:
             raise ValidationError(f"matrix is not idempotent within {tol.idem:g}")
@@ -204,9 +210,6 @@ class Projector:
         self.dim = a.shape[0]
         self.rank = rank
         self._basis = None
-        if basis is not None:
-            b = np.array(basis, dtype=np.complex128, copy=True)
-            self._basis = _freeze(b)
 
     @classmethod
     def from_basis(cls, basis, tol: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
@@ -223,7 +226,9 @@ class Projector:
         if r > 0 and max_abs(b.conj().T @ b - np.eye(r)) > tol.orth:
             raise ValidationError(f"basis columns are not orthonormal within {tol.orth:g}")
         mat = b @ b.conj().T if r > 0 else np.zeros((dim, dim), dtype=np.complex128)
-        return cls(hermitize(mat), tol, basis=b)
+        q = cls(hermitize(mat), tol)
+        q._basis = _freeze(np.array(b, copy=True))
+        return q
 
     @classmethod
     def zero(cls, dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
@@ -255,7 +260,7 @@ class Projector:
 
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range, shape (dim, rank). Cached."""
-        if self._basis is None or self._basis.shape[1] != self.rank:
+        if self._basis is None:
             w, v = np.linalg.eigh(self.mat)
             cols = v[:, w > 0.5]
             self._basis = _freeze(np.ascontiguousarray(cols))
@@ -338,7 +343,7 @@ class IdentityResolution:
         sizes = [int(s) for s in sizes]
         if sum(sizes) != dim or any(s < 1 for s in sizes):
             raise BadShape(f"block sizes {sizes} do not partition dimension {dim}")
-        return cls._from_frame(np.eye(dim), sizes, tol)
+        return IdentityResolution._from_frame(np.eye(dim), sizes, tol)
 
     @property
     def projectors(self) -> tuple[Projector, ...]:
@@ -367,14 +372,13 @@ class IdentityResolution:
         return f"IdentityResolution(dim={self.dim}, ranks={self.ranks()})"
 
 
-class SpectralResolution:
-    """Distinct eigenvalues with their eigenprojectors, descending.
+class SpectralResolution(IdentityResolution):
+    """An IdentityResolution with one level per block: distinct eigenvalues, descending.
 
     Invariants: strictly descending values with consecutive gaps above the
-    clustering scale, pairwise-orthogonal projectors summing to the identity.
-    When density=True the values must lie in [0, 1] and satisfy
-    sum(rank_i * value_i) = 1 within tol.trace. The projectors live in one
-    IdentityResolution (blocks()), whose frame this shares.
+    clustering scale, one per block. When density=True the values must lie
+    in [0, 1] and satisfy sum(rank_i * value_i) = 1 within tol.trace. The
+    frame is checked first (as for any IdentityResolution), then the levels.
     """
 
     def __init__(
@@ -385,21 +389,13 @@ class SpectralResolution:
         *,
         density: bool = False,
     ):
-        self._adopt(eigenvalues, IdentityResolution(projectors, tol), tol, density)
+        super().__init__(projectors, tol)
+        self._set_levels(eigenvalues, tol, density)
 
-    @classmethod
-    def _from_frame(
-        cls, eigenvalues, frame, sizes, tol: Tolerances, density: bool
-    ) -> "SpectralResolution":
-        res = cls.__new__(cls)
-        blocks = IdentityResolution._from_frame(frame, sizes, tol)
-        res._adopt(eigenvalues, blocks, tol, density)
-        return res
-
-    def _adopt(self, eigenvalues, blocks, tol, density) -> None:
+    def _set_levels(self, eigenvalues, tol: Tolerances, density: bool) -> None:
         ctol = _cluster_scale(tol)
         vals = tuple(float(x) for x in eigenvalues)
-        if len(vals) != len(blocks):
+        if len(vals) != len(self):
             raise ValidationError("eigenvalue and projector counts differ")
         for k in range(len(vals) - 1):
             gap = vals[k] - vals[k + 1]
@@ -410,41 +406,20 @@ class SpectralResolution:
         if density:
             if vals[-1] < 0.0 or vals[0] > 1.0:
                 raise ValidationError("density eigenvalues must lie in [0, 1]")
-            mass = sum(v * r for v, r in zip(vals, blocks.ranks()))
+            mass = sum(v * r for v, r in zip(vals, self.ranks()))
             if abs(mass - 1.0) > tol.trace:
                 raise ValidationError(f"eigenvalue mass {mass!r} is not 1")
         self.eigenvalues = vals
-        self._blocks = blocks
-        self.dim = blocks.dim
-        self.is_density = density
-
-    @property
-    def projectors(self) -> tuple[Projector, ...]:
-        return self._blocks.projectors
-
-    @property
-    def frame(self) -> np.ndarray:
-        return self._blocks.frame
-
-    def bases(self) -> tuple[np.ndarray, ...]:
-        """Orthonormal basis of each eigenspace, as read-only views of the frame."""
-        return self._blocks.bases()
 
     def blocks(self) -> IdentityResolution:
-        """Forget the eigenvalues, keep the projector family (same frame, no re-check)."""
-        return self._blocks
-
-    def ranks(self) -> tuple[int, ...]:
-        return self._blocks.ranks()
+        """The resolution itself: forgetting the levels needs no conversion."""
+        return self
 
     def reconstruct(self) -> np.ndarray:
         """Sum of value * projector."""
         v = self.frame
         levels = np.repeat(self.eigenvalues, self.ranks())
         return hermitize((v * levels) @ v.conj().T)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -514,7 +489,26 @@ def _resolve(eig, ctol: float, tol: Tolerances, density: bool) -> SpectralResolu
             "clustered levels collapsed within the clustering scale; "
             "no stable grouping at this tolerance"
         )
-    return SpectralResolution._from_frame(levels, v, sizes, tol, density)
+    res = SpectralResolution._from_frame(v, sizes, tol)
+    res._set_levels(levels, tol, density)
+    return res
+
+
+def _check_state(x, name: str) -> DensityMatrix:
+    if not isinstance(x, DensityMatrix):
+        raise TypeError(f"{name} must be a DensityMatrix, got {type(x).__name__}")
+    return x
+
+
+def _check_resolution(x, name: str) -> IdentityResolution:
+    if not isinstance(x, IdentityResolution):
+        raise TypeError(f"{name} must be an IdentityResolution, got {type(x).__name__}")
+    return x
+
+
+def _check_same_dim(a, b) -> None:
+    if a.dim != b.dim:
+        raise DimMismatch(f"operands have dims {a.dim} and {b.dim}")
 
 
 def compress(rho, q: Projector, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

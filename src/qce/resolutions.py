@@ -30,7 +30,9 @@ from .errors import DimMismatch
 from .matcore import (
     DensityMatrix,
     IdentityResolution,
-    SpectralResolution,
+    _check_resolution,
+    _check_same_dim,
+    _check_state,
     max_abs,
     spectral_resolution,
 )
@@ -54,16 +56,6 @@ __all__ = [
 ]
 
 
-def _blocks(res) -> IdentityResolution:
-    if isinstance(res, SpectralResolution):
-        return res.blocks()
-    if isinstance(res, IdentityResolution):
-        return res
-    raise TypeError(
-        f"expected an IdentityResolution or SpectralResolution, got {type(res).__name__}"
-    )
-
-
 def _block_overlaps(pb: IdentityResolution, qb: IdentityResolution) -> np.ndarray:
     """tr(P_i Q_j) for all block pairs: block sums of |V* W|^2 over the frames."""
     if pb.dim != qb.dim:
@@ -82,13 +74,13 @@ def partition_from_resolutions(
     marginals rank/dim) whether or not the families commute. With frames V
     and W, tr(P_i Q_j) is the sum of |V* W|^2 over block (i, j).
     """
-    pb, qb = _blocks(p_res), _blocks(q_res)
+    pb, qb = _check_resolution(p_res, "p_res"), _check_resolution(q_res, "q_res")
     return ClassicalPartitionData.from_joint(_block_overlaps(pb, qb) / pb.dim, tol)
 
 
 def resolution_entropy(res, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Entropy of the dimension distribution (rank_i / dim)."""
-    b = _blocks(res)
+    b = _check_resolution(res, "res")
     return shannon_entropy(np.asarray(b.ranks(), dtype=float) / b.dim, tol)
 
 
@@ -130,7 +122,7 @@ def resolution_leq(p_res, q_res, tol: Tolerances = DEFAULT_TOLERANCES) -> OrderW
     order also requires every coarse block to be hit; for consistent
     resolutions that follows automatically, and it is re-checked here.
     """
-    pb, qb = _blocks(p_res), _blocks(q_res)
+    pb, qb = _check_resolution(p_res, "p_res"), _check_resolution(q_res, "q_res")
     candidates = np.argmax(_block_overlaps(pb, qb), axis=1)
     fine, coarse = pb.bases(), qb.bases()
     for i, j in enumerate(candidates):
@@ -159,18 +151,15 @@ def more_mixed(
     Implies S(rho) <= S(sigma) and that the commutant of rho is contained
     in that of sigma.
     """
-    if not isinstance(rho, DensityMatrix) or not isinstance(sigma, DensityMatrix):
-        raise TypeError("more_mixed expects two DensityMatrix operands")
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"operands have dims {rho.dim} and {sigma.dim}")
+    _check_same_dim(_check_state(rho, "rho"), _check_state(sigma, "sigma"))
     res_r = spectral_resolution(rho, tol)
     res_s = spectral_resolution(sigma, tol)
-    if not resolution_leq(res_r.blocks(), res_s.blocks(), tol).holds:
+    if not resolution_leq(res_r, res_s, tol).holds:
         return False
     # tr(rho Q_j) is the sum of the diagonal of V_j* rho V_j.
     v = res_s.frame
     diag = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
-    masses = np.add.reduceat(diag, res_s.blocks().bounds[:-1])
+    masses = np.add.reduceat(diag, res_s.bounds[:-1])
     targets = np.asarray(res_s.eigenvalues) * np.asarray(res_s.ranks())
     return bool(np.all(np.abs(masses - targets) <= tol.orth))
 
@@ -181,9 +170,7 @@ def commutant_dim(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> i
     Equals dim^2 exactly for multiples of the identity and dim exactly for
     nondegenerate spectra.
     """
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError("commutant_dim expects a DensityMatrix")
-    res = spectral_resolution(rho, tol)
+    res = spectral_resolution(_check_state(rho, "rho"), tol)
     return int(sum(r * r for r in res.ranks()))
 
 
@@ -196,10 +183,7 @@ def conditional_entropy_of_states(
     both states are forgotten. Vanishes exactly when sigma's resolution
     refines rho's.
     """
-    if not isinstance(rho, DensityMatrix) or not isinstance(sigma, DensityMatrix):
-        raise TypeError("conditional_entropy_of_states expects two DensityMatrix operands")
-    if rho.dim != sigma.dim:
-        raise DimMismatch(f"operands have dims {rho.dim} and {sigma.dim}")
-    res_r = spectral_resolution(rho, tol)
-    res_s = spectral_resolution(sigma, tol)
-    return resolution_conditional_entropy(res_r.blocks(), res_s.blocks(), tol)
+    _check_same_dim(_check_state(rho, "rho"), _check_state(sigma, "sigma"))
+    return resolution_conditional_entropy(
+        spectral_resolution(rho, tol), spectral_resolution(sigma, tol), tol
+    )

@@ -21,6 +21,7 @@ from qce import (
     ValidationError,
     commutator_residual,
     compress,
+    compressed_entropy,
     conditional_entropy,
     entropy_gap_report,
     hermitize,
@@ -103,6 +104,19 @@ def test_projector_from_basis():
     np.testing.assert_allclose(q.mat, b @ b.T, atol=1e-15)
     with pytest.raises(ValidationError, match="orthonormal"):
         Projector.from_basis(np.array([[1.0], [1.0]]))
+
+
+def test_projector_takes_no_unchecked_basis():
+    # The range basis comes from the matrix itself (or from from_basis, which
+    # checks it); a basis of another range would make the entropy read the
+    # wrong block.
+    with pytest.raises(TypeError):
+        Projector(np.diag([1.0, 1.0, 0.0, 0.0]), basis=np.eye(4)[:, 2:])
+    q = Projector(np.diag([1.0, 1.0, 0.0, 0.0]))
+    rho = DensityMatrix.diagonal([0.4, 0.4, 0.1, 0.1])
+    expected = 0.8 * np.log(0.8) - 0.8 * np.log(0.4)
+    assert compressed_entropy(rho, q) == pytest.approx(expected, abs=1e-12)
+    np.testing.assert_allclose(q.range_basis() @ q.range_basis().conj().T, q.mat, atol=1e-12)
 
 
 def test_projector_rejects_nonidempotent():

@@ -11,7 +11,9 @@ from qce import (
     DimMismatch,
     IdentityResolution,
     Projector,
+    SpectralResolution,
     commutant_dim,
+    conditional_entropy_given_blocks,
     conditional_entropy_of_states,
     is_consequence,
     is_independent,
@@ -423,6 +425,24 @@ def test_states_conditioning_ignores_eigenvalues():
     assert conditional_entropy_of_states(rho, sigma1) == pytest.approx(
         conditional_entropy_of_states(rho, sigma2), abs=1e-12
     )
+
+
+def test_spectral_resolution_is_an_identity_resolution():
+    rho = DensityMatrix.diagonal([0.4, 0.4, 0.15, 0.05])
+    sr = spectral_resolution(rho)
+    assert isinstance(sr, SpectralResolution)
+    assert isinstance(sr, IdentityResolution)
+    assert sr.blocks() is sr
+    bare = IdentityResolution(sr.projectors)
+    # Every consumer of a bare resolution takes the spectral one as it is.
+    np.testing.assert_array_equal(pinch(rho, sr).mat, pinch(rho, bare).mat)
+    np.testing.assert_allclose(pinch(rho, sr).mat, rho.mat, atol=1e-15)
+    assert conditional_entropy_given_blocks(rho, sr) == conditional_entropy_given_blocks(
+        rho, bare
+    )
+    joint = partition_from_resolutions(sr, sr).joint()
+    np.testing.assert_allclose(joint, np.diag([0.5, 0.25, 0.25]), atol=1e-15)
+    assert resolution_entropy(sr) == resolution_entropy(bare)
 
 
 # ----------------------------------------------- consequence/independence

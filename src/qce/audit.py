@@ -330,6 +330,12 @@ class SweepReport:
 
 
 _SLACK_TOL = 1e-9
+# _continuity counts a first-step jump only above _JUMP_FACTOR times every
+# later step and above _JUMP_FACTOR * _JUMP_FLOOR; impossibility_demos calls
+# a forced-zero value above _CONTRADICTION_TOL a contradiction.
+_JUMP_FACTOR = 10.0
+_JUMP_FLOOR = 1e-9
+_CONTRADICTION_TOL = 1e-9
 
 
 def _sweep(name: str, kind: str, cfg: EnsembleConfig, stream: int, probe) -> SweepReport:
@@ -534,7 +540,7 @@ def _continuity(fid: str, x: dict):
     jump = abs(values[1] - values[0])
     smooth = max((abs(b - a) for a, b in zip(values[1:], values[2:])), default=0.0)
     details = {"values": values, "jump": jump, "smooth_variation": smooth}
-    return (jump if jump > 10.0 * max(smooth, 1e-9) else 0.0), details
+    return (jump if jump > _JUMP_FACTOR * max(smooth, _JUMP_FLOOR) else 0.0), details
 
 
 def _concavity(fid: str, x: dict, first: bool = True):
@@ -747,7 +753,7 @@ def impossibility_demos() -> dict:
             "candidate_functional": "hres",
             "value_at_rotated": value_rot,
             "forced_value": 0.0,
-            "contradiction": bool(value_rot > 1e-9),
+            "contradiction": bool(value_rot > _CONTRADICTION_TOL),
         },
     }
 

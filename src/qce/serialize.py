@@ -156,4 +156,11 @@ def doc_to_partition(doc: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> Classic
             raise ParseError(f'"{name}" must be a nonempty {ndim}-D array, got shape {arr.shape}')
         if not np.all(np.isfinite(arr)):
             raise ParseError(f'"{name}" contains non-finite entries')
+    # The constructor's convention: p_given_q[a, b] = P(X=a | Y=b).
+    for name, arr, shape in (
+        ("p_given_q", pg, (p.size, q.size)),
+        ("q_given_p", qg, (q.size, p.size)),
+    ):
+        if arr.shape != shape:
+            raise ParseError(f'"{name}" must have shape {shape}, got {arr.shape}')
     return ClassicalPartitionData(p, q, pg, qg, tol)

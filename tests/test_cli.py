@@ -138,6 +138,10 @@ def test_missing_field_is_a_parse_error(capsys):
             "p": [[0.5], [0.5]], "q": [1.0],
             "p_given_q": [[0.5], [0.5]], "q_given_p": [[1.0, 1.0]],
         })],
+        ["classical", json.dumps({
+            "p": [0.5, 0.5], "q": [0.5, 0.5],
+            "p_given_q": [[0.5, 0.5, 0], [0.5, 0.5, 1]], "q_given_p": [[0.5, 0.5], [0.5, 0.5]],
+        })],
         ["cond-res", diag_doc(0.5, 0.5), '{"dim": "x", "blocks": [{"dim": 2, "re": [[1, 0], [0, 1]]}]}'],
     ],
     ids=[
@@ -145,6 +149,7 @@ def test_missing_field_is_a_parse_error(capsys):
         "joint-ragged",
         "four-field-1d-conditional",
         "four-field-nested-marginal",
+        "four-field-conditional-shape-mismatch",
         "resolution-dim-string",
     ],
 )

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import qce.entropy
 from qce import (
     DensityMatrix,
     IdentityResolution,
@@ -29,6 +30,7 @@ from qce import (
     shannon_entropy,
     spectral_resolution,
     spectrum_distribution,
+    trace_xlnx,
     von_neumann_entropy,
 )
 
@@ -85,6 +87,111 @@ def test_entropy_unitary_invariant():
 def test_entropy_clamps_roundoff():
     rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
+
+
+def forbid_diagonalization(monkeypatch, eigh=True):
+    """Make eigvalsh (and eigh, unless eigh=False) raise, as seen from qce.entropy."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kept spectrum was decomposed again")
+
+    monkeypatch.setattr(qce.entropy.np.linalg, "eigvalsh", refuse)
+    if eigh:
+        monkeypatch.setattr(qce.entropy.np.linalg, "eigh", refuse)
+
+
+def clamped_state(dim, rank, seed):
+    """A rank-deficient state whose constructor clamped a negative eigenvalue.
+
+    Its kept decomposition is computed afresh on first use. Rank one gives a
+    pure state along a random complex vector.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        if rank == 1:
+            rho = DensityMatrix.pure(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        else:
+            w = np.concatenate([rng.random(rank) + 0.1, np.zeros(dim - rank)])
+            u = random_unitary(dim, seed=int(rng.integers(1 << 30)))
+            rho = DensityMatrix((u * (w / w.sum())) @ u.conj().T)
+        if rho._eig is None:
+            return rho
+    raise AssertionError("no clamped state drawn")
+
+
+def entropy_oracle(rho):
+    w = np.linalg.eigvalsh(rho.mat)
+    w = w[w > 0.0]
+    return float(-np.sum(w * np.log(w)))
+
+
+@pytest.mark.parametrize("dim", [2, 8, 64])
+def test_one_block_conditioning_reads_the_kept_spectrum(dim, monkeypatch):
+    # sigma = I/d, the trivial resolution and the identity projector have one
+    # block spanning the space: its factor is S(rho), with no diagonalization
+    # beyond the constructor's (or, for a clamped state, the one on first use).
+    states = [
+        random_density(dim, seed=dim),
+        clamped_state(dim, 1, seed=dim + 1),
+        clamped_state(dim, max(1, dim // 2), seed=dim + 2),
+    ]
+    sigma = DensityMatrix.maximally_mixed(dim)
+    trivial = IdentityResolution([Projector.identity(dim)])
+    identity = Projector.identity(dim)
+    spectral_resolution(sigma)
+    identity.range_basis()
+    oracles = [entropy_oracle(rho) for rho in states]
+    clamped = [rho._eig is None for rho in states]
+    assert clamped == [False, True, True]
+    forbid_diagonalization(monkeypatch, eigh=False)
+    real_eigh = np.linalg.eigh
+    eigh_calls = []
+    monkeypatch.setattr(
+        qce.entropy.np.linalg, "eigh", lambda a: eigh_calls.append(a) or real_eigh(a)
+    )
+    for rho, oracle in zip(states, oracles):
+        values = [
+            conditional_entropy(rho, sigma).total,
+            conditional_entropy_given_blocks(rho, trivial),
+            compressed_entropy(rho, identity),
+        ]
+        for value in values:
+            assert abs(value - oracle) <= 1e-13
+    assert len(eigh_calls) == sum(clamped)
+
+
+def test_one_block_conditioning_in_dimension_one(monkeypatch):
+    rho, sigma = DensityMatrix([[1.0]]), DensityMatrix.maximally_mixed(1)
+    forbid_diagonalization(monkeypatch)
+    breakdown = conditional_entropy(rho, sigma)
+    assert breakdown.per_block[0].factor == 0.0 and breakdown.total == 0.0
+    assert compressed_entropy(rho, Projector.identity(1)) == 0.0
+    assert conditional_entropy_given_blocks(rho, IdentityResolution.coordinate(1, [1])) == 0.0
+
+
+def test_von_neumann_entropy_matches_trace_xlnx():
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        dim = 1 + i % 32
+        kind = i % 3
+        seed = int(rng.integers(1 << 30))
+        if kind == 0 or dim == 1:
+            rho = random_density(dim, seed=seed)
+        else:
+            rho = clamped_state(dim, 1 if kind == 1 else max(1, dim // 2), seed)
+        assert abs(von_neumann_entropy(rho) - (0.0 - trace_xlnx(rho.mat))) <= 1e-14, (dim, kind)
+
+
+def test_von_neumann_entropy_reads_the_kept_eigenvalues(monkeypatch):
+    states = [random_density(d, seed=d) for d in (1, 3, 16)]
+    pure = [DensityMatrix.pure([1.0, 0.0, 0.0]), DensityMatrix.diagonal([0.0, 1.0])]
+    oracles = [entropy_oracle(rho) for rho in states]
+    forbid_diagonalization(monkeypatch)
+    for rho, oracle in zip(states, oracles):
+        assert abs(von_neumann_entropy(rho) - oracle) <= 1e-14
+    for rho in pure:
+        value = von_neumann_entropy(rho)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 # ------------------------------------------------------- relative entropy
@@ -702,6 +809,29 @@ def test_pinch_idempotent():
     once = pinch(rho, res)
     twice = pinch(once, res)
     np.testing.assert_allclose(twice.mat, once.mat, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16, 64])
+def test_pinch_on_the_frame_matches_the_dense_projector_sum(dim):
+    # The masked frame product against sum_j Q_j rho Q_j with dense Q_j, on a
+    # frame-built spectral resolution (nondegenerate and few-block), a
+    # coordinate resolution and one built from projector matrices.
+    rho = random_density(dim, seed=300 + dim)
+    sizes = [len(c) for c in np.array_split(np.arange(dim), max(1, dim // 3))]
+    u = random_unitary(dim, seed=400 + dim)
+    bounds = np.cumsum([0] + sizes)
+    built = IdentityResolution(
+        [Projector(hermitize(u[:, a:b] @ u[:, a:b].conj().T)) for a, b in zip(bounds, bounds[1:])]
+    )
+    resolutions = [
+        spectral_resolution(random_density(dim, seed=500 + dim)),
+        spectral_resolution(leveled_state(sizes, np.arange(len(sizes), 0, -1), seed=dim)),
+        IdentityResolution.coordinate(dim, sizes),
+        built,
+    ]
+    for res in resolutions:
+        dense = sum(q.mat @ rho.mat @ q.mat for q in res.projectors)
+        assert max_abs(pinch(rho, res).mat - dense) <= 1e-14
 
 
 def test_pinch_never_decreases_entropy():

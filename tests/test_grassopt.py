@@ -407,6 +407,30 @@ def test_gap_report_margins_are_the_closed_form(dim):
         assert rep.all_strict
 
 
+@pytest.mark.parametrize("dim", [2, 5, 16, 64])
+def test_rank_values_read_the_kept_spectrum(dim, monkeypatch):
+    # Each rank-r value is the entropy mass of the top r kept eigenvalues: the
+    # compression onto their eigenspace, diagonalized here as the oracle, has
+    # exactly that spectrum. The gap report diagonalizes nothing.
+    rho = DensityMatrix(0.8 * random_density(dim, seed=dim).mat + 0.2 * np.eye(dim) / dim)
+    vecs = np.linalg.eigh(rho.mat)[1]
+    oracle = [0.0]
+    for rank in range(2, dim):
+        basis = vecs[:, -rank:]
+        mu = np.linalg.eigvalsh(basis.conj().T @ rho.mat @ basis)
+        oracle.append(float(mu.sum() * math.log(mu.sum()) - np.sum(mu * np.log(mu))))
+    best = [maximize_compressed_entropy(rho, rank).best_value for rank in range(1, dim)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kept spectrum was decomposed again")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rep = entropy_gap_report(rho)
+    assert rep.values == tuple(best)
+    assert max(abs(v - o) for v, o in zip(rep.values, oracle)) <= 1e-13
+
+
 def test_gap_report_needs_a_strictly_positive_state():
     with pytest.raises(NotStrictlyPositive):
         entropy_gap_report(DensityMatrix.diagonal([0.6, 0.4, 0.0]))

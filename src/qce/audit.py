@@ -1,4 +1,4 @@
-"""Randomized sweeps, a desiderata audit, and demonstration probes.
+"""A randomized desiderata audit and demonstration probes.
 
 Two conditional-entropy functionals are audited against the classical
 desiderata for an entropy of one observation given another:
@@ -25,7 +25,9 @@ One runner walks the probes and then every (dim, trial), each keyed by
 (seed, stream, dim, trial) so it can be replayed in isolation, and keeps the
 worst violation. Verdicts are "holds-on-sample" or "fails-with-witness"; a
 witness is {kind, functional, [tag], serialized inputs, details, violation},
-and replay_witness decodes its inputs and calls the same violation.
+and replay_witness decodes its inputs and calls the same violation. The
+acceptance suite's larger samples of the bound and of pinching monotonicity
+go through the same runner, with a changed or an ad-hoc record.
 
 To add a condition, write its violation and draw, append a record to
 _CONDITIONS, and add its label to EXPECTED_VERDICTS. EXPECTED_VERDICTS records
@@ -73,19 +75,16 @@ __all__ = [
     "ConditionEntry",
     "EXPECTED_VERDICTS",
     "EnsembleConfig",
-    "SweepReport",
     "audit_deviations",
     "axiom_audit",
     "coupled_family_probe",
     "dim2_demo",
     "impossibility_demos",
-    "pinch_sweep",
     "random_density",
     "random_projector",
     "random_resolution",
     "random_unitary",
     "replay_witness",
-    "shannon_sweep",
     "tilted_family_probe",
 ]
 
@@ -161,7 +160,7 @@ def random_resolution(dim: int, block_sizes, seed: int = 0) -> IdentityResolutio
 
 
 # ---------------------------------------------------------------------------
-# Draw helpers for sweeps and audits
+# Draw helpers for the audit
 
 
 def _draw_density(dim: int, rng: np.random.Generator, profile: str) -> DensityMatrix:
@@ -266,12 +265,12 @@ def _encode(value):
 
 
 # ---------------------------------------------------------------------------
-# Sweep reports
+# Audit configuration
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Shape of a randomized sweep: dimensions, trials per dim, seed, draws."""
+    """Shape of a randomized audit: dimensions, trials per dim, seed, draws."""
 
     dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
     trials: int = 200
@@ -305,96 +304,15 @@ class EnsembleConfig:
         }
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """Outcome of a bound-checking sweep."""
-
-    name: str
-    config: EnsembleConfig
-    checked: int
-    min_lower_slack: float
-    min_upper_slack: float | None
-    violations: tuple[dict, ...]
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "config": self.config.to_dict(),
-            "checked": self.checked,
-            "min_lower_slack": self.min_lower_slack,
-            "min_upper_slack": self.min_upper_slack,
-            "violations": list(self.violations),
-            "passed": self.passed,
-        }
-
-
-_SLACK_TOL = 1e-9
-# _continuity counts a first-step jump only above _JUMP_FACTOR times every
-# later step and above _JUMP_FACTOR * _JUMP_FLOOR; impossibility_demos calls
-# a forced-zero value above _CONTRADICTION_TOL a contradiction.
+# A condition fails on a violation above _VIOLATION_TOL unless its record sets
+# another threshold; _continuity counts a first-step jump only above
+# _JUMP_FACTOR times every later step and above _JUMP_FACTOR * _JUMP_FLOOR;
+# impossibility_demos calls a forced-zero value above _CONTRADICTION_TOL a
+# contradiction.
+_VIOLATION_TOL = 1e-9
 _JUMP_FACTOR = 10.0
 _JUMP_FLOOR = 1e-9
 _CONTRADICTION_TOL = 1e-9
-
-
-def _sweep(name: str, kind: str, cfg: EnsembleConfig, stream: int, probe) -> SweepReport:
-    """Run probe(rng, dim, trial) -> (slacks, inputs) on every (dim, trial).
-
-    slacks maps names to values, the lower slack first and the upper slack,
-    if any, second. A trial with a slack below -1e-9 is recorded with its
-    slacks and serialized inputs.
-    """
-    least: dict = {}
-    violations = []
-    for dim in cfg.dims:
-        for t in range(cfg.trials):
-            slacks, inputs = probe(rand.rng_for(cfg.seed, stream, dim, t), dim, t)
-            least = {k: min(least.get(k, math.inf), v) for k, v in slacks.items()}
-            if min(slacks.values()) < -_SLACK_TOL:
-                fields = {k: _encode(v) for k, v in inputs.items()}
-                violations.append({"kind": kind, "dim": dim, "trial": t, **slacks, **fields})
-    mins = list(least.values())
-    return SweepReport(
-        name=name,
-        config=cfg,
-        checked=len(cfg.dims) * cfg.trials,
-        min_lower_slack=mins[0],
-        min_upper_slack=mins[1] if len(mins) > 1 else None,
-        violations=tuple(violations),
-        passed=not violations,
-    )
-
-
-def shannon_sweep(cfg: EnsembleConfig) -> SweepReport:
-    """Sample the two-sided bound 0 <= S(rho|sigma) <= S(rho).
-
-    Conditioning states alternate between nondegenerate draws (where the
-    value is exactly zero) and exactly-degenerate block draws (where it is
-    not); any slack below -1e-9 is recorded as a violation witness.
-    """
-
-    def probe(rng, dim, t):
-        rho = _draw_density(dim, rng, cfg.rank_profile)
-        sigma = _draw_conditioning(dim, rng, t, cfg.gap_floor)
-        value = conditional_entropy(rho, sigma).total
-        slacks = {"lower_slack": value, "upper_slack": von_neumann_entropy(rho) - value}
-        return slacks, {"rho": rho, "sigma": sigma}
-
-    return _sweep("shannon-bounds", "shannon-bound", cfg, 11, probe)
-
-
-def pinch_sweep(cfg: EnsembleConfig) -> SweepReport:
-    """Sample entropy monotonicity of pinching along random resolutions."""
-
-    def probe(rng, dim, t):
-        rho = _draw_density(dim, rng, cfg.rank_profile)
-        sizes = _random_composition(dim, rng, degenerate=False)
-        blocks = IdentityResolution._from_frame(rand.haar_unitary(dim, rng), sizes)
-        slack = von_neumann_entropy(pinch(rho, blocks)) - von_neumann_entropy(rho)
-        return {"slack": slack}, {"rho": rho, "sizes": sizes}
-
-    return _sweep("pinch-monotonicity", "pinch-monotonicity", cfg, 13, probe)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +413,7 @@ class _Condition:
     draw: Callable | None = None
     tag: str | None = None
     probes: Callable[[], tuple] = tuple
-    threshold: float = _SLACK_TOL
+    threshold: float = _VIOLATION_TOL
     aside: Callable | None = None
 
 

@@ -6,16 +6,18 @@ Matrices arrive as JSON documents {"dim": n, "re": [[..]], "im": [[..]],
 {"p": [..], "q": [..], "p_given_q": [[..]], "q_given_p": [[..]]}. Each
 positional argument is a file path or the document text itself.
 
-Every report starts with the active tolerances and optimizer defaults.
-Entropies are computed in nats; --units bits divides displayed entropy rows
-by ln 2 and nothing else. --format json emits a versioned document
-{"schema": "qce/1", "command", "settings", "rows", "report"}.
+Every report starts with the active tolerances and optimizer defaults; the
+latter are a fixed record of the retired iterative ascent that the qce/1
+schema keeps (only their seed follows --seed). Entropies are computed in
+nats; --units bits divides displayed entropy rows by ln 2 and nothing else.
+--format json emits a versioned document {"schema": "qce/1", "command",
+"settings", "rows", "report"}.
 
 Exit codes: 0 success; 2 malformed input, including a negative or
 non-integer --seed or QCE_SEED; 3 failed validation; 4 optimizer did not
-converge (kept in the taxonomy; the exact solve always converges); 5 a
-sweep found a property violation (the audit verdicts departed from the
-expected table).
+converge (kept in the taxonomy; the exact solve always converges); 5 the
+audit found a property violation (its verdicts departed from the expected
+table).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .entropy import (
     von_neumann_entropy,
 )
 from .errors import ParseError, QceError
-from .grassopt import OptimizeConfig, maximize_compressed_entropy
+from .grassopt import maximize_compressed_entropy
 from .matcore import DensityMatrix, _cluster_scale, spectral_resolution
 from .resolutions import (
     commutant_dim,
@@ -467,7 +469,18 @@ def _settings(args, profile) -> dict:
         "cluster_tol": args.cluster_tol,
         "tol_profile": args.tol_profile,
         "tolerances": dataclasses.asdict(profile),
-        "optimizer": dataclasses.asdict(OptimizeConfig(seed=args.seed)),
+        # The frozen qce/1 record of the retired Armijo ascent's defaults;
+        # the exact solve reads none of them.
+        "optimizer": {
+            "step_init": 0.5,
+            "armijo_c": 1e-4,
+            "shrink": 0.5,
+            "grad_tol": 1e-7,
+            "max_iters": 2000,
+            "restarts": 8,
+            "seed": args.seed,
+            "resync_every": 25,
+        },
         "report_units": "nats",
     }
 

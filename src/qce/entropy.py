@@ -102,16 +102,19 @@ class EntropyBreakdown:
 
 
 def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """-tr(rho ln rho), in nats; a pure state gives +0.0, not -0.0.
+    """-tr(rho ln rho), in nats; never below +0.0.
 
     Summed over the positive eigenvalues the state kept (DensityMatrix._eigh),
     so no matrix is diagonalized here; the state was checked positive at
-    construction, and tol is not read.
+    construction, and tol is not read. A pure state can keep an eigenvalue
+    just above 1, whose term makes the sum a rounding error below zero; that
+    is reported as +0.0, as is the -0.0 of an exact pure state.
     """
     _check_state(rho, "rho")
     w = rho._eigh()[0]
     pos = w[w > 0.0]
-    return 0.0 - float(np.sum(pos * np.log(pos)))
+    h = -float(np.sum(pos * np.log(pos)))
+    return h if h > 0.0 else 0.0
 
 
 def _spectrum_entropy(w: np.ndarray, tol: Tolerances) -> float:

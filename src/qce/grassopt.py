@@ -27,6 +27,10 @@ vanishes because the top-r eigenspace commutes with rho.
 
 Rank-one projectors are global flats: the functional vanishes identically
 on them and the gradient is exactly zero.
+
+Nothing here iterates. The Armijo ascent this solve replaced survives only
+as an independent oracle in the test suite; its settings survive only as
+the frozen settings.optimizer record of the CLI's qce/1 reports.
 """
 
 from __future__ import annotations
@@ -37,12 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (
-    BadShape,
-    NotStrictlyPositive,
-    ValidationError,
-    ZeroCompression,
-)
+from .errors import BadShape, NotStrictlyPositive, ZeroCompression
 from .entropy import _spectrum_entropy, self_information_gain, von_neumann_entropy
 from .matcore import (
     DensityMatrix,
@@ -55,7 +54,6 @@ from .matcore import (
 
 __all__ = [
     "GapReport",
-    "OptimizeConfig",
     "OptimizeResult",
     "SelfGainProbe",
     "entropy_gap_report",
@@ -66,47 +64,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OptimizeConfig:
-    """Armijo ascent parameters, validated at construction.
-
-    maximize_compressed_entropy solves exactly and does not read them. The
-    CLI reports the defaults as settings.optimizer in every command, and the
-    test suite's reference ascent runs on them.
-    """
-
-    step_init: float = 0.5
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    grad_tol: float = 1e-7
-    max_iters: int = 2000
-    restarts: int = 8
-    seed: int = 0
-    resync_every: int = 25
-
-    def __post_init__(self) -> None:
-        ok = (
-            self.step_init > 0
-            and 0 < self.armijo_c < 1
-            and 0 < self.shrink < 1
-            and self.grad_tol > 0
-            and self.max_iters >= 1
-            and self.restarts >= 1
-            and self.resync_every >= 1
-        )
-        if not ok:
-            raise ValidationError("invalid ascent parameters")
-        if self.seed < 0:
-            raise ValidationError("seed must be a nonnegative integer")
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
     """The rank-constrained maximum and the projector that attains it.
 
-    The solve is exact, so iterations is 0, converged is True and
-    restart_values holds best_value alone. grad_norm is the norm of the
-    variational gradient at best_projector, and commutation_residual the
-    entrywise max norm of [rho, best_projector]; both vanish up to rounding.
+    grad_norm is the norm of the variational gradient at best_projector, and
+    commutation_residual the entrywise max norm of [rho, best_projector];
+    both vanish up to rounding. The solve is exact, so iterations is 0,
+    converged is True and restart_values holds best_value alone; these three
+    stay because the qce/1 optimize report and the benchmark probes
+    (bench/probes.py, bench/workloads.py) read them.
     """
 
     best_value: float
@@ -230,7 +196,6 @@ class GapReport:
     ranks: tuple[int, ...]
     values: tuple[float, ...]
     margins: tuple[float, ...]
-    converged: tuple[bool, ...]
     min_margin: float
     all_strict: bool
 
@@ -264,7 +229,6 @@ def entropy_gap_report(
         ranks=ranks,
         values=values,
         margins=margins,
-        converged=(True,) * len(ranks),
         min_margin=min(margins) if margins else entropy,
         all_strict=all(m > 0.0 for m in margins),
     )

@@ -416,7 +416,10 @@ class SpectralResolution(IdentityResolution):
         self.eigenvalues = vals
 
     def blocks(self) -> IdentityResolution:
-        """The resolution itself: forgetting the levels needs no conversion."""
+        """The resolution itself: forgetting the levels needs no conversion.
+
+        Kept because the benchmark ladder (bench/probes.py) calls it.
+        """
         return self
 
     def reconstruct(self) -> np.ndarray:

@@ -17,13 +17,11 @@ from qce import (
     coupled_family_probe,
     dim2_demo,
     impossibility_demos,
-    pinch_sweep,
     random_density,
     random_projector,
     random_resolution,
     random_unitary,
     replay_witness,
-    shannon_sweep,
     tilted_family_probe,
 )
 
@@ -106,24 +104,6 @@ def test_random_resolution_partitions_identity():
 def test_seeded_entry_points_reject_negative_seeds(draw):
     with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
         draw()
-
-
-# ----------------------------------------------------------------- sweeps
-
-
-def test_shannon_sweep_passes():
-    rep = shannon_sweep(SMALL)
-    assert rep.passed
-    assert rep.checked == len(SMALL.dims) * SMALL.trials
-    assert rep.min_lower_slack >= -1e-9
-    assert rep.min_upper_slack >= -1e-9
-    assert rep.violations == ()
-
-
-def test_pinch_sweep_passes():
-    rep = pinch_sweep(SMALL)
-    assert rep.passed
-    assert rep.min_lower_slack >= -1e-9
 
 
 # ------------------------------------------------------------------ audit

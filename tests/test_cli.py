@@ -416,6 +416,35 @@ def test_orders_reports_refinement_and_mixedness(capsys):
     assert "sigma_more_mixed_than_rho: True" in out
 
 
+# -- the qce/1 contract -----------------------------------------------------
+# The benchmark's cli workload (bench/workloads.py) gates on schema qce/1 and
+# on the optimize report (pinned in test_optimize_rank_two_finds_the_maximum);
+# settings.optimizer is the frozen record of the retired ascent's defaults.
+
+QCE1_OPTIMIZER_JSON = (
+    '{"armijo_c": 0.0001, "grad_tol": 1e-07, "max_iters": 2000, "restarts": 8, '
+    '"resync_every": 25, "seed": 7, "shrink": 0.5, "step_init": 0.5}'
+)
+QCE1_OPTIMIZER_TEXT = (
+    "optimizer defaults: step_init=0.5 armijo_c=0.0001 shrink=0.5 grad_tol=1e-07 "
+    "max_iters=2000 restarts=8 seed=7 resync_every=25"
+)
+
+
+def test_qce1_optimizer_settings_are_frozen(capsys):
+    for command in (
+        ["entropy", diag_doc(0.7, 0.3)],
+        ["optimize", diag_doc(0.7, 0.3), "--rank", "1"],
+    ):
+        code, doc = run_json(command + ["--seed", "7"], capsys)
+        assert code == 0
+        assert doc["schema"] == "qce/1"
+        assert json.dumps(doc["settings"]["optimizer"], sort_keys=True) == QCE1_OPTIMIZER_JSON
+        code, out, _ = run(command + ["--seed", "7"], capsys)
+        assert code == 0
+        assert out.splitlines()[2] == QCE1_OPTIMIZER_TEXT
+
+
 def test_optimize_full_rank_is_immediate(capsys):
     code, doc = run_json(["optimize", diag_doc(0.5, 0.3, 0.2), "--rank", "3"], capsys)
     assert code == 0
@@ -427,6 +456,10 @@ def test_optimize_full_rank_is_immediate(capsys):
 def test_optimize_rank_two_finds_the_maximum(capsys):
     code, doc = run_json(["optimize", diag_doc(0.5, 0.3, 0.2), "--rank", "2"], capsys)
     assert code == 0
+    assert sorted(doc["report"]) == ["converged", "projector", "rank", "restart_values"]
+    assert [r["name"] for r in doc["rows"]] == [
+        "best_value", "entropy_rho", "margin", "grad_norm", "commutation_residual", "iterations",
+    ]
     assert doc["report"]["converged"] is True
     assert doc["report"]["rank"] == 2
     assert doc["report"]["restart_values"] == [row_value(doc, "best_value")]

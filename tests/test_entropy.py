@@ -53,8 +53,22 @@ def rotated(diag_vals, theta):
 
 def test_entropy_pure_state_zero():
     assert von_neumann_entropy(DensityMatrix.pure([1.0, 0.0])) == 0.0
-    v = np.array([1.0, 1.0j]) / np.sqrt(2)
-    assert von_neumann_entropy(DensityMatrix.pure(v)) == pytest.approx(0.0, abs=1e-12)
+    # The second state keeps an eigenvalue just above 1, and the raw sum
+    # -sum w ln w over its eigenvalues is -4.4e-16.
+    rng = np.random.default_rng(1)
+    states = [
+        DensityMatrix.pure(np.array([1.0, 1.0j]) / np.sqrt(2)),
+        DensityMatrix.pure(rng.standard_normal(2) + 1j * rng.standard_normal(2)),
+    ]
+    rng = np.random.default_rng(16)
+    for dim in range(2, 17):
+        for _ in range(20):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            states.append(DensityMatrix.pure(v))
+    for rho in states:
+        value = von_neumann_entropy(rho)
+        assert value >= 0.0 and math.copysign(1.0, value) == 1.0
+        assert value <= 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 7])

@@ -12,9 +12,9 @@ PUBLIC = [
     "ClusterAmbiguity", "ConditionEntry", "DEFAULT_TOLERANCES", "DensityMatrix",
     "DimMismatch", "EXPECTED_VERDICTS", "EnsembleConfig", "EntropyBreakdown", "FAILS",
     "GapReport", "HOLDS", "IdentityResolution", "InvalidPartitionData", "NotHermitian",
-    "NotPSD", "NotStrictlyPositive", "OptimizeConfig", "OptimizeResult",
+    "NotPSD", "NotStrictlyPositive", "OptimizeResult",
     "OrderWitness", "ParseError", "ProbabilityVector", "Projector", "QceError",
-    "SelfGainProbe", "SpectralResolution", "SweepReport", "Tolerances",
+    "SelfGainProbe", "SpectralResolution", "Tolerances",
     "ValidationError", "ZeroCompression", "audit_deviations", "axiom_audit",
     "block_distribution", "commutant_dim", "commutator_residual", "compress",
     "compressed_entropy", "compressed_state", "conditional_entropy",
@@ -26,20 +26,22 @@ PUBLIC = [
     "is_consequence", "is_independent", "joint_entropy", "joint_shannon_entropy",
     "load_document", "matrix_to_doc", "max_abs", "maximize_compressed_entropy",
     "more_mixed", "mutual_information", "partition_from_resolutions", "pinch",
-    "pinch_sweep", "probe_max_self_gain", "random_density", "random_projector",
+    "probe_max_self_gain", "random_density", "random_projector",
     "random_resolution", "random_unitary", "replay_witness",
     "resolution_conditional_entropy", "resolution_entropy", "resolution_joint_entropy",
     "resolution_leq", "resolution_to_doc", "rng_for", "self_conditional_entropy",
-    "self_information_gain", "shannon_entropy", "shannon_sweep", "spectral_resolution",
+    "self_information_gain", "shannon_entropy", "spectral_resolution",
     "spectrum_distribution", "tilted_family_probe", "tilted_pair_state",
     "tolerance_profile", "trace_xlnx", "variational_gradient", "von_neumann_entropy",
 ]
 
-# Names that left the API: never raised, unused outside their own module, or
-# a private helper of the random ensembles.
+# Names that left the API: never raised, unused outside their own module, a
+# private helper of the random ensembles, settings of the retired iterative
+# ascent, or sampling loops folded into the audit's condition runner.
 RETIRED = [
-    "NotApplicable", "NotCommuting", "complex_gaussian", "eig_hermitian",
-    "normalized_trace", "relative_entropy", "support_projector",
+    "NotApplicable", "NotCommuting", "OptimizeConfig", "SweepReport",
+    "complex_gaussian", "eig_hermitian", "normalized_trace", "pinch_sweep",
+    "relative_entropy", "shannon_sweep", "support_projector",
     "unnormalized_compressed_entropy",
 ]
 
@@ -49,7 +51,7 @@ SUBMODULES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 96
+    assert len(PUBLIC) == 92
     assert sorted(qce.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(qce, name) is not None

@@ -41,6 +41,7 @@ from .audit import (
 )
 from .config import tolerance_profile
 from .entropy import (
+    _gain,
     conditional_entropy,
     conditional_entropy_given_blocks,
     pinch,
@@ -229,7 +230,7 @@ def _cmd_cond(args, tol):
         _row("conditional_entropy", breakdown.total, "nats"),
         _row("entropy_rho", s_rho, "nats"),
         # information_gain(rho, sigma), without computing both terms again.
-        _row("information_gain", s_rho - breakdown.total, "nats"),
+        _row("information_gain", _gain(s_rho, breakdown.total), "nats"),
     ]
     report = {
         "per_block": [

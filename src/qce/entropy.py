@@ -31,9 +31,11 @@ spectrum of rho itself, so S(rho | I/d) = S(rho).
 What needs only rho's own spectrum reads the eigendecomposition the state
 kept at construction and diagonalizes nothing: von_neumann_entropy, and the
 factor of a block that spans the whole space (conditioning on I/d, on the
-trivial resolution, or compressing into the identity projector). Any other
-block of rank two or more is compressed onto its frame columns and
-diagonalized.
+trivial resolution, or compressing into the identity projector). The other
+blocks of rank two or more are taken one rank group at a time: the blocks
+of equal rank are compressed onto their frame columns as one stack,
+diagonalized by one batched call and scored as one stack, so no numpy call
+runs per block unless its compression is rank-deficient.
 
 All entropies are in nats.
 """
@@ -117,18 +119,30 @@ def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
     return h if h > 0.0 else 0.0
 
 
-def _spectrum_entropy(w: np.ndarray, tol: Tolerances) -> float:
-    """Entropy mass t ln t - sum mu ln mu of one compression from its spectrum w.
+def _spectrum_entropies(w: np.ndarray, tol: Tolerances) -> list[float]:
+    """Entropy mass t ln t - sum mu ln mu of each row of a stack of spectra w.
 
-    mu is w clipped at zero and t = sum mu; a mass t at or below the support
-    tolerance gives 0.0.
+    w is (g, m); mu is w clipped at zero, t the row sum of mu, and ln is
+    taken only where mu > 0. A row whose mass t is at or below the support
+    tolerance gives exactly 0.0. The clipping, masses and log terms are
+    array operations over the whole stack; each row then costs one float
+    t ln t. Every row gets the bits of scoring its spectrum alone: t ln t
+    uses math.log, which numpy's vectorized log does not always match in the
+    last bit, and a row holding zeros (a rank-deficient compression) sums
+    its positive terms alone, since zeros would regroup numpy's pairwise sum.
     """
-    mu = np.clip(w, 0.0, None)
-    t = float(mu.sum())
-    if t <= tol.support:
-        return 0.0
-    pos = mu[mu > 0.0]
-    return float(t * math.log(t) - np.sum(pos * np.log(pos)))
+    mu = np.maximum(w, 0.0)
+    t = mu.sum(axis=1)
+    pos = mu > 0.0
+    terms = mu * np.log(np.where(pos, mu, 1.0))
+    s = terms.sum(axis=1)
+    if not pos.all():
+        for i in np.flatnonzero(~pos.all(axis=1)):
+            s[i] = terms[i][pos[i]].sum()
+    return [
+        ti * math.log(ti) - si if ti > tol.support else 0.0
+        for ti, si in zip(t.tolist(), s.tolist())
+    ]
 
 
 def _block_entropies(rho: DensityMatrix, bases, tol: Tolerances) -> list[float]:
@@ -137,9 +151,11 @@ def _block_entropies(rho: DensityMatrix, bases, tol: Tolerances) -> list[float]:
     The spectrum of V* rho V is that of the nonzero block of Q rho Q, Q = V V*.
     A block spanning the whole space (V unitary) has rho's own spectrum, read
     from the eigenvalues the state kept. Blocks of equal rank 2 <= m < dim
-    are compressed together: their bases are stacked as (k, dim, m),
-    compressed into (k, m, m) and diagonalized by one batched eigvalsh.
-    Rank-one blocks give 0.0 without a compression.
+    form one rank group: their bases are stacked as (k, dim, m), compressed
+    into (k, m, m), diagonalized by one batched eigvalsh and scored as one
+    stack (_spectrum_entropies), so no numpy call runs per block unless its
+    compression is rank-deficient. Rank-one blocks give 0.0 without a
+    compression.
     """
     factors = [0.0] * len(bases)
     by_rank: dict[int, list[int]] = {}
@@ -148,14 +164,14 @@ def _block_entropies(rho: DensityMatrix, bases, tol: Tolerances) -> list[float]:
         if m < 2:
             continue
         if m == rho.dim:
-            factors[j] = _spectrum_entropy(rho._eigh()[0], tol)
+            factors[j] = _spectrum_entropies(rho._eigh()[0][None, :], tol)[0]
         else:
             by_rank.setdefault(m, []).append(j)
     for group in by_rank.values():
         stack = np.array([bases[j] for j in group])
         m = hermitize(stack.conj().swapaxes(1, 2) @ rho.mat @ stack)
-        for j, w in zip(group, np.linalg.eigvalsh(m)):
-            factors[j] = _spectrum_entropy(w, tol)
+        for j, factor in zip(group, _spectrum_entropies(np.linalg.eigvalsh(m), tol)):
+            factors[j] = factor
     return factors
 
 
@@ -197,15 +213,15 @@ def conditional_entropy(
     sigma is resolved into distinct eigenprojectors Q_j; the total is
     sum_j tr(Q_j sigma) * compressed_entropy(rho, Q_j). The weight
     tr(Q_j sigma) is taken as level_j * rank_j, and each factor from the
-    compression V_j* rho V_j onto the block's frame columns V_j; blocks of
-    equal rank are compressed and diagonalized as one stack, and rank-one
-    blocks contribute factor 0.0 without any compression. When sigma is
-    proportional to the identity its one block spans the space, and the
-    factor is S(rho), read from rho's kept eigenvalues without a
-    compression. Blocks whose sigma weight is below the support tolerance
-    are stored with weight 0.0. The
-    resolution of sigma is memoised on sigma, so conditioning many states on
-    one sigma object resolves it once.
+    compression V_j* rho V_j onto the block's frame columns V_j; the blocks
+    of equal rank are compressed, diagonalized and scored as one stack, and
+    rank-one blocks contribute factor 0.0 without any compression. When
+    sigma is proportional to the identity its one block spans the space, and
+    the factor is S(rho), read from rho's kept eigenvalues without a
+    compression. Blocks whose sigma weight is at or below the support
+    tolerance are stored with weight 0.0. The resolution of sigma is
+    memoised on sigma, so conditioning many states on one sigma object
+    resolves it once.
     """
     _check_state(rho, "rho")
     _check_state(sigma, "sigma")
@@ -293,11 +309,22 @@ def joint_entropy(
     return von_neumann_entropy(sigma, tol) + conditional_entropy(rho, sigma, tol).total
 
 
+def _gain(s_rho: float, conditional: float) -> float:
+    """S(rho) - S(rho | sigma) from its two terms; never below +0.0.
+
+    The bound S(rho | sigma) <= S(rho) can fail by a rounding: a pure state
+    given I/d keeps an eigenvalue just above 1, whose t ln t term lifts the
+    conditional value a few ulps above S(rho). That is reported as +0.0.
+    """
+    g = s_rho - conditional
+    return g if g > 0.0 else 0.0
+
+
 def information_gain(
     rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
-    """S(rho) - S(rho | sigma); between 0 and S(rho)."""
-    return von_neumann_entropy(rho, tol) - conditional_entropy(rho, sigma, tol).total
+    """S(rho) - S(rho | sigma); between +0.0 and S(rho)."""
+    return _gain(von_neumann_entropy(rho, tol), conditional_entropy(rho, sigma, tol).total)
 
 
 def self_information_gain(

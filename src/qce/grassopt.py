@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import BadShape, NotStrictlyPositive, ZeroCompression
-from .entropy import _spectrum_entropy, self_information_gain, von_neumann_entropy
+from .entropy import _spectrum_entropies, self_information_gain, von_neumann_entropy
 from .matcore import (
     DensityMatrix,
     Projector,
@@ -139,7 +139,7 @@ def _top_value(vals: np.ndarray, rank: int, tol: Tolerances) -> float:
     """
     if rank <= 1:
         return 0.0
-    return _spectrum_entropy(vals[-rank:], tol)
+    return _spectrum_entropies(vals[None, -rank:], tol)[0]
 
 
 def maximize_compressed_entropy(

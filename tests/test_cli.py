@@ -264,6 +264,23 @@ def test_cond_on_uniform_recovers_the_entropy(capsys):
     np.testing.assert_allclose(per_block[0]["weight"], 1.0, atol=1e-12)
 
 
+def test_cond_information_gain_of_a_pure_state_is_never_negative(capsys):
+    # S(rho | I/4) of a pure state can come out a few ulps above S(rho).
+    uniform = diag_doc(0.25, 0.25, 0.25, 0.25)
+    for s in range(20):
+        rng = np.random.default_rng(s)
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        doc = json.dumps({"dim": 4, "re": rho.real.tolist(), "im": rho.imag.tolist()})
+        code, out = run_json(["cond", doc, uniform], capsys)
+        assert code == 0
+        gain = row_value(out, "information_gain")
+        assert 0.0 <= gain <= 1e-14 and math.copysign(1.0, gain) == 1.0, s
+        code, text, _ = run(["cond", doc, uniform], capsys)
+        row = next(line for line in text.splitlines() if line.startswith("information_gain"))
+        assert not row.split()[1].startswith("-"), s
+
+
 def test_cond_res_uses_normalized_rank_weights(capsys):
     argv = ["cond-res", diag_doc(0.25, 0.25, 0.25, 0.25), blocks_doc(4, [(0, 1), (2, 3)])]
     code, doc = run_json(argv, capsys)

@@ -52,6 +52,7 @@ from .entropy import (
     joint_entropy,
     pinch,
     self_conditional_entropy,
+    self_information_gain,
     von_neumann_entropy,
 )
 from .matcore import (
@@ -816,8 +817,7 @@ def dim2_demo(seed: int = 0) -> dict:
         "conditional_on_uniform": conditional_entropy(rho, uniform).total,
         "conditional_on_nondegenerate": conditional_entropy(rho, sigma).total,
         "conditional_on_itself": self_conditional_entropy(rho),
-        "self_information_gain_of_uniform": von_neumann_entropy(uniform)
-        - self_conditional_entropy(uniform),
+        "self_information_gain_of_uniform": self_information_gain(uniform),
         "commutant_dim_rho": commutant_dim(rho),
         "commutant_dim_uniform": commutant_dim(uniform),
         "notes": [

@@ -54,10 +54,10 @@ from .matcore import (
     DensityMatrix,
     IdentityResolution,
     Projector,
+    _check_projector,
     _check_resolution,
     _check_same_dim,
     _check_state,
-    compress,
     hermitize,
     spectral_resolution,
 )
@@ -185,6 +185,7 @@ def compressed_entropy(
     and for vanishing compressions.
     """
     _check_state(rho, "rho")
+    _check_projector(q, "q")
     _check_same_dim(rho, q)
     return _block_entropies(rho, [q.range_basis()], tol)[0]
 
@@ -197,8 +198,9 @@ def compressed_state(
     Raises ZeroCompression when the compression carries no mass.
     """
     _check_state(rho, "rho")
+    _check_projector(q, "q")
     _check_same_dim(rho, q)
-    c = compress(rho, q, tol)
+    c = hermitize(q.mat @ rho.mat @ q.mat)
     t = float(np.trace(c).real)
     if t <= tol.support:
         raise ZeroCompression(f"tr(Q rho) = {t:.3e} is below the support tolerance")
@@ -330,8 +332,12 @@ def information_gain(
 def self_information_gain(
     rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
-    """S(rho) - S(rho | rho), the information a state carries about itself."""
-    return von_neumann_entropy(rho, tol) - self_conditional_entropy(rho, tol)
+    """S(rho) - S(rho | rho), the information a state carries about itself.
+
+    Never below +0.0: for a state proportional to a projector (I/d, say) the
+    two terms agree but for a rounding, which is reported as +0.0.
+    """
+    return _gain(von_neumann_entropy(rho, tol), self_conditional_entropy(rho, tol))
 
 
 def spectrum_distribution(

@@ -46,6 +46,7 @@ from .entropy import _spectrum_entropies, self_information_gain, von_neumann_ent
 from .matcore import (
     DensityMatrix,
     Projector,
+    _check_projector,
     _check_same_dim,
     _check_state,
     commutator_residual,
@@ -112,8 +113,7 @@ def variational_gradient(
     range of Q; raises ZeroCompression otherwise.
     """
     _check_state(rho, "rho")
-    if not isinstance(q, Projector):
-        raise TypeError("q must be a Projector")
+    _check_projector(q, "q")
     _check_same_dim(rho, q)
     if q.rank == 0:
         raise ZeroCompression("the zero projector carries no mass")

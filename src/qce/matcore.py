@@ -19,13 +19,13 @@ A resolution is checked once, on its frame: max|V* V - I| <= tol.orth. With
 dim columns that single O(dim^3) test covers both orthogonality of the blocks
 and completeness, so no block is checked on its own and no pair of blocks is
 multiplied. Built from projectors, the frame is their stacked range bases;
-built by spectral_resolution, it is the eigenvector matrix. Consumers work on
-the frame's column blocks (bases()) of either kind of resolution; the
-projectors attribute builds dense Projector views over those blocks on each
-access, trusted without a second check and not kept.
+built by spectral_resolution, it is the eigenvector matrix. The frame is the
+only representation: consumers work on its column blocks (bases()), and a
+block's projector is V_j V_j* of its block V_j, formed only where a dense
+matrix is wanted (serialize.resolution_to_doc).
 
-The operand checks shared by the functionals (a DensityMatrix, an
-IdentityResolution, equal dimensions) live here too, so every entry point
+The operand checks shared by the functionals (a DensityMatrix, a Projector,
+an IdentityResolution, equal dimensions) live here too, so every entry point
 raises the same TypeError or DimMismatch for the same fault.
 
 A DensityMatrix is diagonalized once. The constructor's eigh, which checks
@@ -111,20 +111,6 @@ def _require_hermitian(a: np.ndarray, tol: Tolerances, what: str = "matrix") -> 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def trace_xlnx(a, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """tr(A ln A) for PSD A, with the 0 ln 0 = 0 convention.
-
-    Eigenvalues in (-tol.psd, 0) are treated as zero; anything below -tol.psd
-    raises NotPSD.
-    """
-    m = _require_hermitian(as_complex_matrix(a), tol)
-    w = np.linalg.eigvalsh(m)
-    if w[0] < -tol.psd:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol.psd:g}")
-    pos = w[w > 0.0]
-    return float(np.sum(pos * np.log(pos)))
 
 
 class DensityMatrix:
@@ -253,15 +239,6 @@ class Projector:
             b[i, col] = 1.0
         return cls.from_basis(b, tol)
 
-    @classmethod
-    def _view(cls, basis: np.ndarray) -> "Projector":
-        """Projector onto columns already checked orthonormal (a frame block)."""
-        q = cls.__new__(cls)
-        q.mat = _freeze(hermitize(basis @ basis.conj().T))
-        q.dim, q.rank = basis.shape
-        q._basis = basis
-        return q
-
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range, shape (dim, rank). Cached."""
         if self._basis is None:
@@ -318,7 +295,6 @@ class IdentityResolution:
             raise ValidationError("resolution blocks must be nonzero")
         frame = np.concatenate([p.range_basis() for p in projs], axis=1)
         self._adopt(frame, _offsets(p.rank for p in projs), tol)
-        self._projectors = projs
 
     @classmethod
     def _from_frame(
@@ -337,7 +313,6 @@ class IdentityResolution:
         self.frame = _freeze(frame)
         self.bounds = bounds
         self.dim = frame.shape[0]
-        self._projectors = None
 
     @classmethod
     def coordinate(
@@ -348,18 +323,6 @@ class IdentityResolution:
         if sum(sizes) != dim or any(s < 1 for s in sizes):
             raise BadShape(f"block sizes {sizes} do not partition dimension {dim}")
         return IdentityResolution._from_frame(np.eye(dim), sizes, tol)
-
-    @property
-    def projectors(self) -> tuple[Projector, ...]:
-        """Block projectors.
-
-        Those given to the constructor are returned as they are; for a family
-        built from a frame, dense unchecked views of the frame are built on
-        each access and not kept, so a memoised resolution holds only its frame.
-        """
-        if self._projectors is not None:
-            return self._projectors
-        return tuple(Projector._view(b) for b in self.bases())
 
     def bases(self) -> tuple[np.ndarray, ...]:
         """Orthonormal basis of each block, as read-only views of the frame."""
@@ -507,6 +470,12 @@ def _check_state(x, name: str) -> DensityMatrix:
     return x
 
 
+def _check_projector(x, name: str) -> Projector:
+    if not isinstance(x, Projector):
+        raise TypeError(f"{name} must be a Projector, got {type(x).__name__}")
+    return x
+
+
 def _check_resolution(x, name: str) -> IdentityResolution:
     if not isinstance(x, IdentityResolution):
         raise TypeError(f"{name} must be an IdentityResolution, got {type(x).__name__}")
@@ -516,13 +485,3 @@ def _check_resolution(x, name: str) -> IdentityResolution:
 def _check_same_dim(a, b) -> None:
     if a.dim != b.dim:
         raise DimMismatch(f"operands have dims {a.dim} and {b.dim}")
-
-
-def compress(rho, q: Projector, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Two-sided compression Q A Q, symmetrized."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else as_complex_matrix(rho)
-    if not isinstance(q, Projector):
-        raise TypeError("compress expects a Projector")
-    if mat.shape[0] != q.dim:
-        raise DimMismatch(f"operand dim {mat.shape[0]} != projector dim {q.dim}")
-    return hermitize(q.mat @ mat @ q.mat)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ParseError
-from .matcore import IdentityResolution, Projector
+from .matcore import IdentityResolution, Projector, hermitize
 from .shannon import ClassicalPartitionData
 
 
@@ -120,9 +120,10 @@ def doc_to_resolution(doc: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> Identi
 
 
 def resolution_to_doc(res: IdentityResolution) -> dict:
+    """IdentityResolution -> resolution document; block j is V_j V_j* of its frame columns."""
     return {
         "dim": res.dim,
-        "blocks": [matrix_to_doc(p.mat) for p in res.projectors],
+        "blocks": [matrix_to_doc(hermitize(b @ b.conj().T)) for b in res.bases()],
     }
 
 

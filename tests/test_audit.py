@@ -86,7 +86,7 @@ def test_random_projector_rank():
 def test_random_resolution_partitions_identity():
     res = random_resolution(5, [2, 2, 1], seed=6)
     assert res.ranks() == (2, 2, 1)
-    total = sum(q.mat for q in res.projectors)
+    total = sum(b @ b.conj().T for b in res.bases())
     np.testing.assert_allclose(total, np.eye(5), atol=1e-12)
 
 

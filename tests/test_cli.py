@@ -1,12 +1,14 @@
 """End-to-end checks of the command line interface via main(argv)."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qce.cli import main
+from qce.cli import _build_parser, main
 
 
 def h(*weights):
@@ -535,3 +537,24 @@ def test_demo_impossibility_forced_pairs_are_exact(capsys):
         assert row_value(doc, f"forced_self_d{d}") == 0.0
         assert row_value(doc, f"forced_uniform_d{d}") == math.log(d)
     np.testing.assert_allclose(row_value(doc, "decomposition_weight"), 4 / 7, atol=1e-12)
+
+
+# -- the golden runner's command list ----------------------------------------
+
+def load_golden_runner():
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden_cli.py"
+    spec = importlib.util.spec_from_file_location("golden_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_commands_parse():
+    # Parsing only: the runner's argv lists must stay valid as the CLI changes.
+    golden = load_golden_runner()
+    parser = _build_parser()
+    runs = list(golden.runs())
+    assert len(runs) == len(golden.COMMANDS) * 6
+    for _, argv in runs:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]

@@ -31,7 +31,6 @@ from qce import (
     shannon_entropy,
     spectral_resolution,
     spectrum_distribution,
-    trace_xlnx,
     von_neumann_entropy,
 )
 
@@ -184,7 +183,14 @@ def test_one_block_conditioning_in_dimension_one(monkeypatch):
     assert conditional_entropy_given_blocks(rho, IdentityResolution.coordinate(1, [1])) == 0.0
 
 
-def test_von_neumann_entropy_matches_trace_xlnx():
+def vn_entropy_oracle(rho):
+    """-tr(rho ln rho) from a fresh eigvalsh, with 0 ln 0 = 0."""
+    w = np.linalg.eigvalsh(rho.mat)
+    pos = w[w > 0.0]
+    return -float(np.sum(pos * np.log(pos)))
+
+
+def test_von_neumann_entropy_matches_eigvalsh_oracle():
     rng = np.random.default_rng(2024)
     for i in range(200):
         dim = 1 + i % 32
@@ -194,7 +200,7 @@ def test_von_neumann_entropy_matches_trace_xlnx():
             rho = random_density(dim, seed=seed)
         else:
             rho = clamped_state(dim, 1 if kind == 1 else max(1, dim // 2), seed)
-        assert abs(von_neumann_entropy(rho) - (0.0 - trace_xlnx(rho.mat))) <= 1e-14, (dim, kind)
+        assert abs(von_neumann_entropy(rho) - vn_entropy_oracle(rho)) <= 1e-14, (dim, kind)
 
 
 def test_von_neumann_entropy_reads_the_kept_eigenvalues(monkeypatch):
@@ -668,6 +674,22 @@ def test_self_information_gain_consistency():
     )
 
 
+def test_self_information_gain_is_never_below_positive_zero():
+    # A state proportional to a projector has S(rho) = S(rho | rho) but for
+    # a rounding, which must not read as a negative gain.
+    states = [DensityMatrix.maximally_mixed(d) for d in range(2, 65)]
+    rng = np.random.default_rng(77)
+    for _ in range(100):
+        dim = int(rng.integers(2, 17))
+        k = int(rng.integers(1, dim + 1))
+        mult = 1 + rng.multinomial(dim - k, np.full(k, 1.0 / k))
+        diag = np.repeat(rng.random(k), mult)
+        states.append(DensityMatrix.diagonal(diag / diag.sum()))
+    for rho in states:
+        gain = self_information_gain(rho)
+        assert gain >= 0.0 and math.copysign(1.0, gain) == 1.0, (rho.dim, gain)
+
+
 # ------------------------------------------- dense oracles for two formulas
 #
 # Two closed forms of S(rho|sigma), kept as test oracles that do not touch the
@@ -947,7 +969,7 @@ def test_pinch_on_the_frame_matches_the_dense_projector_sum(dim):
         built,
     ]
     for res in resolutions:
-        dense = sum(q.mat @ rho.mat @ q.mat for q in res.projectors)
+        dense = sum(b @ b.conj().T @ rho.mat @ b @ b.conj().T for b in res.bases())
         assert max_abs(pinch(rho, res).mat - dense) <= 1e-14
 
 

@@ -16,7 +16,7 @@ PUBLIC = [
     "OrderWitness", "ParseError", "ProbabilityVector", "Projector", "QceError",
     "SelfGainProbe", "SpectralResolution", "Tolerances",
     "ValidationError", "ZeroCompression", "audit_deviations", "axiom_audit",
-    "block_distribution", "commutant_dim", "commutator_residual", "compress",
+    "block_distribution", "commutant_dim", "commutator_residual",
     "compressed_entropy", "compressed_state", "conditional_entropy",
     "conditional_entropy_given_blocks", "conditional_entropy_of_states",
     "conditional_shannon_entropy", "coupled_family_probe", "coupled_pair_split",
@@ -32,16 +32,17 @@ PUBLIC = [
     "resolution_leq", "resolution_to_doc", "rng_for", "self_conditional_entropy",
     "self_information_gain", "shannon_entropy", "spectral_resolution",
     "spectrum_distribution", "tilted_family_probe", "tilted_pair_state",
-    "tolerance_profile", "trace_xlnx", "variational_gradient", "von_neumann_entropy",
+    "tolerance_profile", "variational_gradient", "von_neumann_entropy",
 ]
 
 # Names that left the API: never raised, unused outside their own module, a
 # private helper of the random ensembles, settings of the retired iterative
-# ascent, or sampling loops folded into the audit's condition runner.
+# ascent, sampling loops folded into the audit's condition runner, or dense
+# helpers no code path needed (compress, trace_xlnx).
 RETIRED = [
     "NotApplicable", "NotCommuting", "OptimizeConfig", "SweepReport",
-    "complex_gaussian", "eig_hermitian", "normalized_trace", "pinch_sweep",
-    "relative_entropy", "shannon_sweep", "support_projector",
+    "complex_gaussian", "compress", "eig_hermitian", "normalized_trace", "pinch_sweep",
+    "relative_entropy", "shannon_sweep", "support_projector", "trace_xlnx",
     "unnormalized_compressed_entropy",
 ]
 
@@ -51,7 +52,7 @@ SUBMODULES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 92
+    assert len(PUBLIC) == 90
     assert sorted(qce.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(qce, name) is not None

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qce import (
+    DEFAULT_TOLERANCES,
     DensityMatrix,
     IdentityResolution,
     ParseError,
@@ -19,9 +20,13 @@ from qce import (
     doc_to_matrix,
     doc_to_partition,
     doc_to_resolution,
+    hermitize,
     load_document,
     matrix_to_doc,
+    max_abs,
+    random_unitary,
     resolution_to_doc,
+    spectral_resolution,
     tilted_pair_state,
     von_neumann_entropy,
 )
@@ -139,13 +144,37 @@ def test_doc_to_matrix_shape_errors():
         doc_to_matrix({"dim": 1, "re": [[float("inf")]]})
 
 
+def block_projectors(res):
+    return [b @ b.conj().T for b in res.bases()]
+
+
 def test_resolution_doc_round_trip():
     res = IdentityResolution.coordinate(4, [2, 1, 1])
     doc = resolution_to_doc(res)
     again = doc_to_resolution(doc)
     assert again.ranks() == (2, 1, 1)
-    for a, b in zip(again.projectors, res.projectors):
-        np.testing.assert_allclose(a.mat, b.mat, atol=1e-12)
+    for a, b in zip(block_projectors(again), block_projectors(res)):
+        np.testing.assert_allclose(a, b, atol=1e-12)
+
+    # A frame-built resolution writes V_j V_j* of its frame columns, bit for bit.
+    u = random_unitary(5, seed=11)
+    levels = [0.3, 0.3, 0.2, 0.1, 0.1]
+    sr = spectral_resolution(DensityMatrix(hermitize((u * levels) @ u.conj().T)))
+    assert sr.ranks() == (2, 1, 2)
+    doc = resolution_to_doc(sr)
+    for block, b in zip(doc["blocks"], sr.bases()):
+        np.testing.assert_array_equal(doc_to_matrix(block), hermitize(b @ b.conj().T))
+    assert doc_to_resolution(doc).ranks() == sr.ranks()
+
+    # Built from projector matrices, it writes V_j V_j* of the checked range
+    # bases, which agree with the given matrices at the idempotence scale.
+    v = random_unitary(4, seed=12)
+    given = [hermitize(v[:, a:b] @ v[:, a:b].conj().T) for a, b in ((0, 1), (1, 3), (3, 4))]
+    built = IdentityResolution([Projector(m) for m in given])
+    again = doc_to_resolution(resolution_to_doc(built))
+    assert again.ranks() == built.ranks() == (1, 2, 1)
+    for m, a in zip(given, block_projectors(again)):
+        assert max_abs(a - m) <= DEFAULT_TOLERANCES.idem
 
 
 def test_resolution_doc_validates_content():

@@ -1,0 +1,170 @@
+"""Golden CLI outputs: run a fixed list of qce commands and keep every result.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py OUT_DIR
+
+Each argv in COMMANDS runs in-process through qce.cli.main once per output
+format (text, json) and tolerance profile (default, strict, loose). A run
+writes one file, OUT_DIR/<index>-<command>-<format>-<profile>.txt, holding
+its exit code, its stdout and its stderr. The qce package is whichever one
+PYTHONPATH puts first (its location is printed to stderr), so running this
+script against two checkouts' src directories and comparing the two output
+directories with `diff -r` shows every CLI byte that a change moved.
+
+The documents are inline JSON built by the pure-Python helpers below, so
+the inputs do not depend on numpy or on qce. QCE_SEED is cleared, so every
+run not given --seed uses seed 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+FORMATS = ("text", "json")
+PROFILES = ("default", "strict", "loose")
+
+
+def matrix_doc(rows, im=None) -> str:
+    doc = {"dim": len(rows), "re": rows}
+    if im is not None:
+        doc["im"] = im
+    return json.dumps(doc)
+
+
+def diag(*vals) -> list:
+    n = len(vals)
+    return [[float(vals[i]) if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+
+def diag_doc(*vals) -> str:
+    return matrix_doc(diag(*vals))
+
+
+def mixed_doc(dim: int) -> str:
+    """A fixed full-rank complex state: (A A* + I) / tr, A with small integer entries."""
+    a = [
+        [complex((3 * i + 7 * j) % 5 - 2, (2 * i + 5 * j) % 3 - 1) for j in range(dim)]
+        for i in range(dim)
+    ]
+    m = [
+        [sum(a[i][k] * a[j][k].conjugate() for k in range(dim)) + (i == j) for j in range(dim)]
+        for i in range(dim)
+    ]
+    tr = sum(m[i][i].real for i in range(dim))
+    return matrix_doc(
+        [[m[i][j].real / tr for j in range(dim)] for i in range(dim)],
+        [[m[i][j].imag / tr for j in range(dim)] for i in range(dim)],
+    )
+
+
+def blocks_doc(dim: int, groups) -> str:
+    """Resolution document of coordinate blocks, one per group of axes."""
+    blocks = [
+        {"dim": dim, "re": [[1.0 if i == j and i in g else 0.0 for j in range(dim)]
+                            for i in range(dim)]}
+        for g in groups
+    ]
+    return json.dumps({"dim": dim, "blocks": blocks})
+
+
+def rotated_blocks_doc() -> str:
+    """Two rank-one blocks along (1, 1)/sqrt 2 and (1, -1)/sqrt 2, plus the third axis."""
+    plus = [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]]
+    minus = [[0.5, -0.5, 0.0], [-0.5, 0.5, 0.0], [0.0, 0.0, 0.0]]
+    third = diag(0.0, 0.0, 1.0)
+    return json.dumps({"dim": 3, "blocks": [{"dim": 3, "re": b} for b in (plus, minus, third)]})
+
+
+PURE3 = matrix_doc([[1 / 3] * 3] * 3)
+RHO3 = mixed_doc(3)
+RHO4 = mixed_doc(4)
+RHO6 = mixed_doc(6)
+
+COMMANDS: list[list[str]] = [
+    ["entropy", diag_doc(0.5, 0.3, 0.2)],
+    ["entropy", RHO4],
+    ["entropy", PURE3],
+    ["entropy", diag_doc(0.4, 0.4, 0.2), "--units", "bits"],
+    ["cond", RHO3, diag_doc(0.4, 0.4, 0.2)],
+    ["cond", RHO4, diag_doc(0.25, 0.25, 0.25, 0.25)],
+    ["cond", PURE3, diag_doc(1 / 3, 1 / 3, 1 / 3)],
+    ["cond", diag_doc(0.5, 0.5, 0.0), diag_doc(0.3, 0.3, 0.4)],
+    ["cond", RHO4, diag_doc(0.3, 0.3, 0.2, 0.2), "--units", "bits"],
+    ["cond", RHO3, diag_doc(0.5, 0.3, 0.2)],
+    ["cond", RHO3, diag_doc(0.5, 0.5, 0.5)],
+    ["cond-res", RHO4, blocks_doc(4, [[0, 1], [2, 3]])],
+    ["cond-res", RHO3, rotated_blocks_doc()],
+    ["pinch", RHO4, blocks_doc(4, [[0, 2], [1], [3]])],
+    ["pinch", RHO3, rotated_blocks_doc()],
+    ["classical", json.dumps({"joint": [[0.3, 0.2], [0.1, 0.4]]})],
+    ["classical", json.dumps({"joint": [[0.25, 0.25], [0.25, 0.25]]})],
+    ["classical", json.dumps({
+        "p": [0.5, 0.5], "q": [0.5, 0.5],
+        "p_given_q": [[1.0, 0.0], [0.0, 1.0]], "q_given_p": [[1.0, 0.0], [0.0, 1.0]],
+    })],
+    ["classical", json.dumps({
+        "p": [0.5, 0.5], "q": [0.3, 0.3, 0.4],
+        "p_given_q": [[0.5, 0.5], [0.5, 0.5]], "q_given_p": [[0.3, 0.3], [0.3, 0.3]],
+    })],
+    ["hres", blocks_doc(4, [[0, 1], [2, 3]]), blocks_doc(4, [[0], [1, 2], [3]])],
+    ["hres", rotated_blocks_doc(), blocks_doc(3, [[0, 1], [2]])],
+    ["orders", diag_doc(0.4, 0.4, 0.2), diag_doc(0.5, 0.3, 0.2)],
+    ["orders", RHO3, diag_doc(1 / 3, 1 / 3, 1 / 3)],
+    *[["optimize", RHO4, "--rank", str(r)] for r in range(5)],
+    *[["optimize", RHO6, "--rank", str(r)] for r in range(1, 7)],
+    *[
+        ["audit", "--functional", f, "--seed", str(s), "--dims", "2,3,4", "--trials", "20"]
+        for f in ("scond", "hres")
+        for s in (0, 1)
+    ],
+    *[["demo", name] for name in ("dim2", "tilted", "coupled", "impossibility")],
+]
+
+
+def runs():
+    """(file name, argv) of every run, in order."""
+    for i, argv in enumerate(COMMANDS):
+        for fmt in FORMATS:
+            for profile in PROFILES:
+                name = f"{i:03d}-{argv[0]}-{fmt}-{profile}.txt"
+                yield name, [*argv, "--format", fmt, "--tol-profile", profile]
+
+
+def run_one(main, argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects its input this way
+            code = exc.code
+    return f"exit: {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: golden_cli.py OUT_DIR", file=sys.stderr)
+        return 2
+    os.environ.pop("QCE_SEED", None)
+    import qce
+    from qce.cli import main as cli_main
+
+    print(f"qce from {Path(qce.__file__).parent}", file=sys.stderr)
+    out_dir = Path(args[0])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    count = 0
+    for name, run_argv in runs():
+        (out_dir / name).write_text(run_one(cli_main, run_argv))
+        count += 1
+    print(f"wrote {count} outputs to {out_dir}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,4 @@
-"""A randomized desiderata audit and demonstration probes.
+"""A randomized desiderata audit: the condition table and its runner.
 
 Two conditional-entropy functionals are audited against the classical
 desiderata for an entropy of one observation given another:
@@ -44,32 +44,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import rand
-from .errors import BadShape, ValidationError
-from .entropy import (
-    compressed_entropy,
-    compressed_state,
-    conditional_entropy,
-    joint_entropy,
-    pinch,
-    self_conditional_entropy,
-    self_information_gain,
-    von_neumann_entropy,
-)
-from .matcore import (
-    DensityMatrix,
-    IdentityResolution,
-    Projector,
-    hermitize,
-    spectral_resolution,
-)
+from .errors import ValidationError
+from .entropy import conditional_entropy, joint_entropy, von_neumann_entropy
+from .matcore import DensityMatrix, spectral_resolution
 from .resolutions import (
-    commutant_dim,
     conditional_entropy_of_states,
     resolution_entropy,
     resolution_joint_entropy,
 )
 from .serialize import doc_to_matrix, matrix_to_doc
-from .states import coupled_pair_split, coupled_pair_state, tilted_pair_state
+from .states import _rotate, _rotation
 
 __all__ = [
     "AuditReport",
@@ -78,15 +62,7 @@ __all__ = [
     "EnsembleConfig",
     "audit_deviations",
     "axiom_audit",
-    "coupled_family_probe",
-    "dim2_demo",
-    "impossibility_demos",
-    "random_density",
-    "random_projector",
-    "random_resolution",
-    "random_unitary",
     "replay_witness",
-    "tilted_family_probe",
 ]
 
 _FUNCTIONAL_IDS = ("scond", "hres")
@@ -118,151 +94,6 @@ EXPECTED_VERDICTS = {
         "6-concavity-sigma": FAILS,
     },
 }
-
-
-# ---------------------------------------------------------------------------
-# Ensembles
-
-
-def random_unitary(dim: int, seed: int = 0) -> np.ndarray:
-    """Haar-distributed unitary, deterministic per seed."""
-    if dim < 1:
-        raise BadShape("dimension must be positive")
-    return rand.haar_unitary(dim, rand.rng_for(seed))
-
-
-def random_density(dim: int, rank: int | None = None, seed: int = 0) -> DensityMatrix:
-    """Trace-normalized Wishart state G G* / tr with G complex Gaussian dim x rank."""
-    if dim < 1:
-        raise BadShape("dimension must be positive")
-    rank = dim if rank is None else int(rank)
-    if rank < 1 or rank > dim:
-        raise BadShape(f"rank {rank} outside [1, {dim}]")
-    return DensityMatrix(rand.ginibre_density(dim, rank, rand.rng_for(seed)))
-
-
-def random_projector(dim: int, rank: int, seed: int = 0) -> Projector:
-    """Projector onto a Haar-random subspace of the given rank."""
-    if dim < 1:
-        raise BadShape("dimension must be positive")
-    rank = int(rank)
-    if rank < 0 or rank > dim:
-        raise BadShape(f"rank {rank} outside [0, {dim}]")
-    return Projector.from_basis(rand.haar_basis(dim, rank, rand.rng_for(seed)))
-
-
-def random_resolution(dim: int, block_sizes, seed: int = 0) -> IdentityResolution:
-    """Resolution with the given block sizes along a Haar-random frame."""
-    sizes = [int(s) for s in block_sizes]
-    if any(s < 1 for s in sizes) or sum(sizes) != dim:
-        raise BadShape(f"block sizes {sizes} do not partition dimension {dim}")
-    u = rand.haar_unitary(dim, rand.rng_for(seed))
-    return IdentityResolution._from_frame(u, sizes)
-
-
-# ---------------------------------------------------------------------------
-# Draw helpers for the audit
-
-
-def _draw_density(dim: int, rng: np.random.Generator, profile: str) -> DensityMatrix:
-    rank = dim if profile == "full" else int(rng.integers(1, dim + 1))
-    return DensityMatrix(rand.ginibre_density(dim, rank, rng))
-
-
-def _random_composition(dim: int, rng: np.random.Generator, degenerate: bool) -> list[int]:
-    sizes = []
-    left = dim
-    while left > 0:
-        s = int(rng.integers(1, left + 1))
-        sizes.append(s)
-        left -= s
-    if degenerate and dim >= 2 and all(s == 1 for s in sizes):
-        sizes = [2] + sizes[2:]
-    rng.shuffle(sizes)
-    return sizes
-
-
-def _spaced_levels(sizes, rng: np.random.Generator, gap_floor: float) -> np.ndarray:
-    """Distinct positive block eigenvalues, descending, with sum(sizes * levels) = 1.
-
-    Pairwise gaps and the smallest level are kept at or above gap_floor when a
-    random draw achieves that within 200 attempts; the deterministic fallback
-    uses evenly spread levels instead (gaps 1 / sum(sizes * (k..1))).
-    """
-    k = len(sizes)
-    weights = np.asarray(sizes, dtype=float)
-    for _ in range(200):
-        raw = np.sort(rng.random(k) + 0.05)[::-1]
-        vals = raw / float(np.dot(weights, raw))
-        if vals[-1] < gap_floor:
-            continue
-        if k == 1 or float(np.min(-np.diff(vals))) >= gap_floor:
-            return vals
-    base = np.arange(k, 0, -1).astype(float)
-    return base / float(np.dot(weights, base))
-
-
-def _draw_degenerate_state(
-    dim: int, rng: np.random.Generator, gap_floor: float
-) -> DensityMatrix:
-    """State with exactly degenerate blocks and cluster-safe level gaps."""
-    sizes = _random_composition(dim, rng, degenerate=True)
-    frame = rand.haar_unitary(dim, rng)
-    levels = _spaced_levels(sizes, rng, gap_floor)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    start = 0
-    for level, s in zip(levels, sizes):
-        cols = frame[:, start:start + s]
-        mat += level * (cols @ cols.conj().T)
-        start += s
-    return DensityMatrix(hermitize(mat))
-
-
-def _draw_nondegenerate_state(
-    dim: int, rng: np.random.Generator, gap_floor: float
-) -> DensityMatrix:
-    """Full-rank state with all spectral gaps >= gap_floor."""
-    levels = _spaced_levels([1] * dim, rng, gap_floor)
-    frame = rand.haar_unitary(dim, rng)
-    mat = (frame * levels) @ frame.conj().T
-    return DensityMatrix(hermitize(mat))
-
-
-def _draw_commuting_pair(rng: np.random.Generator, dim: int, t: int, cfg) -> dict:
-    """Two exactly degenerate states diagonal in one Haar-random frame."""
-    frame = rand.haar_unitary(dim, rng)
-    pair = []
-    for _ in range(2):
-        sizes = _random_composition(dim, rng, degenerate=True)
-        levels = _spaced_levels(sizes, rng, cfg.gap_floor)
-        pair.append(_rotate(DensityMatrix.diagonal(np.repeat(levels, sizes)), frame))
-    return {"rho": pair[0], "sigma": pair[1]}
-
-
-def _draw_conditioning(
-    dim: int, rng: np.random.Generator, trial: int, gap_floor: float
-) -> DensityMatrix:
-    """Nondegenerate on even trials, exactly degenerate blocks on odd ones."""
-    if trial % 2:
-        return _draw_degenerate_state(dim, rng, gap_floor)
-    return _draw_nondegenerate_state(dim, rng, gap_floor)
-
-
-def _rotate(state: DensityMatrix, unitary: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(hermitize(unitary @ state.mat @ unitary.conj().T))
-
-
-def _rotation(theta: float) -> np.ndarray:
-    """Real rotation of the plane by theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-def _encode(value):
-    """A witness field: matrices and states as matrix documents, the rest as is."""
-    if isinstance(value, DensityMatrix):
-        value = value.mat
-    return matrix_to_doc(value) if isinstance(value, np.ndarray) else value
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +138,10 @@ class EnsembleConfig:
 
 # A condition fails on a violation above _VIOLATION_TOL unless its record sets
 # another threshold; _continuity counts a first-step jump only above
-# _JUMP_FACTOR times every later step and above _JUMP_FACTOR * _JUMP_FLOOR;
-# impossibility_demos calls a forced-zero value above _CONTRADICTION_TOL a
-# contradiction.
+# _JUMP_FACTOR times every later step and above _JUMP_FACTOR * _JUMP_FLOOR.
 _VIOLATION_TOL = 1e-9
 _JUMP_FACTOR = 10.0
 _JUMP_FLOOR = 1e-9
-_CONTRADICTION_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +226,7 @@ class _Condition:
     audit and replay_witness both call it. Constructed probes() give
     (tag, inputs) pairs and run first; then, unless draw is None,
     draw(rng, dim, trial, cfg) gives the inputs of each sampled trial, on
-    rand.rng_for(seed, stream, dim, trial), tagged with tag (None: no tag).
+    rand._rng_for(seed, stream, dim, trial), tagged with tag (None: no tag).
     A violation above threshold fails the condition. The witness of the
     worst one is {kind, functional, [tag], inputs..., details..., violation}.
     aside(fid, inputs, details), when set, is a side value whose maximum
@@ -481,22 +309,33 @@ def _swap_probe() -> tuple:
     return (("constructed", {"rho": flat, "sigma": uniform}),)
 
 
+def _draw_commuting_pair(rng: np.random.Generator, dim: int, t: int, cfg) -> dict:
+    """Two exactly degenerate states diagonal in one Haar-random frame."""
+    frame = rand._haar_unitary(dim, rng)
+    pair = []
+    for _ in range(2):
+        sizes = rand._random_composition(dim, rng, degenerate=True)
+        levels = rand._spaced_levels(sizes, rng, cfg.gap_floor)
+        pair.append(_rotate(DensityMatrix.diagonal(np.repeat(levels, sizes)), frame))
+    return {"rho": pair[0], "sigma": pair[1]}
+
+
 _CONDITIONS = (
     _Condition(
         1, "1-invariance", "conjugating both arguments by one unitary",
         "invariance", _invariance, stream=21, threshold=1e-8,
         draw=lambda rng, dim, t, cfg: {
-            "rho": _draw_density(dim, rng, cfg.rank_profile),
-            "sigma": _draw_degenerate_state(dim, rng, cfg.gap_floor),
-            "unitary": rand.haar_unitary(dim, rng),
+            "rho": rand._draw_density(dim, rng, cfg.rank_profile),
+            "sigma": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "unitary": rand._haar_unitary(dim, rng),
         },
     ),
     _Condition(
         2, "2-bounds", "two-sided bound 0 <= value <= entropy of the first argument",
         "bound", _bound, stream=22, tag="sampled",
         draw=lambda rng, dim, t, cfg: {
-            "rho": _draw_density(dim, rng, cfg.rank_profile),
-            "sigma": _draw_conditioning(dim, rng, t, cfg.gap_floor),
+            "rho": rand._draw_density(dim, rng, cfg.rank_profile),
+            "sigma": rand._draw_conditioning(dim, rng, t, cfg.gap_floor),
         },
         # Eigenvalue-blind conditioning can exceed S(rho).
         probes=lambda: (("constructed", {
@@ -506,7 +345,9 @@ _CONDITIONS = (
     _Condition(
         2, "2-eq-self", "conditioning a state on itself should give zero",
         "eq-self", _eq_self, stream=23, tag="sampled",
-        draw=lambda rng, dim, t, cfg: {"rho": _draw_conditioning(dim, rng, t, cfg.gap_floor)},
+        draw=lambda rng, dim, t, cfg: {
+            "rho": rand._draw_conditioning(dim, rng, t, cfg.gap_floor)
+        },
         probes=lambda: (("constructed", {"rho": DensityMatrix.maximally_mixed(2)}),),
     ),
     _Condition(
@@ -514,7 +355,7 @@ _CONDITIONS = (
         "conditioning on the maximally mixed state reaches the functional's own "
         "maximal value; max gap against the von Neumann entropy was {aside:.6g}",
         "eq-trivial", _eq_trivial, stream=24,
-        draw=lambda rng, dim, t, cfg: {"rho": _draw_density(dim, rng, cfg.rank_profile)},
+        draw=lambda rng, dim, t, cfg: {"rho": rand._draw_density(dim, rng, cfg.rank_profile)},
         aside=lambda fid, x, details: abs(details["value"] - von_neumann_entropy(x["rho"])),
     ),
     _Condition(
@@ -525,8 +366,8 @@ _CONDITIONS = (
         4, "4-symmetry", _SYMMETRY_NOTES, "joint-symmetry", _joint_symmetry,
         stream=26, tag="sampled", probes=_swap_probe,
         draw=lambda rng, dim, t, cfg: {
-            "rho": _draw_degenerate_state(dim, rng, cfg.gap_floor),
-            "sigma": _draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "rho": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "sigma": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
         },
     ),
     _Condition(
@@ -545,9 +386,9 @@ _CONDITIONS = (
         stream=27, tag="sampled",
         draw=lambda rng, dim, t, cfg: {
             "lambda": float(rng.random()),
-            "arg1": _draw_density(dim, rng, cfg.rank_profile),
-            "arg2": _draw_density(dim, rng, cfg.rank_profile),
-            "fixed": _draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "arg1": rand._draw_density(dim, rng, cfg.rank_profile),
+            "arg2": rand._draw_density(dim, rng, cfg.rank_profile),
+            "fixed": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
         },
         # Eigenvalue swap whose midpoint is maximally mixed: blind functionals
         # drop to zero there while both endpoints score ln 2.
@@ -561,9 +402,9 @@ _CONDITIONS = (
         lambda fid, x: _concavity(fid, x, first=False), stream=28, tag="sampled",
         draw=lambda rng, dim, t, cfg: {
             "lambda": float(rng.random()),
-            "arg1": _draw_degenerate_state(dim, rng, cfg.gap_floor),
-            "arg2": _draw_degenerate_state(dim, rng, cfg.gap_floor),
-            "fixed": _draw_density(dim, rng, cfg.rank_profile),
+            "arg1": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "arg2": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
+            "fixed": rand._draw_density(dim, rng, cfg.rank_profile),
         },
         # Midpoint of (uniform, pure) is nondegenerate, so the weighted
         # functional drops to zero against a positive average.
@@ -581,7 +422,14 @@ def _probes(c: _Condition, cfg: EnsembleConfig):
     yield from c.probes()
     for dim in cfg.dims if c.draw is not None else ():
         for t in range(cfg.trials):
-            yield c.tag, c.draw(rand.rng_for(cfg.seed, c.stream, dim, t), dim, t, cfg)
+            yield c.tag, c.draw(rand._rng_for(cfg.seed, c.stream, dim, t), dim, t, cfg)
+
+
+def _encode(value):
+    """A witness field: matrices and states as matrix documents, the rest as is."""
+    if isinstance(value, DensityMatrix):
+        value = value.mat
+    return matrix_to_doc(value) if isinstance(value, np.ndarray) else value
 
 
 def _decode(key: str, value):
@@ -626,204 +474,3 @@ def replay_witness(witness: dict) -> float:
         raise ValidationError(f"unknown witness kind {witness['kind']!r}")
     inputs = {k: _decode(k, v) for k, v in witness.items()}
     return condition.violation(witness.get("functional", "scond"), inputs)[0]
-
-
-# ---------------------------------------------------------------------------
-# Demonstration probes
-
-
-def impossibility_demos() -> dict:
-    """Two obstructions to a universally well-behaved conditional entropy.
-
-    First, at rho = sigma = I/d the self rule demands value 0 while the
-    maximal-conditioning rule demands ln d; the pair is emitted in closed
-    form. Second, any nonnegative functional that vanishes on (rho, rho) and
-    is concave in its first argument must vanish at every (rho1, rho) with
-    rho strictly positive, because rho = lambda rho1 + (1 - lambda) rho2 for
-    some admissible lambda > 0; a resolution-only value above zero at a
-    rotated rho1 exhibits the contradiction concretely.
-    """
-    forced = [
-        {"dim": d, "required_by_self_rule": 0.0, "required_by_uniform_rule": math.log(d)}
-        for d in (2, 3, 4)
-    ]
-    rho = DensityMatrix.diagonal([0.6, 0.4])
-    rho1 = DensityMatrix.diagonal([0.3, 0.7])
-    lam = _decomposition_weight(rho, rho1)
-    rho2 = DensityMatrix((rho.mat - lam * rho1.mat) / (1.0 - lam))
-    rho1_rot = _rotate(rho1, _rotation(math.pi / 6.0))
-    lam_rot = _decomposition_weight(rho, rho1_rot)
-    rho2_rot = DensityMatrix((rho.mat - lam_rot * rho1_rot.mat) / (1.0 - lam_rot))
-    value_rot = conditional_entropy_of_states(rho1_rot, rho)
-    return {
-        "forced_pairs": forced,
-        "forced_pairs_note": (
-            "at the maximally mixed state the self rule and the "
-            "maximal-conditioning rule demand these two values at once"
-        ),
-        "decomposition": {
-            "rho": matrix_to_doc(rho.mat, "rho"),
-            "rho1": matrix_to_doc(rho1.mat, "rho1"),
-            "lambda": lam,
-            "rho2": matrix_to_doc(rho2.mat, "rho2"),
-            "rho1_rotated": matrix_to_doc(rho1_rot.mat, "rho1-rotated"),
-            "lambda_rotated": lam_rot,
-            "rho2_rotated": matrix_to_doc(rho2_rot.mat, "rho2-rotated"),
-            "candidate_functional": "hres",
-            "value_at_rotated": value_rot,
-            "forced_value": 0.0,
-            "contradiction": bool(value_rot > _CONTRADICTION_TOL),
-        },
-    }
-
-
-def _decomposition_weight(rho: DensityMatrix, rho1: DensityMatrix) -> float:
-    """Largest lambda with lambda * rho1 <= rho, for strictly positive rho."""
-    w, v = rho._eigh()
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    top = float(np.linalg.eigvalsh(hermitize(inv_sqrt @ rho1.mat @ inv_sqrt))[-1])
-    return 1.0 / top
-
-
-def coupled_family_probe(grid_points: int = 101) -> dict:
-    """Sweep the antidiagonal-coupled family against its two-block split.
-
-    Reports the two-block compressed-entropy sum (constant ln 2), the true
-    entropy from the eigendecomposition, two closed forms for it (a claimed
-    one that is off by ln 2 and the corrected one), and the pinching bound.
-    The block sum never exceeds the true entropy; they touch at full
-    coupling.
-    """
-    if grid_points < 2:
-        raise ValidationError("grid needs at least two points")
-    q1, q2 = coupled_pair_split()
-    blocks = IdentityResolution([q1, q2])
-    ln2, ln4 = math.log(2.0), math.log(4.0)
-    kappas, block_sums, entropies = [], [], []
-    claimed, corrected = [], []
-    max_dev_ln2 = 0.0
-    max_sum_minus_entropy = -math.inf
-    max_dev_corrected = 0.0
-    min_dev_claimed = math.inf
-    max_pinch_dev = 0.0
-    for k in range(grid_points):
-        kappa = k / (grid_points - 1)
-        rho = coupled_pair_state(kappa)
-        bs = compressed_entropy(rho, q1) + compressed_entropy(rho, q2)
-        entropy = von_neumann_entropy(rho)
-        mix = 0.0
-        for x in (1.0 + kappa, 1.0 - kappa):
-            if x > 0.0:
-                mix += 0.5 * x * math.log(x)
-        claim = ln2 - mix
-        correct = ln4 - mix
-        pinch_entropy = von_neumann_entropy(pinch(rho, blocks))
-        kappas.append(kappa)
-        block_sums.append(bs)
-        entropies.append(entropy)
-        claimed.append(claim)
-        corrected.append(correct)
-        max_dev_ln2 = max(max_dev_ln2, abs(bs - ln2))
-        max_sum_minus_entropy = max(max_sum_minus_entropy, bs - entropy)
-        max_dev_corrected = max(max_dev_corrected, abs(entropy - correct))
-        min_dev_claimed = min(min_dev_claimed, abs(entropy - claim))
-        max_pinch_dev = max(max_pinch_dev, abs(pinch_entropy - ln4))
-    return {
-        "kappa": kappas,
-        "block_sum": block_sums,
-        "entropy": entropies,
-        "claimed_closed_form": claimed,
-        "corrected_closed_form": corrected,
-        "entropy_at_zero": entropies[0],
-        "entropy_at_one": entropies[-1],
-        "max_block_sum_dev_from_ln2": max_dev_ln2,
-        "max_block_sum_minus_entropy": max_sum_minus_entropy,
-        "max_entropy_dev_from_corrected": max_dev_corrected,
-        "min_entropy_dev_from_claimed": min_dev_claimed,
-        "max_pinched_entropy_dev_from_ln4": max_pinch_dev,
-        "notes": [
-            "the per-block compressions are kappa-independent, so the block sum "
-            "stays at ln 2 while the entropy falls from ln 4 to ln 2",
-            "the claimed closed form is below the eigendecomposition entropy by "
-            "ln 2 everywhere; the corrected form matches it",
-            "the block sum stays at or below the entropy, so this family does not "
-            "separate the block sum from the entropy bound",
-            "pinching along the split always gives the maximally mixed state "
-            "(entropy ln 4), which dominates the block sum as convexity demands",
-        ],
-    }
-
-
-# The tilted-pair probe's first weight and its special point (cos^2 phi1,
-# cos^2 phi2), where the compression is half the projector.
-_TILTED_WEIGHT1 = 0.9
-_TILTED_SPECIAL = (0.1, 0.9)
-
-
-def tilted_family_probe(grid_points: int = 50) -> dict:
-    """Sweep the tilted-pair family for the compressed-entropy bound.
-
-    At the special point the compression is half the projector, so the
-    compressed state is maximally mixed on the plane (entropy ln 2) while
-    the state's own entropy stays below it; the compressed entropy is still
-    small because the compression carries little mass. Across the grid the
-    compressed entropy never exceeds the state entropy.
-    """
-    cos2_1, cos2_2 = _TILTED_SPECIAL
-    phi1 = math.acos(math.sqrt(cos2_1))
-    phi2 = math.acos(math.sqrt(cos2_2))
-    rho, q = tilted_pair_state(phi1, phi2, _TILTED_WEIGHT1)
-    value = compressed_entropy(rho, q)
-    entropy = von_neumann_entropy(rho)
-    inside = compressed_state(rho, q)
-    inside_entropy = von_neumann_entropy(inside)
-    half_projector_dev = float(np.max(np.abs(inside.mat - q.mat / 2.0)))
-    max_excess = -math.inf
-    for i in range(grid_points):
-        for j in range(grid_points):
-            a = 0.5 * math.pi * i / (grid_points - 1)
-            b = 0.5 * math.pi * j / (grid_points - 1)
-            r, qq = tilted_pair_state(a, b, _TILTED_WEIGHT1)
-            excess = compressed_entropy(r, qq) - von_neumann_entropy(r)
-            max_excess = max(max_excess, excess)
-    return {
-        "weight1": _TILTED_WEIGHT1,
-        "special_point": {
-            "cos2_phi1": cos2_1,
-            "cos2_phi2": cos2_2,
-            "compressed_entropy": value,
-            "entropy": entropy,
-            "compressed_state_entropy": inside_entropy,
-            "compressed_state_is_half_projector_dev": half_projector_dev,
-        },
-        "grid_points": grid_points,
-        "max_compressed_entropy_minus_entropy": max_excess,
-        "notes": [
-            "the compressed state can be strictly more mixed than the state "
-            "itself; the mass factor keeps the compressed entropy below the "
-            "state entropy",
-        ],
-    }
-
-
-def dim2_demo(seed: int = 0) -> dict:
-    """Smallest-dimension tour of the conditional entropy's behavior."""
-    rho = _rotate(DensityMatrix.diagonal([0.7, 0.3]), _rotation(math.pi / 7.0))
-    uniform = DensityMatrix.maximally_mixed(2)
-    sigma = _draw_nondegenerate_state(2, rand.rng_for(seed, 99), 1e-3)
-    return {
-        "rho": matrix_to_doc(rho.mat, "rho"),
-        "entropy": von_neumann_entropy(rho),
-        "conditional_on_uniform": conditional_entropy(rho, uniform).total,
-        "conditional_on_nondegenerate": conditional_entropy(rho, sigma).total,
-        "conditional_on_itself": self_conditional_entropy(rho),
-        "self_information_gain_of_uniform": self_information_gain(uniform),
-        "commutant_dim_rho": commutant_dim(rho),
-        "commutant_dim_uniform": commutant_dim(uniform),
-        "notes": [
-            "conditioning on the uniform state returns the full entropy; "
-            "conditioning on any nondegenerate state returns zero",
-            "the uniform state carries no information about itself: its "
-            "self-conditional entropy equals its entropy",
-        ],
-    }

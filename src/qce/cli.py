@@ -29,16 +29,7 @@ import math
 import os
 import sys
 
-from .audit import (
-    EXPECTED_VERDICTS,
-    EnsembleConfig,
-    audit_deviations,
-    axiom_audit,
-    coupled_family_probe,
-    dim2_demo,
-    impossibility_demos,
-    tilted_family_probe,
-)
+from .audit import EXPECTED_VERDICTS, EnsembleConfig, audit_deviations, axiom_audit
 from .config import tolerance_profile
 from .entropy import (
     _gain,
@@ -72,6 +63,12 @@ from .shannon import (
     joint_shannon_entropy,
     mutual_information,
     shannon_entropy,
+)
+from .states import (
+    coupled_family_probe,
+    dim2_demo,
+    impossibility_demos,
+    tilted_family_probe,
 )
 
 EXIT_OK = 0

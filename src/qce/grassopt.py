@@ -26,7 +26,8 @@ returns G, and the optimizer reports its norm at the answer, where it
 vanishes because the top-r eigenspace commutes with rho.
 
 Rank-one projectors are global flats: the functional vanishes identically
-on them and the gradient is exactly zero.
+on them and the gradient is exactly zero. entropy_gap_report reads the
+maximum at every rank below full from the same kept spectrum.
 
 Nothing here iterates. The Armijo ascent this solve replaced survives only
 as an independent oracle in the test suite; its settings survive only as
@@ -42,7 +43,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import BadShape, NotStrictlyPositive, ZeroCompression
-from .entropy import _spectrum_entropies, self_information_gain, von_neumann_entropy
+from .entropy import _spectrum_entropies, von_neumann_entropy
 from .matcore import (
     DensityMatrix,
     Projector,
@@ -56,10 +57,8 @@ from .matcore import (
 __all__ = [
     "GapReport",
     "OptimizeResult",
-    "SelfGainProbe",
     "entropy_gap_report",
     "maximize_compressed_entropy",
-    "probe_max_self_gain",
     "variational_gradient",
 ]
 
@@ -231,93 +230,4 @@ def entropy_gap_report(
         margins=margins,
         min_margin=min(margins) if margins else entropy,
         all_strict=all(m > 0.0 for m in margins),
-    )
-
-
-@dataclass(frozen=True)
-class SelfGainProbe:
-    """Best self-information gain found over degeneracy patterns."""
-
-    dim: int
-    best_state: DensityMatrix
-    best_gain: float
-    pattern: tuple[int, ...]
-    per_pattern: tuple[tuple[tuple[int, ...], float], ...]
-
-
-def _integer_partitions(n: int, cap: int | None = None):
-    cap = n if cap is None else cap
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _integer_partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _pattern_weights(mult: np.ndarray) -> np.ndarray:
-    """Block weights p maximizing H(p) + sum_i p_i (1 - p_i) ln m_i on the simplex.
-
-    The maximizer solves ln p_i + ln m_i (2 p_i - 1) = s with sum_i p_i = 1.
-    The left side (in u = ln p_i) and sum_i p_i(s) are increasing and convex,
-    so Newton steps started right of each root descend onto it.
-    """
-    a = np.log(mult)
-    s = float(np.max(a * (2.0 / mult.size - 1.0) - math.log(mult.size)))
-    for _ in range(100):
-        u = np.minimum(s + a, 0.0)
-        for _ in range(100):
-            e = 2.0 * a * np.exp(u)
-            step = (u + e - s - a) / (1.0 + e)
-            u = u - step
-            if float(step.max()) <= 1e-15:
-                break
-        p = np.exp(u)
-        ds = (float(p.sum()) - 1.0) / float(np.sum(p / (1.0 + 2.0 * a * p)))
-        s -= ds
-        if ds <= 1e-16:
-            break
-    return p
-
-
-def probe_max_self_gain(
-    dim: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    min_gap: float = 1e-6,
-) -> SelfGainProbe:
-    """The largest self-information gain S(rho) - S(rho | rho) in a given dimension.
-
-    A pattern with multiplicities m_i and block weights p_i = m_i x_i has the
-    strictly concave gain H(p) + sum_i p_i (1 - p_i) ln m_i, maximized exactly
-    by _pattern_weights. Equal multiplicities tie there, and a tie belongs to
-    a coarser pattern, so each tied group is spread symmetrically by min_gap:
-    the reported gain sits just under the supremum. A pattern whose
-    eigenvalues then come closer than min_gap/2, or reach zero, is skipped;
-    the rest are scored through self_information_gain on a diagonal
-    DensityMatrix.
-    """
-    dim = int(dim)
-    if dim < 1:
-        raise BadShape("dimension must be positive")
-    scored = []
-    for pattern in _integer_partitions(dim):
-        if len(pattern) == 1:
-            state = DensityMatrix.maximally_mixed(dim, tol)
-        else:
-            mult = np.asarray(pattern, dtype=float)
-            x = _pattern_weights(mult) / mult
-            for m in set(pattern):
-                group = np.flatnonzero(mult == m)
-                x[group] += min_gap * (np.arange(group.size) - (group.size - 1) / 2.0)
-            if float(x.min()) <= 0.0 or float(np.diff(np.sort(x)).min()) < min_gap / 2.0:
-                continue
-            state = DensityMatrix.diagonal(np.repeat(x, pattern), tol)
-        scored.append((self_information_gain(state, tol=tol), pattern, state))
-    best_gain, best_pattern, best_state = max(scored, key=lambda c: c[0])
-    return SelfGainProbe(
-        dim=dim,
-        best_state=best_state,
-        best_gain=best_gain,
-        pattern=best_pattern,
-        per_pattern=tuple((pattern, gain) for gain, pattern, _ in scored),
     )

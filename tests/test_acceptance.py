@@ -30,7 +30,6 @@ from qce import (
     coupled_pair_state,
     doc_to_matrix,
     entropy_gap_report,
-    haar_unitary,
     hermitize,
     impossibility_demos,
     max_abs,
@@ -49,7 +48,7 @@ from qce import (
     variational_gradient,
     von_neumann_entropy,
 )
-from qce import audit
+from qce import audit, rand
 
 LN2 = math.log(2.0)
 
@@ -241,9 +240,9 @@ def pinch_loss(fid, x):
 PINCH_MONOTONICITY = audit._Condition(
     0, "pinch-monotonicity", "", "pinch-monotonicity", pinch_loss, stream=13,
     draw=lambda rng, dim, t, cfg: {
-        "rho": audit._draw_density(dim, rng, cfg.rank_profile),
-        "sizes": audit._random_composition(dim, rng, degenerate=False),
-        "frame": haar_unitary(dim, rng),
+        "rho": rand._draw_density(dim, rng, cfg.rank_profile),
+        "sizes": rand._random_composition(dim, rng, degenerate=False),
+        "frame": rand._haar_unitary(dim, rng),
     },
 )
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qce import (
+    BadShape,
     EXPECTED_VERDICTS,
     FAILS,
     HOLDS,
@@ -103,6 +104,21 @@ def test_random_resolution_partitions_identity():
 )
 def test_seeded_entry_points_reject_negative_seeds(draw):
     with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        draw()
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: random_unitary(0),
+        lambda: random_density(0),
+        lambda: random_projector(0, 0),
+        lambda: random_resolution(0, []),
+    ],
+    ids=["random_unitary", "random_density", "random_projector", "random_resolution"],
+)
+def test_seeded_draws_reject_dimension_zero(draw):
+    with pytest.raises(BadShape, match="dimension must be positive"):
         draw()
 
 
@@ -265,6 +281,13 @@ def test_tilted_family_probe_special_point():
     assert sp["compressed_state_entropy"] == pytest.approx(LN2, abs=1e-12)
     assert sp["entropy"] == pytest.approx(0.325083, abs=5e-7)
     assert rep["max_compressed_entropy_minus_entropy"] <= 1e-10
+
+
+@pytest.mark.parametrize("probe", [coupled_family_probe, tilted_family_probe])
+@pytest.mark.parametrize("grid_points", [0, 1])
+def test_family_probes_need_two_grid_points(probe, grid_points):
+    with pytest.raises(ValidationError, match="grid needs at least two points"):
+        probe(grid_points)
 
 
 def test_dim2_demo_identities():

@@ -19,6 +19,7 @@ from qce import (
     DensityMatrix,
     NotStrictlyPositive,
     Projector,
+    ValidationError,
     ZeroCompression,
     compressed_entropy,
     entropy_gap_report,
@@ -486,6 +487,13 @@ def test_self_gain_probe_skips_spreads_that_leave_the_simplex():
     # Spreading three eigenvalues near 1/3 by 0.5 would make one negative.
     probe = probe_max_self_gain(3, min_gap=0.5)
     assert set(dict(probe.per_pattern)) == {(3,), (2, 1)}
+
+
+@pytest.mark.parametrize("min_gap", [0.0, -1e-3, math.nan, math.inf])
+def test_self_gain_probe_needs_a_positive_min_gap(min_gap):
+    # Without a positive spread, tied levels stay tied and score a coarser pattern.
+    with pytest.raises(ValidationError, match="min_gap must be positive"):
+        probe_max_self_gain(3, min_gap=min_gap)
 
 
 def test_import_loads_no_scipy():

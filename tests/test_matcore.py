@@ -32,7 +32,7 @@ from qce import (
     tolerance_profile,
     variational_gradient,
 )
-from qce.audit import _decomposition_weight
+from qce.states import _decomposition_weight
 
 
 def rot(theta):

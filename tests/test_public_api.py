@@ -1,6 +1,8 @@
-"""The public surface: qce.__all__ is pinned, so growing it is a reviewed diff."""
+"""The public surface and the import graph are pinned, so growing either is a reviewed diff."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -21,15 +23,15 @@ PUBLIC = [
     "conditional_entropy_given_blocks", "conditional_entropy_of_states",
     "conditional_shannon_entropy", "coupled_family_probe", "coupled_pair_split",
     "coupled_pair_state", "dim2_demo", "doc_to_matrix", "doc_to_partition",
-    "doc_to_resolution", "entropy_gap_report", "ginibre_density", "haar_basis",
-    "haar_unitary", "hermitize", "impossibility_demos", "information_gain",
+    "doc_to_resolution", "entropy_gap_report", "hermitize", "impossibility_demos",
+    "information_gain",
     "is_consequence", "is_independent", "joint_entropy", "joint_shannon_entropy",
     "load_document", "matrix_to_doc", "max_abs", "maximize_compressed_entropy",
     "more_mixed", "mutual_information", "partition_from_resolutions", "pinch",
     "probe_max_self_gain", "random_density", "random_projector",
     "random_resolution", "random_unitary", "replay_witness",
     "resolution_conditional_entropy", "resolution_entropy", "resolution_joint_entropy",
-    "resolution_leq", "resolution_to_doc", "rng_for", "self_conditional_entropy",
+    "resolution_leq", "resolution_to_doc", "self_conditional_entropy",
     "self_information_gain", "shannon_entropy", "spectral_resolution",
     "spectrum_distribution", "tilted_family_probe", "tilted_pair_state",
     "tolerance_profile", "variational_gradient", "von_neumann_entropy",
@@ -38,13 +40,35 @@ PUBLIC = [
 # Names that left the API: never raised, unused outside their own module, a
 # private helper of the random ensembles, settings of the retired iterative
 # ascent, sampling loops folded into the audit's condition runner, or dense
-# helpers no code path needed (compress, trace_xlnx).
+# helpers no code path needed (compress, trace_xlnx), or generator-level draws
+# that the seeded random_* draws replace.
 RETIRED = [
     "NotApplicable", "NotCommuting", "OptimizeConfig", "SweepReport",
-    "complex_gaussian", "compress", "eig_hermitian", "normalized_trace", "pinch_sweep",
-    "relative_entropy", "shannon_sweep", "support_projector", "trace_xlnx",
-    "unnormalized_compressed_entropy",
+    "complex_gaussian", "compress", "eig_hermitian", "ginibre_density", "haar_basis",
+    "haar_unitary", "normalized_trace", "pinch_sweep", "relative_entropy", "rng_for",
+    "shannon_sweep", "support_projector", "trace_xlnx", "unnormalized_compressed_entropy",
 ]
+
+# Module -> the qce modules it imports. rand draws on matcore alone, the
+# worked examples in states do not need the audit, and the rank-r maximum in
+# grassopt needs neither.
+IMPORTS = {
+    "__init__": {"audit", "config", "entropy", "errors", "grassopt", "matcore", "rand",
+                 "resolutions", "serialize", "shannon", "states"},
+    "audit": {"entropy", "errors", "matcore", "rand", "resolutions", "serialize", "states"},
+    "cli": {"audit", "config", "entropy", "errors", "grassopt", "matcore", "resolutions",
+            "serialize", "shannon", "states"},
+    "config": set(),
+    "entropy": {"config", "errors", "matcore", "shannon"},
+    "errors": set(),
+    "grassopt": {"config", "entropy", "errors", "matcore"},
+    "matcore": {"config", "errors"},
+    "rand": {"errors", "matcore"},
+    "resolutions": {"config", "errors", "matcore", "shannon"},
+    "serialize": {"config", "errors", "matcore", "shannon"},
+    "shannon": {"config", "errors"},
+    "states": {"config", "entropy", "errors", "matcore", "rand", "resolutions", "serialize"},
+}
 
 SUBMODULES = [
     importlib.import_module(f"qce.{info.name}") for info in pkgutil.iter_modules(qce.__path__)
@@ -52,7 +76,7 @@ SUBMODULES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 90
+    assert len(PUBLIC) == 86
     assert sorted(qce.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(qce, name) is not None
@@ -71,3 +95,16 @@ def test_retired_names_are_gone(name):
     for module in SUBMODULES:
         assert name not in getattr(module, "__all__", ())
         assert not hasattr(module, name), f"{module.__name__} still defines {name}"
+
+
+def _relative_imports(path: pathlib.Path) -> set:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+def test_import_graph_is_pinned():
+    sources = sorted(pathlib.Path(qce.__file__).parent.glob("*.py"))
+    assert {p.stem: _relative_imports(p) for p in sources} == IMPORTS

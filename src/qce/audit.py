@@ -65,8 +65,6 @@ __all__ = [
     "replay_witness",
 ]
 
-_FUNCTIONAL_IDS = ("scond", "hres")
-
 HOLDS = "holds-on-sample"
 FAILS = "fails-with-witness"
 
@@ -148,24 +146,30 @@ _JUMP_FLOOR = 1e-9
 # The desiderata audit
 
 
-def _functional(functional_id: str):
-    if functional_id == "scond":
-        return lambda rho, sigma: conditional_entropy(rho, sigma).total
-    if functional_id == "hres":
-        return conditional_entropy_of_states
-    raise ValidationError(f"unknown functional {functional_id!r}; use one of {_FUNCTIONAL_IDS}")
+# functional id -> (value f(rho, sigma), joint value J(rho, sigma), the
+# benchmark trivial(rho) that f(rho, I/d) should reach).
+_FUNCTIONALS = {
+    "scond": (
+        lambda rho, sigma: conditional_entropy(rho, sigma).total,
+        joint_entropy,
+        von_neumann_entropy,
+    ),
+    "hres": (
+        conditional_entropy_of_states,
+        lambda rho, sigma: resolution_joint_entropy(
+            spectral_resolution(rho), spectral_resolution(sigma)
+        ),
+        lambda rho: resolution_entropy(spectral_resolution(rho)),
+    ),
+}
 
 
-def _joint_value(functional_id: str, rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    if functional_id == "scond":
-        return joint_entropy(rho, sigma)
-    return resolution_joint_entropy(spectral_resolution(rho), spectral_resolution(sigma))
-
-
-def _trivial_benchmark(functional_id: str, rho: DensityMatrix) -> float:
-    if functional_id == "scond":
-        return von_neumann_entropy(rho)
-    return resolution_entropy(spectral_resolution(rho))
+def _functional(functional_id: str) -> tuple:
+    if functional_id not in _FUNCTIONALS:
+        raise ValidationError(
+            f"unknown functional {functional_id!r}; use one of {tuple(_FUNCTIONALS)}"
+        )
+    return _FUNCTIONALS[functional_id]
 
 
 @dataclass(frozen=True)
@@ -247,40 +251,44 @@ class _Condition:
 
 
 def _invariance(fid: str, x: dict):
-    f = _functional(fid)
+    f, _, _ = _functional(fid)
     base = f(x["rho"], x["sigma"])
     moved = f(_rotate(x["rho"], x["unitary"]), _rotate(x["sigma"], x["unitary"]))
     return abs(moved - base), {"value": base, "value_moved": moved}
 
 
 def _bound(fid: str, x: dict):
-    value = _functional(fid)(x["rho"], x["sigma"])
+    f, _, _ = _functional(fid)
+    value = f(x["rho"], x["sigma"])
     upper = von_neumann_entropy(x["rho"])
     violation = max(max(-value, 0.0), max(value - upper, 0.0))
     return violation, {"value": value, "entropy_rho": upper}
 
 
 def _eq_self(fid: str, x: dict):
-    value = _functional(fid)(x["rho"], x["rho"])
+    f, _, _ = _functional(fid)
+    value = f(x["rho"], x["rho"])
     return abs(value), {"value": value}
 
 
 def _eq_trivial(fid: str, x: dict):
     rho = x["rho"]
-    value = _functional(fid)(rho, DensityMatrix.maximally_mixed(rho.dim))
-    benchmark = _trivial_benchmark(fid, rho)
+    f, _, trivial = _functional(fid)
+    value = f(rho, DensityMatrix.maximally_mixed(rho.dim))
+    benchmark = trivial(rho)
     return abs(value - benchmark), {"value": value, "benchmark": benchmark}
 
 
 def _joint_symmetry(fid: str, x: dict):
-    j_rs = _joint_value(fid, x["rho"], x["sigma"])
-    j_sr = _joint_value(fid, x["sigma"], x["rho"])
+    _, joint, _ = _functional(fid)
+    j_rs = joint(x["rho"], x["sigma"])
+    j_sr = joint(x["sigma"], x["rho"])
     return abs(j_rs - j_sr), {"joint": j_rs, "joint_swapped": j_sr}
 
 
 def _continuity(fid: str, x: dict):
     """The first step's jump, counted only when it is above 10x every later step."""
-    f = _functional(fid)
+    f, _, _ = _functional(fid)
     rho, end = x["rho"], x["sigma_end"]
     uniform = DensityMatrix.maximally_mixed(rho.dim)
     values = [f(rho, DensityMatrix((1.0 - t) * uniform.mat + t * end.mat)) for t in x["path"]]
@@ -292,7 +300,7 @@ def _continuity(fid: str, x: dict):
 
 def _concavity(fid: str, x: dict, first: bool = True):
     """Jensen gap of mixing arg1 and arg2 in the first (or the second) argument."""
-    f = _functional(fid)
+    f, _, _ = _functional(fid)
     g = f if first else (lambda a, b: f(b, a))
     lam, a1, a2, fixed = x["lambda"], x["arg1"], x["arg2"], x["fixed"]
     mixed = DensityMatrix(lam * a1.mat + (1.0 - lam) * a2.mat)

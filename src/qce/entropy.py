@@ -25,17 +25,17 @@ conditional entropy is exactly zero; all the structure lives in degenerate
 spectra. That makes the functional discontinuous at degeneracy-pattern
 changes, which is intentional and probed rather than hidden (see the audit
 module). At the other end, a conditioning state proportional to the
-identity has one block spanning the space, whose compression has the
-spectrum of rho itself, so S(rho | I/d) = S(rho).
+identity has one block spanning the space, which weighs exactly 1.0 and
+holds all of rho, so S(rho | I/d) = S(rho), bit for bit.
 
 What needs only rho's own spectrum reads the eigendecomposition the state
-kept at construction and diagonalizes nothing: von_neumann_entropy, and the
-factor of a block that spans the whole space (conditioning on I/d, on the
-trivial resolution, or compressing into the identity projector). The other
-blocks of rank two or more are taken one rank group at a time: the blocks
-of equal rank are compressed onto their frame columns as one stack,
-diagonalized by one batched call and scored as one stack, so no numpy call
-runs per block unless its compression is rank-deficient.
+kept at construction and diagonalizes nothing: von_neumann_entropy, which
+is also the factor of a block that spans the whole space (conditioning on
+I/d, on the trivial resolution, or compressing into the identity
+projector). The other blocks of rank two or more are taken one rank group
+at a time: the blocks of equal rank are compressed onto their frame columns
+as one stack, diagonalized by one batched call and scored as one stack, so
+no numpy call runs per block unless its compression is rank-deficient.
 
 All entropies are in nats.
 """
@@ -149,23 +149,22 @@ def _block_entropies(rho: DensityMatrix, bases, tol: Tolerances) -> list[float]:
     """Entropy mass of rho in the span of each block, in block order.
 
     The spectrum of V* rho V is that of the nonzero block of Q rho Q, Q = V V*.
-    A block spanning the whole space (V unitary) has rho's own spectrum, read
-    from the eigenvalues the state kept. Blocks of equal rank 2 <= m < dim
-    form one rank group: their bases are stacked as (k, dim, m), compressed
-    into (k, m, m), diagonalized by one batched eigvalsh and scored as one
-    stack (_spectrum_entropies), so no numpy call runs per block unless its
-    compression is rank-deficient. Rank-one blocks give 0.0 without a
+    A block spanning the whole space (V unitary, even at dim 1) holds all of
+    rho, so its factor is von_neumann_entropy(rho), read from the eigenvalues
+    the state kept. Blocks of equal rank 2 <= m < dim form one rank group:
+    their bases are stacked as (k, dim, m), compressed into (k, m, m),
+    diagonalized by one batched eigvalsh and scored as one stack
+    (_spectrum_entropies), so no numpy call runs per block unless its
+    compression is rank-deficient. Other rank-one blocks give 0.0 without a
     compression.
     """
     factors = [0.0] * len(bases)
     by_rank: dict[int, list[int]] = {}
     for j, basis in enumerate(bases):
         m = basis.shape[1]
-        if m < 2:
-            continue
         if m == rho.dim:
-            factors[j] = _spectrum_entropies(rho._eigh()[0][None, :], tol)[0]
-        else:
+            factors[j] = von_neumann_entropy(rho, tol)
+        elif m > 1:
             by_rank.setdefault(m, []).append(j)
     for group in by_rank.values():
         stack = np.array([bases[j] for j in group])
@@ -181,8 +180,9 @@ def compressed_entropy(
     """Entropy mass of rho inside the subspace of Q.
 
     Equal to -tr(QrhoQ ln QrhoQ) + t ln t with t = tr(Q rho), and to
-    t * S(compressed_state(rho, q)). Returns exactly 0.0 for rank(Q) <= 1
-    and for vanishing compressions.
+    t * S(compressed_state(rho, q)). Returns von_neumann_entropy(rho) for
+    Q = I, and otherwise exactly 0.0 for rank(Q) <= 1 and for vanishing
+    compressions.
     """
     _check_state(rho, "rho")
     _check_projector(q, "q")
@@ -214,27 +214,25 @@ def conditional_entropy(
 
     sigma is resolved into distinct eigenprojectors Q_j; the total is
     sum_j tr(Q_j sigma) * compressed_entropy(rho, Q_j). The weight
-    tr(Q_j sigma) is taken as level_j * rank_j, and each factor from the
+    tr(Q_j sigma) is the resolution's weights[j], and each factor from the
     compression V_j* rho V_j onto the block's frame columns V_j; the blocks
     of equal rank are compressed, diagonalized and scored as one stack, and
     rank-one blocks contribute factor 0.0 without any compression. When
-    sigma is proportional to the identity its one block spans the space, and
-    the factor is S(rho), read from rho's kept eigenvalues without a
-    compression. Blocks whose sigma weight is at or below the support
-    tolerance are stored with weight 0.0. The resolution of sigma is
-    memoised on sigma, so conditioning many states on one sigma object
-    resolves it once.
+    sigma is proportional to the identity its one block spans the space,
+    with weight 1.0 and factor von_neumann_entropy(rho), so the total is
+    S(rho) exactly, with no compression. Blocks whose sigma weight is at or
+    below the support tolerance are stored with weight 0.0. The resolution
+    of sigma is memoised on sigma, so conditioning many states on one sigma
+    object resolves it once.
     """
     _check_state(rho, "rho")
     _check_state(sigma, "sigma")
     _check_same_dim(rho, sigma)
     res = spectral_resolution(sigma, tol)
-    bases = res.bases()
-    factors = _block_entropies(rho, bases, tol)
+    factors = _block_entropies(rho, res.bases(), tol)
     terms = []
     total = 0.0
-    for j, (level, basis, factor) in enumerate(zip(res.eigenvalues, bases, factors)):
-        weight = level * basis.shape[1]
+    for j, (weight, factor) in enumerate(zip(res.weights, factors)):
         if weight <= tol.support:
             weight = 0.0
         terms.append(BlockTerm(j, weight, factor))
@@ -247,15 +245,15 @@ def self_conditional_entropy(
 ) -> float:
     """Conditional entropy of a state given itself, via the closed form.
 
-    Each eigenvalue of multiplicity r contributes (value * r)^2 ln r; only
-    degenerate eigenvalues contribute.
+    Each eigenvalue of multiplicity r contributes its squared block weight
+    (value * r)^2 times ln r; only degenerate eigenvalues contribute.
     """
     _check_state(rho, "rho")
     res = spectral_resolution(rho, tol)
     total = 0.0
-    for val, rank in zip(res.eigenvalues, res.ranks()):
+    for w, rank in zip(res.weights, res.ranks()):
         if rank > 1:
-            total += (val * rank) ** 2 * math.log(rank)
+            total += w ** 2 * math.log(rank)
     return total
 
 
@@ -314,9 +312,10 @@ def joint_entropy(
 def _gain(s_rho: float, conditional: float) -> float:
     """S(rho) - S(rho | sigma) from its two terms; never below +0.0.
 
-    The bound S(rho | sigma) <= S(rho) can fail by a rounding: a pure state
-    given I/d keeps an eigenvalue just above 1, whose t ln t term lifts the
-    conditional value a few ulps above S(rho). That is reported as +0.0.
+    The bound S(rho | sigma) <= S(rho) can fail by a rounding: given a sigma
+    with a degenerate block smaller than the space, a pure state's
+    compression into it is scored from eigenvalues exact only to rounding,
+    and can read about 1e-14 above S(rho) = 0. That is reported as +0.0.
     """
     g = s_rho - conditional
     return g if g > 0.0 else 0.0
@@ -353,13 +352,11 @@ def spectrum_distribution(
 def block_distribution(
     rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> ProbabilityVector:
-    """Total weight rank_i * value_i carried by each distinct eigenvalue.
+    """Mass rank_i * value_i of each distinct eigenvalue: the resolution's weights.
 
     With the state's own eigenvalues as weights this splits the entropy
     exactly: S(rho) = shannon_entropy(block_distribution(rho))
     + sum_i rank_i * value_i * ln(rank_i).
     """
     _check_state(rho, "rho")
-    res = spectral_resolution(rho, tol)
-    weights = [v * r for v, r in zip(res.eigenvalues, res.ranks())]
-    return ProbabilityVector(weights, tol)
+    return ProbabilityVector(spectral_resolution(rho, tol).weights, tol)

@@ -8,8 +8,9 @@ Everything downstream works with four value types built here:
   consecutive nonzero column blocks; block j is the projector V_j V_j*.
 - SpectralResolution: the IdentityResolution subclass that adds one level
   per block, strictly descending (the distinct eigenvalues of the resolved
-  matrix). It goes wherever a resolution of the identity is expected, and
-  the levels are then ignored.
+  state), and each block's weight tr(Q_j sigma). It has one way in,
+  spectral_resolution(DensityMatrix), and goes wherever a resolution of the
+  identity is expected; the levels are then ignored.
 
 Construction is where validation and cleanup happen: matrices are
 symmetrized, eigenvalues in (-eps_psd, 0) are clamped to zero, and arrays are
@@ -42,11 +43,10 @@ state, keyed by the (frozen, hashable) Tolerances: every caller that
 resolves the same state object under the same tolerances shares one
 clustering and one frame check. The cluster scale is validated before the
 lookup and a failed resolution is never stored, so errors repeat on every
-call; raw arrays and equal but distinct states are resolved afresh.
-Memory: a state keeps its eigenvectors, one dim x dim complex frame, as
-much again as its own matrix, from construction on, resolved or not. A
+call; equal but distinct states are resolved afresh. Memory: a state keeps
+its eigenvectors, one dim x dim complex frame, from construction on. A
 resolution's frame is the reversed view of those eigenvectors, so resolving
-adds no second frame, only levels and block bounds per Tolerances record.
+adds only levels, weights and block bounds per Tolerances record.
 
 Eigenvalue clustering turns a raw descending spectrum into distinct levels
 at the scale tol.cluster, which must be finite and positive. Gaps at most
@@ -342,41 +342,19 @@ class IdentityResolution:
 class SpectralResolution(IdentityResolution):
     """An IdentityResolution with one level per block: distinct eigenvalues, descending.
 
-    Invariants: strictly descending values with consecutive gaps above the
-    clustering scale, one per block. When density=True the values must lie
-    in [0, 1] and satisfy sum(rank_i * value_i) = 1 within tol.trace. The
-    frame is checked first (as for any IdentityResolution), then the levels.
+    Built only by spectral_resolution, from a DensityMatrix. eigenvalues
+    holds the levels, strictly descending in [0, 1] with consecutive gaps
+    above the clustering scale; weights holds each block's mass
+    tr(Q_j sigma) = level_j * rank_j under the resolved state, exactly 1.0
+    for a single block, and sums to 1 within tol.trace. Both are tuples of
+    floats, one per block.
     """
 
-    def __init__(
-        self,
-        eigenvalues,
-        projectors,
-        tol: Tolerances = DEFAULT_TOLERANCES,
-        *,
-        density: bool = False,
-    ):
-        super().__init__(projectors, tol)
-        self._set_levels(eigenvalues, tol, density)
-
-    def _set_levels(self, eigenvalues, tol: Tolerances, density: bool) -> None:
-        ctol = _cluster_scale(tol)
-        vals = tuple(float(x) for x in eigenvalues)
-        if len(vals) != len(self):
-            raise ValidationError("eigenvalue and projector counts differ")
-        for k in range(len(vals) - 1):
-            gap = vals[k] - vals[k + 1]
-            if gap <= ctol:
-                raise ValidationError(
-                    f"eigenvalues are not descending with gaps above {ctol:g}"
-                )
-        if density:
-            if vals[-1] < 0.0 or vals[0] > 1.0:
-                raise ValidationError("density eigenvalues must lie in [0, 1]")
-            mass = sum(v * r for v, r in zip(vals, self.ranks()))
-            if abs(mass - 1.0) > tol.trace:
-                raise ValidationError(f"eigenvalue mass {mass!r} is not 1")
-        self.eigenvalues = vals
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "SpectralResolution is built by spectral_resolution(DensityMatrix); "
+            "use IdentityResolution for blocks without levels"
+        )
 
     def blocks(self) -> IdentityResolution:
         """The resolution itself: forgetting the levels needs no conversion.
@@ -420,47 +398,54 @@ def _cluster_sizes(w_desc: np.ndarray, ctol: float) -> list[int]:
 
 
 def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralResolution:
-    """Canonical spectral resolution of a density matrix (or Hermitian matrix).
+    """Canonical spectral resolution of a density matrix.
 
     Eigenvalues are clustered at the scale tol.cluster; each cluster becomes
     one block of the eigenvector frame, with the cluster's mean eigenvalue as
-    the level. Raises ValidationError when tol.cluster is not finite and
-    positive, and ClusterAmbiguity when a gap falls strictly between
-    tol.cluster/4 and tol.cluster, or when merging leaves two adjacent levels
-    closer than tol.cluster.
+    the level. Raises TypeError unless rho is a DensityMatrix,
+    ValidationError when tol.cluster is not finite and positive, and
+    ClusterAmbiguity when a gap falls strictly between tol.cluster/4 and
+    tol.cluster, or when merging leaves two adjacent levels closer than
+    tol.cluster.
 
-    A DensityMatrix is resolved from the eigendecomposition it kept at
+    The state is resolved from the eigendecomposition it kept at
     construction, and keeps its resolution per Tolerances record, so
     resolving the same state again under the same tolerances returns the
     same object. The resolution's frame is a view of the state's kept
     eigenvectors, so it adds no dim x dim array to the state. Failures are
-    not kept, and raw arrays are diagonalized and resolved on every call.
+    not kept.
     """
+    _check_state(rho, "rho")
     ctol = _cluster_scale(tol)
-    if not isinstance(rho, DensityMatrix):
-        mat = _require_hermitian(as_complex_matrix(rho), tol)
-        return _resolve(np.linalg.eigh(mat), ctol, tol, False)
     res = rho._resolutions.get(tol)
     if res is None:
-        res = rho._resolutions[tol] = _resolve(rho._eigh(), ctol, tol, True)
+        res = rho._resolutions[tol] = _resolve(rho, ctol, tol)
     return res
 
 
-def _resolve(eig, ctol: float, tol: Tolerances, density: bool) -> SpectralResolution:
-    """Cluster an ascending (eigenvalues, eigenvectors) pair; the frame is its reversed view."""
-    w, v = eig
+def _resolve(rho: DensityMatrix, ctol: float, tol: Tolerances) -> SpectralResolution:
+    """Cluster a state's kept spectrum; the frame is the reversed view of its eigenvectors.
+
+    The one place a block's weight tr(Q_j sigma) is computed: level_j * rank_j,
+    or exactly 1.0 when one block spans the space (the state's unit trace).
+    """
+    w, v = rho._eigh()
     w, v = w[::-1], v[:, ::-1]
     sizes = _cluster_sizes(w, ctol)
-    levels = np.add.reduceat(w, _offsets(sizes)[:-1]) / sizes
-    if density:
-        levels = np.clip(levels, 0.0, 1.0)
+    levels = np.clip(np.add.reduceat(w, _offsets(sizes)[:-1]) / sizes, 0.0, 1.0)
     if np.any(levels[:-1] - levels[1:] <= ctol):
         raise ClusterAmbiguity(
             "clustered levels collapsed within the clustering scale; "
             "no stable grouping at this tolerance"
         )
+    eigenvalues = tuple(levels.tolist())
+    weights = tuple(x * r for x, r in zip(eigenvalues, sizes)) if len(sizes) > 1 else (1.0,)
+    mass = sum(weights)
+    if abs(mass - 1.0) > tol.trace:
+        raise ValidationError(f"eigenvalue mass {mass!r} is not 1")
     res = SpectralResolution._from_frame(v, sizes, tol)
-    res._set_levels(levels, tol, density)
+    res.eigenvalues = eigenvalues
+    res.weights = weights
     return res
 
 

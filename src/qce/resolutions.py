@@ -146,7 +146,7 @@ def more_mixed(
 
     True when (a) the spectral blocks of rho each sit inside a unique
     spectral block of sigma, and (b) for every block Q_j of sigma,
-    tr(rho Q_j) equals sigma's eigenvalue times rank(Q_j) within tol.orth,
+    tr(rho Q_j) equals sigma's block weight tr(sigma Q_j) within tol.orth,
     the tolerance of the refinement test in (a).
     Implies S(rho) <= S(sigma) and that the commutant of rho is contained
     in that of sigma.
@@ -160,8 +160,7 @@ def more_mixed(
     v = res_s.frame
     diag = np.einsum("ij,ij->j", v.conj(), rho.mat @ v).real
     masses = np.add.reduceat(diag, res_s.bounds[:-1])
-    targets = np.asarray(res_s.eigenvalues) * np.asarray(res_s.ranks())
-    return bool(np.all(np.abs(masses - targets) <= tol.orth))
+    return bool(np.all(np.abs(masses - np.asarray(res_s.weights)) <= tol.orth))
 
 
 def commutant_dim(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> int:

@@ -560,14 +560,15 @@ def per_block_oracle(rho, bases, tol=DEFAULT_TOLERANCES):
 
     Equal ranks are still compressed and diagonalized as one stack, so the
     spectra are those of the library; each is then scored alone by
-    score_spectrum. A block spanning the space reads the kept spectrum.
+    score_spectrum. A block spanning the space holds all of rho and scores
+    its von Neumann entropy.
     """
     factors = [0.0] * len(bases)
     by_rank = {}
     for j, basis in enumerate(bases):
         m = basis.shape[1]
-        if m == rho.dim and m > 1:
-            factors[j] = score_spectrum(rho._eigh()[0], tol)
+        if m == rho.dim:
+            factors[j] = von_neumann_entropy(rho)
         elif m > 1:
             by_rank.setdefault(m, []).append(j)
     for group in by_rank.values():
@@ -608,7 +609,8 @@ def test_stacked_scoring_matches_the_per_block_oracle_bit_for_bit(sizes):
         assert [t.factor for t in breakdown.per_block] == oracle
         total = 0.0
         for level, rank, factor in zip(res.eigenvalues, res.ranks(), oracle):
-            weight = level * rank
+            # A single block carries sigma's whole unit trace.
+            weight = level * rank if len(sizes) > 1 else 1.0
             total += (weight if weight > tol.support else 0.0) * factor
         assert breakdown.total == total
         given = 0.0
@@ -1001,14 +1003,56 @@ def test_information_gain_bounds():
 
 
 def test_information_gain_of_a_pure_state_given_the_identity_is_never_negative():
-    # A pure state keeps an eigenvalue a rounding above 1, whose t ln t term
-    # lifts S(rho | I/4) a few ulps above S(rho); the gain reads +0.0 then.
+    # A pure state can keep an eigenvalue a rounding above 1; S(rho | I/4) is
+    # still S(rho) itself, +0.0, so the gain is exactly +0.0.
     sigma = DensityMatrix.maximally_mixed(4)
     for s in range(200):
         rng = np.random.default_rng(s)
         rho = DensityMatrix.pure(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         gain = information_gain(rho, sigma)
-        assert 0.0 <= gain <= 1e-14 and math.copysign(1.0, gain) == 1.0, s
+        assert gain == 0.0 and math.copysign(1.0, gain) == 1.0, s
+
+
+def test_conditioning_on_a_multiple_of_the_identity_is_the_entropy_bit_for_bit():
+    # S(rho | I/d) = S(rho) and no information is gained, exactly: the one
+    # block weighs 1.0 and scores von_neumann_entropy(rho). Likewise for the
+    # one-block coordinate resolution, weighted rank/dim = 1.0. Pure, rank-
+    # deficient and full-rank states, a clamped state among them, at d <= 64.
+    cases = 0
+    for dim in range(1, 65):
+        sigma = DensityMatrix.maximally_mixed(dim)
+        one_block = IdentityResolution.coordinate(dim, [dim])
+        ranks = sorted({1, max(1, dim // 2), dim})
+        states = [random_density(dim, r, seed=8 * dim + s) for r in ranks for s in range(8)]
+        if dim > 1:
+            states.append(clamped_state(dim, 1, seed=dim))
+        for rho in states:
+            s_rho = von_neumann_entropy(rho)
+            assert conditional_entropy(rho, sigma).total == s_rho, (dim, rho)
+            assert information_gain(rho, sigma) == 0.0
+            assert conditional_entropy_given_blocks(rho, one_block) == s_rho
+            assert conditional_entropy(rho, DensityMatrix(np.eye(dim) / dim)).total == s_rho
+            cases += 1
+    assert cases >= 1500
+
+
+def test_information_gain_floors_a_rounding_above_the_entropy():
+    # Given a two-block sigma, a pure state's rank-k block can score a few
+    # ulps above S(rho) = 0 from eigenvalues exact only to rounding; the gain
+    # reads +0.0 there rather than a negative number.
+    above = 0
+    for dim in range(3, 9):
+        for seed in range(40):
+            rho = random_density(dim, 1, seed=seed)
+            k = 1 + seed % (dim - 1)
+            levels = np.array([2.0] * k + [1.0] * (dim - k)) / (dim + k)
+            u = random_unitary(dim, seed=seed + 1000)
+            sigma = DensityMatrix((u * levels) @ u.conj().T)
+            if conditional_entropy(rho, sigma).total > von_neumann_entropy(rho):
+                above += 1
+                gain = information_gain(rho, sigma)
+                assert gain == 0.0 and math.copysign(1.0, gain) == 1.0
+    assert above > 0
 
 
 def test_information_gain_vanishes_conditioning_on_mixed():

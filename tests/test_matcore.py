@@ -211,13 +211,38 @@ def test_spectral_resolution_cluster_tol_override():
     assert spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=1e-4)).ranks() == (2,)
     assert spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=1e-9)).ranks() == (1, 1)
     # NaN or inf would fail every "gap >= scale" test and merge the spectrum.
-    p, q = Projector.coordinate(2, [0]), Projector.coordinate(2, [1])
     for bad in (-1.0, 0.0, float("nan"), float("inf")):
         tol = replace(DEFAULT_TOLERANCES, cluster=bad)
         with pytest.raises(ValidationError, match="positive"):
             spectral_resolution(rho, tol)
-        with pytest.raises(ValidationError, match="positive"):
-            SpectralResolution([0.7, 0.3], [p, q], tol)
+
+
+def test_only_a_density_matrix_has_a_spectral_resolution():
+    mat = np.diag([0.7, 0.3]).astype(complex)
+    with pytest.raises(TypeError, match="rho must be a DensityMatrix"):
+        spectral_resolution(mat)
+    p, q = Projector.coordinate(2, [0]), Projector.coordinate(2, [1])
+    with pytest.raises(TypeError, match="spectral_resolution"):
+        SpectralResolution([0.7, 0.3], [p, q])
+    assert spectral_resolution(DensityMatrix(mat)).eigenvalues == (0.7, 0.3)
+
+
+def test_resolution_weights_are_level_times_rank_and_one_for_one_block():
+    for sizes in ([3, 1, 2], [1] * 5, [4, 4], [9, 8, 8, 4, 2, 1]):
+        levels = np.arange(len(sizes), 0, -1, dtype=float)
+        levels /= float(np.dot(sizes, levels))
+        u = random_unitary(sum(sizes), seed=sum(sizes))
+        rho = DensityMatrix((u * np.repeat(levels, sizes)) @ u.conj().T)
+        res = spectral_resolution(rho)
+        assert sorted(res.ranks()) == sorted(sizes)
+        assert res.weights == tuple(x * r for x, r in zip(res.eigenvalues, res.ranks()))
+        assert all(type(w) is float for w in res.weights)
+        with pytest.raises(TypeError):
+            res.weights[0] = 0.5
+    for dim in range(1, 65):
+        res = spectral_resolution(DensityMatrix.maximally_mixed(dim))
+        assert res.ranks() == (dim,)
+        assert res.weights == (1.0,)
 
 
 def test_spectral_resolution_is_memoised_per_state_and_tolerances():
@@ -309,9 +334,11 @@ def test_spectral_resolution_failures_are_never_memoised():
         for _ in range(2):
             with pytest.raises(ValidationError, match="positive"):
                 spectral_resolution(rho, tol)
-    # A raw array is resolved afresh on every call.
+    # A raw array is refused, every time.
     mat = np.diag([0.7, 0.3]).astype(complex)
-    assert spectral_resolution(mat) is not spectral_resolution(mat)
+    for _ in range(2):
+        with pytest.raises(TypeError, match="rho must be a DensityMatrix"):
+            spectral_resolution(mat)
 
 
 def test_spectral_blocks_keep_the_callers_tolerances():
@@ -323,10 +350,8 @@ def test_spectral_blocks_keep_the_callers_tolerances():
     q = Projector.from_basis(np.array([[eps], [np.sqrt(1.0 - eps * eps)]]), loose)
     with pytest.raises(ValidationError, match="blocks 0 and 1 are not orthogonal"):
         IdentityResolution([p, q])
-    sr = SpectralResolution([0.7, 0.3], [p, q], loose)
-    blocks = sr.blocks()
+    blocks = IdentityResolution([p, q], loose)
     assert blocks.ranks() == (1, 1)
-    assert blocks.frame is sr.frame
     for basis, proj in zip(blocks.bases(), (p, q)):
         np.testing.assert_array_equal(basis, proj.range_basis())
 
@@ -335,10 +360,14 @@ CLUSTER = DEFAULT_TOLERANCES.cluster
 
 
 def planted_gap(dim, k, gap, seed):
-    """Hermitian matrix with eigenvalue 0.5 + gap (k times) over 0.5, in a Haar frame."""
-    diag = np.concatenate([np.full(k, 0.5 + gap), np.full(dim - k, 0.5)])
+    """State with eigenvalue base + gap (k times) over base = (1 - k gap) / dim, in a Haar frame.
+
+    The levels are 1/dim plus or minus a fraction of the gap, and the trace is 1.
+    """
+    base = (1.0 - k * gap) / dim
+    diag = np.concatenate([np.full(k, base + gap), np.full(dim - k, base)])
     u = random_unitary(dim, seed=seed)
-    return hermitize((u * diag) @ u.conj().T)
+    return DensityMatrix(hermitize((u * diag) @ u.conj().T))
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,24 +380,24 @@ def planted_gap(dim, k, gap, seed):
 def test_cluster_band_up_to_d128(dim_k, band, u, seed):
     dim, k = dim_k
     # Gaps keep a 1% margin from each band edge, far above the eigensolver's
-    # ~1e-14 error on levels near 0.5.
+    # rounding error on levels near 1/dim.
     lo, hi = {
         "split": (1.01 * CLUSTER, 100.0 * CLUSTER),
         "merge": (0.0, 0.99 * CLUSTER / 4.0),
         "ambiguous": (1.01 * CLUSTER / 4.0, 0.99 * CLUSTER),
     }[band]
     gap = lo + u * (hi - lo)
-    mat = planted_gap(dim, k, gap, seed)
+    rho = planted_gap(dim, k, gap, seed)
     if band == "ambiguous":
         with pytest.raises(ClusterAmbiguity):
-            spectral_resolution(mat)
+            spectral_resolution(rho)
         return
-    sr = spectral_resolution(mat)
+    sr = spectral_resolution(rho)
     assert sr.ranks() == ((k, dim - k) if band == "split" else (dim,))
     v = sr.frame
     assert max_abs(v.conj().T @ v - np.eye(dim)) <= 1e-12
     # A merge replaces both levels by their mean, moving each by at most gap.
-    np.testing.assert_allclose(sr.reconstruct(), mat, rtol=0.0, atol=gap + 1e-12)
+    np.testing.assert_allclose(sr.reconstruct(), rho.mat, rtol=0.0, atol=gap + 1e-12)
 
 
 def test_compress_masks_block():

@@ -124,6 +124,9 @@ COMMANDS: list[list[str]] = [
         for s in (0, 1)
     ],
     *[["demo", name] for name in ("dim2", "tilted", "coupled", "impossibility")],
+    # A one-block resolution, and a sigma with a zero-weight rank-2 block.
+    ["cond-res", RHO4, blocks_doc(4, [[0, 1, 2, 3]])],
+    ["cond", RHO4, diag_doc(0.5, 0.5, 0.0, 0.0)],
 ]
 
 

@@ -475,10 +475,16 @@ def axiom_audit(functional_id: str, cfg: EnsembleConfig) -> AuditReport:
     return AuditReport(functional_id=functional_id, config=cfg, entries=entries)
 
 
+class _Witness(dict):
+    def __missing__(self, key):  # a missing field raises ValidationError, not KeyError
+        raise ValidationError(f"witness has no {key!r} field")
+
+
 def replay_witness(witness: dict) -> float:
     """Recompute a witness's violation: its condition's violation on its inputs."""
-    condition = _BY_KIND.get(witness["kind"])
+    kind = _Witness(witness)["kind"]
+    condition = _BY_KIND.get(kind)
     if condition is None:
-        raise ValidationError(f"unknown witness kind {witness['kind']!r}")
-    inputs = {k: _decode(k, v) for k, v in witness.items()}
+        raise ValidationError(f"unknown witness kind {kind!r}")
+    inputs = _Witness((k, _decode(k, v)) for k, v in witness.items())
     return condition.violation(witness.get("functional", "scond"), inputs)[0]

@@ -61,7 +61,7 @@ from .matcore import (
     hermitize,
     spectral_resolution,
 )
-from .shannon import ProbabilityVector
+from .shannon import ProbabilityVector, _h
 
 __all__ = [
     "BlockTerm",
@@ -106,17 +106,15 @@ class EntropyBreakdown:
 def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """-tr(rho ln rho), in nats; never below +0.0.
 
-    Summed over the positive eigenvalues the state kept (DensityMatrix._eigh),
-    so no matrix is diagonalized here; the state was checked positive at
-    construction, and tol is not read. A pure state can keep an eigenvalue
-    just above 1, whose term makes the sum a rounding error below zero; that
-    is reported as +0.0, as is the -0.0 of an exact pure state.
+    The Shannon entropy _h of the eigenvalues the constructor kept
+    (DensityMatrix._eig), so no matrix is diagonalized here; the state was
+    checked positive at construction, and tol is not read. _h sums over the
+    positive entries and floors at +0.0: a pure state can keep an eigenvalue
+    just above 1, whose term makes the sum a rounding error below zero, and
+    an exact pure state gives -0.0; both read +0.0.
     """
     _check_state(rho, "rho")
-    w = rho._eigh()[0]
-    pos = w[w > 0.0]
-    h = -float(np.sum(pos * np.log(pos)))
-    return h if h > 0.0 else 0.0
+    return _h(rho._eig[0])
 
 
 def _spectrum_entropies(w: np.ndarray, tol: Tolerances) -> list[float]:

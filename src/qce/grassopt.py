@@ -121,7 +121,7 @@ def variational_gradient(
 
 def _positive_eigh(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The state's kept eigendecomposition, ascending, once rho > 1e-6 is checked."""
-    vals, vecs = rho._eigh()
+    vals, vecs = rho._eig
     min_eig = float(vals[0])
     if min_eig <= 1e-6:
         raise NotStrictlyPositive(

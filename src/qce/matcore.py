@@ -29,9 +29,9 @@ The operand checks shared by the functionals (a DensityMatrix, a Projector,
 an IdentityResolution, equal dimensions) live here too, so every entry point
 raises the same TypeError or DimMismatch for the same fault.
 
-A DensityMatrix is diagonalized once. The constructor's eigh, which checks
-positivity, is kept (frozen) when no eigenvalue had to be clamped; when one
-was, the matrix was rebuilt and is diagonalized again on first use. Its
+A DensityMatrix is diagonalized once, by its constructor, which keeps the
+frozen eigh of the matrix it stores (after a clamp, of the rebuilt one);
+a Projector likewise keeps its range basis from construction on. The state's
 resolution, the optimizer and the audit all read that one decomposition, and
 so does every functional that needs only the state's own spectrum:
 von_neumann_entropy, the compressed entropy in a block spanning the whole
@@ -82,7 +82,7 @@ def as_complex_matrix(obj) -> np.ndarray:
         raise BadShape(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise BadShape("matrix must be at least 1 x 1")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
@@ -117,11 +117,10 @@ class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace matrix.
 
     Eigenvalues in (-eps_psd, 0) are clamped to zero at construction; the
-    stored array is frozen. dim is the ambient dimension. The state keeps
-    the eigendecomposition its constructor computed, one dim x dim complex
-    frame beside the matrix (after a clamp, that of the rebuilt matrix,
-    computed on first use); the spectral resolution, memoised per
-    Tolerances record (see spectral_resolution), is a view of that frame.
+    stored array is frozen. dim is the ambient dimension. _eig is the frozen
+    np.linalg.eigh(mat), one dim x dim complex frame beside the matrix, run
+    by the constructor; the spectral resolution, memoised per Tolerances
+    record (see spectral_resolution), is a view of that frame.
     """
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -134,24 +133,11 @@ class DensityMatrix:
             raise NotPSD(f"density matrix eigenvalue {w[0]:.3e} below -{tol.psd:g}")
         if w[0] < 0.0:
             a = hermitize((v * np.clip(w, 0.0, None)) @ v.conj().T)
-            # The rebuilt matrix is diagonalized afresh, on first use.
-            self._eig = None
-        else:
-            self._eig = (_freeze(w), _freeze(v))
+            w, v = np.linalg.eigh(a)
         self.mat = _freeze(a)
         self.dim = a.shape[0]
+        self._eig = (_freeze(w), _freeze(v))
         self._resolutions = {}  # Tolerances -> SpectralResolution
-
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """np.linalg.eigh(self.mat) as (ascending eigenvalues, eigenvectors), frozen.
-
-        Kept from construction when no eigenvalue was clamped; otherwise
-        computed once, on the first call.
-        """
-        if self._eig is None:
-            w, v = np.linalg.eigh(self.mat)
-            self._eig = (_freeze(w), _freeze(v))
-        return self._eig
 
     @classmethod
     def diagonal(cls, values, tol: Tolerances = DEFAULT_TOLERANCES) -> "DensityMatrix":
@@ -187,6 +173,12 @@ class Projector:
     """Hermitian idempotent matrix with integer rank; the zero projector is allowed."""
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOLERANCES):
+        self._adopt(mat, tol)
+        w, v = np.linalg.eigh(self.mat)
+        self._basis = _freeze(np.ascontiguousarray(v[:, w > 0.5]))
+
+    def _adopt(self, mat, tol: Tolerances) -> None:
+        """Check a dense matrix (Hermitian, idempotent, integer trace) and store it."""
         a = _require_hermitian(as_complex_matrix(mat), tol, "projector")
         if max_abs(a @ a - a) > tol.idem:
             raise ValidationError(f"matrix is not idempotent within {tol.idem:g}")
@@ -199,13 +191,13 @@ class Projector:
         self.mat = _freeze(a)
         self.dim = a.shape[0]
         self.rank = rank
-        self._basis = None
 
     @classmethod
     def from_basis(cls, basis, tol: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
         """Projector onto the span of orthonormal columns.
 
         basis has shape (dim, r); columns must be orthonormal within tol.orth.
+        Their copy is the range basis, so no eigh runs; the matrix is checked.
         """
         b = np.asarray(basis, dtype=np.complex128)
         if b.ndim != 2:
@@ -216,7 +208,8 @@ class Projector:
         if r > 0 and max_abs(b.conj().T @ b - np.eye(r)) > tol.orth:
             raise ValidationError(f"basis columns are not orthonormal within {tol.orth:g}")
         mat = b @ b.conj().T if r > 0 else np.zeros((dim, dim), dtype=np.complex128)
-        q = cls(hermitize(mat), tol)
+        q = cls.__new__(cls)
+        q._adopt(hermitize(mat), tol)
         q._basis = _freeze(np.array(b, copy=True))
         return q
 
@@ -240,11 +233,7 @@ class Projector:
         return cls.from_basis(b, tol)
 
     def range_basis(self) -> np.ndarray:
-        """Orthonormal basis of the range, shape (dim, rank). Cached."""
-        if self._basis is None:
-            w, v = np.linalg.eigh(self.mat)
-            cols = v[:, w > 0.5]
-            self._basis = _freeze(np.ascontiguousarray(cols))
+        """Orthonormal basis of the range, shape (dim, rank), frozen at construction."""
         return self._basis
 
     def __repr__(self) -> str:
@@ -302,10 +291,15 @@ class IdentityResolution:
     ) -> "IdentityResolution":
         """Resolution whose blocks are consecutive column groups of a unitary frame.
 
-        A complex frame is adopted and frozen, not copied.
+        Sizes that do not partition its dim raise BadShape. A complex frame is
+        adopted and frozen, not copied.
         """
+        frame = np.asarray(frame, dtype=np.complex128)
+        sizes = [int(s) for s in sizes]
+        if sum(sizes) != frame.shape[0] or any(s < 1 for s in sizes):
+            raise BadShape(f"block sizes {sizes} do not partition dimension {frame.shape[0]}")
         res = cls.__new__(cls)
-        res._adopt(np.asarray(frame, dtype=np.complex128), _offsets(sizes), tol)
+        res._adopt(frame, _offsets(sizes), tol)
         return res
 
     def _adopt(self, frame: np.ndarray, bounds: tuple[int, ...], tol: Tolerances) -> None:
@@ -319,9 +313,8 @@ class IdentityResolution:
         cls, dim: int, sizes, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> "IdentityResolution":
         """Consecutive coordinate blocks of the given sizes."""
-        sizes = [int(s) for s in sizes]
-        if sum(sizes) != dim or any(s < 1 for s in sizes):
-            raise BadShape(f"block sizes {sizes} do not partition dimension {dim}")
+        if dim < 1:
+            raise BadShape("dimension must be positive")
         return IdentityResolution._from_frame(np.eye(dim), sizes, tol)
 
     def bases(self) -> tuple[np.ndarray, ...]:
@@ -429,7 +422,7 @@ def _resolve(rho: DensityMatrix, ctol: float, tol: Tolerances) -> SpectralResolu
     The one place a block's weight tr(Q_j sigma) is computed: level_j * rank_j,
     or exactly 1.0 when one block spans the space (the state's unit trace).
     """
-    w, v = rho._eigh()
+    w, v = rho._eig
     w, v = w[::-1], v[:, ::-1]
     sizes = _cluster_sizes(w, ctol)
     levels = np.clip(np.add.reduceat(w, _offsets(sizes)[:-1]) / sizes, 0.0, 1.0)

@@ -84,10 +84,7 @@ def random_projector(dim: int, rank: int, seed: int = 0) -> Projector:
 def random_resolution(dim: int, block_sizes, seed: int = 0) -> IdentityResolution:
     """Resolution with the given block sizes along a Haar-random frame."""
     _check_dim(dim)
-    sizes = [int(s) for s in block_sizes]
-    if any(s < 1 for s in sizes) or sum(sizes) != dim:
-        raise BadShape(f"block sizes {sizes} do not partition dimension {dim}")
-    return IdentityResolution._from_frame(_haar_unitary(dim, _rng_for(seed)), sizes)
+    return IdentityResolution._from_frame(_haar_unitary(dim, _rng_for(seed)), block_sizes)
 
 
 # ---------------------------------------------------------------------------

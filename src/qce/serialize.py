@@ -60,10 +60,11 @@ def _grid(doc: dict, key: str, dim: int) -> np.ndarray:
 
 
 def _dim(doc: dict) -> int:
-    try:
-        dim = int(doc["dim"])
-    except (TypeError, ValueError):
-        raise ParseError('"dim" must be an integer') from None
+    dim = doc["dim"]  # an integral JSON number (2 or 2.0), never a bool
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ParseError('"dim" must be an integer')
     if dim < 1:
         raise ParseError(f'"dim" must be positive, got {dim}')
     return dim

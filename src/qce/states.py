@@ -145,7 +145,7 @@ def impossibility_demos() -> dict:
 
 def _decomposition_weight(rho: DensityMatrix, rho1: DensityMatrix) -> float:
     """Largest lambda with lambda * rho1 <= rho, for strictly positive rho."""
-    w, v = rho._eigh()
+    w, v = rho._eig
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
     top = float(np.linalg.eigvalsh(hermitize(inv_sqrt @ rho1.mat @ inv_sqrt))[-1])
     return 1.0 / top

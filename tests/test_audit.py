@@ -218,6 +218,16 @@ def test_replay_rejects_unknown_kind():
         replay_witness({"kind": "nonsense"})
 
 
+@pytest.mark.parametrize(
+    "witness, field",
+    [({}, "kind"), ({"kind": "bound"}, "rho"), ({"kind": "concavity-rho", "lambda": 0.5}, "arg1")],
+    ids=["no-kind", "no-rho", "no-arg1"],
+)
+def test_replay_names_a_missing_field(witness, field):
+    with pytest.raises(ValidationError, match=f"witness has no '{field}' field"):
+        replay_witness(witness)
+
+
 # ---------------------------------------------------------- impossibility
 
 

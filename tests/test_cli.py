@@ -145,6 +145,9 @@ def test_missing_field_is_a_parse_error(capsys):
             "p_given_q": [[0.5, 0.5, 0], [0.5, 0.5, 1]], "q_given_p": [[0.5, 0.5], [0.5, 0.5]],
         })],
         ["cond-res", diag_doc(0.5, 0.5), '{"dim": "x", "blocks": [{"dim": 2, "re": [[1, 0], [0, 1]]}]}'],
+        # Valid states once "dim" is truncated to 2 or read as 1.
+        ["entropy", '{"dim": 2.9, "re": [[1, 0], [0, 0]]}'],
+        ["entropy", '{"dim": true, "re": [[1]]}'],
     ],
     ids=[
         "joint-string-entry",
@@ -153,6 +156,8 @@ def test_missing_field_is_a_parse_error(capsys):
         "four-field-nested-marginal",
         "four-field-conditional-shape-mismatch",
         "resolution-dim-string",
+        "matrix-dim-fraction",
+        "matrix-dim-bool",
     ],
 )
 def test_malformed_documents_are_parse_errors(argv, capsys):

@@ -103,33 +103,40 @@ def test_entropy_clamps_roundoff():
     assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
 
 
-def forbid_diagonalization(monkeypatch, eigh=True):
-    """Make eigvalsh (and eigh, unless eigh=False) raise, as seen from qce.entropy."""
+def forbid_diagonalization(monkeypatch):
+    """Make eigvalsh and eigh raise, as seen from qce.entropy."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a kept spectrum was decomposed again")
 
     monkeypatch.setattr(qce.entropy.np.linalg, "eigvalsh", refuse)
-    if eigh:
-        monkeypatch.setattr(qce.entropy.np.linalg, "eigh", refuse)
+    monkeypatch.setattr(qce.entropy.np.linalg, "eigh", refuse)
+
+
+def clamps(mat):
+    """Whether DensityMatrix(mat) clamps: the eigh it runs on the input dips below 0."""
+    return bool(np.linalg.eigh(hermitize(np.asarray(mat, dtype=complex)))[0][0] < 0.0)
 
 
 def clamped_state(dim, rank, seed):
     """A rank-deficient state whose constructor clamped a negative eigenvalue.
 
-    Its kept decomposition is computed afresh on first use. Rank one gives a
-    pure state along a random complex vector.
+    The clamp is read from the input's spectrum; the constructor then
+    diagonalized the rebuilt matrix itself. Rank one gives a pure state
+    along a random complex vector.
     """
     rng = np.random.default_rng(seed)
     for _ in range(50):
         if rank == 1:
-            rho = DensityMatrix.pure(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v = v / float(np.linalg.norm(v))
+            mat = np.outer(v, v.conj())
         else:
             w = np.concatenate([rng.random(rank) + 0.1, np.zeros(dim - rank)])
             u = random_unitary(dim, seed=int(rng.integers(1 << 30)))
-            rho = DensityMatrix((u * (w / w.sum())) @ u.conj().T)
-        if rho._eig is None:
-            return rho
+            mat = (u * (w / w.sum())) @ u.conj().T
+        if clamps(mat):
+            return DensityMatrix(mat)
     raise AssertionError("no clamped state drawn")
 
 
@@ -143,26 +150,19 @@ def entropy_oracle(rho):
 def test_one_block_conditioning_reads_the_kept_spectrum(dim, monkeypatch):
     # sigma = I/d, the trivial resolution and the identity projector have one
     # block spanning the space: its factor is S(rho), with no diagonalization
-    # beyond the constructor's (or, for a clamped state, the one on first use).
+    # after the constructors', whether or not rho's constructor clamped.
+    full = random_density(dim, seed=dim).mat
+    assert not clamps(full)
     states = [
-        random_density(dim, seed=dim),
+        DensityMatrix(full),
         clamped_state(dim, 1, seed=dim + 1),
         clamped_state(dim, max(1, dim // 2), seed=dim + 2),
     ]
     sigma = DensityMatrix.maximally_mixed(dim)
     trivial = IdentityResolution([Projector.identity(dim)])
     identity = Projector.identity(dim)
-    spectral_resolution(sigma)
-    identity.range_basis()
     oracles = [entropy_oracle(rho) for rho in states]
-    clamped = [rho._eig is None for rho in states]
-    assert clamped == [False, True, True]
-    forbid_diagonalization(monkeypatch, eigh=False)
-    real_eigh = np.linalg.eigh
-    eigh_calls = []
-    monkeypatch.setattr(
-        qce.entropy.np.linalg, "eigh", lambda a: eigh_calls.append(a) or real_eigh(a)
-    )
+    forbid_diagonalization(monkeypatch)
     for rho, oracle in zip(states, oracles):
         values = [
             conditional_entropy(rho, sigma).total,
@@ -171,7 +171,6 @@ def test_one_block_conditioning_reads_the_kept_spectrum(dim, monkeypatch):
         ]
         for value in values:
             assert abs(value - oracle) <= 1e-13
-    assert len(eigh_calls) == sum(clamped)
 
 
 def test_one_block_conditioning_in_dimension_one(monkeypatch):

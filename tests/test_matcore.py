@@ -16,6 +16,7 @@ from qce import (
     IdentityResolution,
     NotHermitian,
     NotPSD,
+    NotStrictlyPositive,
     Projector,
     SpectralResolution,
     ValidationError,
@@ -31,6 +32,7 @@ from qce import (
     spectral_resolution,
     tolerance_profile,
     variational_gradient,
+    von_neumann_entropy,
 )
 from qce.states import _decomposition_weight
 
@@ -66,9 +68,16 @@ def test_density_rejects_nonsquare():
         DensityMatrix(np.ones((2, 3)))
 
 
-def test_density_rejects_nonfinite():
-    with pytest.raises(ValidationError, match="non-finite"):
-        DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+@pytest.mark.parametrize("cls", [DensityMatrix, Projector], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("part", [1.0, 1j], ids=["real", "imag"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_entries_are_rejected(cls, part, bad):
+    # A NaN or an infinity in either part of any entry, on or off the diagonal.
+    for i, j in ((0, 0), (0, 1)):
+        mat = np.diag([1.0, 0.0]).astype(complex)
+        mat[i, j] += bad * part
+        with pytest.raises(ValidationError, match="non-finite"):
+            cls(mat)
 
 
 def test_density_tolerates_roundoff_negative():
@@ -143,6 +152,16 @@ def test_resolution_coordinate():
     assert res.dim == 4
     with pytest.raises(BadShape, match="partition"):
         IdentityResolution.coordinate(4, [2, 3])
+    for dim, sizes in ((0, []), (0, [1]), (-1, [1])):
+        with pytest.raises(BadShape, match="dimension must be positive"):
+            IdentityResolution.coordinate(dim, sizes)
+
+
+@pytest.mark.parametrize("sizes", [[1, 1], [2, 2], [3, 0], [4, -1]])
+def test_a_frame_resolution_checks_its_block_sizes(sizes):
+    # Sizes that miss a column, overrun the frame or are not positive.
+    with pytest.raises(BadShape, match=r"block sizes .* do not partition dimension 3"):
+        IdentityResolution._from_frame(np.eye(3), sizes)
 
 
 def test_resolution_rejects_overlapping_blocks():
@@ -263,55 +282,85 @@ def test_spectral_resolution_is_memoised_per_state_and_tolerances():
     assert spectral_resolution(twin).ranks() == sr.ranks()
 
 
-def test_a_state_is_diagonalized_once(monkeypatch):
-    # Resolution, conditioning, the optimizer, the gap report and the audit's
-    # decomposition weight all read the eigh the constructor computed.
-    u = random_unitary(4, seed=3)
-    mat = (u * [0.4, 0.3, 0.2, 0.1]) @ u.conj().T
-    other = DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]))
+def counting_eigh(monkeypatch, shape):
+    """Record every np.linalg.eigh call on a matrix of the given shape."""
     real_eigh = np.linalg.eigh
     calls = []
 
-    def counting_eigh(a, *args, **kwargs):
-        if np.shape(a) == mat.shape:  # the optimizer's compressions are smaller
+    def eigh(a, *args, **kwargs):
+        if np.shape(a) == shape:  # the optimizer's compressions are smaller
             calls.append(a)
         return real_eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
+def clamped_pure_matrix():
+    """A pure state's matrix whose smallest eigenvalue (about -5e-17) is clamped."""
+    v = np.array([1.0, 1j, 0.5])
+    mat = np.outer(v, v.conj()) / np.vdot(v, v).real
+    assert np.linalg.eigh(hermitize(mat))[0][0] < 0.0
+    return mat
+
+
+def test_a_state_is_diagonalized_once(monkeypatch):
+    # The constructor's eigh is the only one: resolution, entropy,
+    # conditioning, the optimizer, the gap report and the audit's
+    # decomposition weight all read it.
+    u = random_unitary(4, seed=3)
+    mat = (u * [0.4, 0.3, 0.2, 0.1]) @ u.conj().T
+    other = DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]))
+    uniform = DensityMatrix.maximally_mixed(4)
+    calls = counting_eigh(monkeypatch, mat.shape)
     rho = DensityMatrix(mat)
-    assert rho._eigh() is rho._eigh()
+    assert len(calls) == 1
+    calls.clear()
+    assert rho._eig[0] is rho._eig[0]
     spectral_resolution(rho)
+    von_neumann_entropy(rho)
+    conditional_entropy(rho, uniform)
     conditional_entropy(other, rho)
     maximize_compressed_entropy(rho, 2)
     entropy_gap_report(rho)
     _decomposition_weight(rho, other)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_a_clamped_state_is_diagonalized_again_from_its_stored_matrix(monkeypatch):
-    v = np.array([1.0, 1j, 0.5])
-    mat = np.outer(v, v.conj()) / np.vdot(v, v).real
-    assert np.linalg.eigh(hermitize(mat))[0][0] < 0.0  # about -5e-17: clamped
+    # The constructor clamps, rebuilds the matrix and diagonalizes that one:
+    # two eigh calls, both at construction, and none afterwards.
+    mat = clamped_pure_matrix()
+    uniform = DensityMatrix.maximally_mixed(3)
+    calls = counting_eigh(monkeypatch, mat.shape)
     rho = DensityMatrix(mat)
-    w, vecs = np.linalg.eigh(rho.mat)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1], rho.mat)
+    calls.clear()
+    w, vecs = rho._eig
+    assert calls == []
+    fresh_w, fresh_v = np.linalg.eigh(rho.mat)
+    np.testing.assert_array_equal(w, fresh_w)
+    np.testing.assert_array_equal(vecs, fresh_v)
+    calls.clear()
     res = spectral_resolution(rho)
     assert res.ranks() == (1, 2)
     np.testing.assert_array_equal(res.frame, vecs[:, ::-1])
-    real_eigh = np.linalg.eigh
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real_eigh(a))
-    kept_w, kept_v = rho._eigh()
+    von_neumann_entropy(rho)
+    conditional_entropy(rho, uniform)
+    with pytest.raises(NotStrictlyPositive):
+        maximize_compressed_entropy(rho, 1)
+    with pytest.raises(NotStrictlyPositive):
+        entropy_gap_report(rho)
     assert calls == []
-    np.testing.assert_array_equal(kept_w, w)
-    np.testing.assert_array_equal(kept_v, vecs)
 
 
 def test_kept_eigendecomposition_is_read_only_and_backs_the_resolution():
     for rho in (
         DensityMatrix(np.diag([0.5, 0.3, 0.2])),
-        DensityMatrix.pure([1.0, 1j, 0.5]),  # clamped: kept on first use
+        DensityMatrix(clamped_pure_matrix()),  # diagonalized again by the constructor
     ):
-        w, v = rho._eigh()
+        w, v = rho._eig
         assert not w.flags.writeable and not v.flags.writeable
         with pytest.raises(ValueError):
             v[0, 0] = 1.0
@@ -319,6 +368,31 @@ def test_kept_eigendecomposition_is_read_only_and_backs_the_resolution():
         assert np.shares_memory(spectral_resolution(rho).frame, v)
         loose = spectral_resolution(rho, tolerance_profile("loose"))
         assert np.shares_memory(loose.frame, v)
+
+
+def test_a_projector_keeps_its_range_basis_from_construction(monkeypatch):
+    # A dense projector runs one eigh, at construction; from_basis and the
+    # constructors built on it run none; range_basis() runs none.
+    dense = np.diag([1.0, 0.0, 1.0, 0.0]).astype(complex)
+    calls = counting_eigh(monkeypatch, dense.shape)
+    q = Projector(dense)
+    assert len(calls) == 1
+    calls.clear()
+    b = random_unitary(4, seed=8)[:, :2]
+    built = [
+        Projector.from_basis(b),
+        Projector.identity(4),
+        Projector.zero(4),
+        Projector.coordinate(4, [1, 3]),
+    ]
+    assert calls == []
+    for proj in (q, *built):
+        basis = proj.range_basis()
+        assert basis is proj.range_basis()
+        assert basis.shape == (4, proj.rank) and not basis.flags.writeable
+        np.testing.assert_allclose(basis @ basis.conj().T, proj.mat, atol=1e-12)
+    assert calls == []
+    np.testing.assert_array_equal(built[0].range_basis(), b)
 
 
 def test_spectral_resolution_failures_are_never_memoised():

@@ -144,6 +144,19 @@ def test_doc_to_matrix_shape_errors():
         doc_to_matrix({"dim": 1, "re": [[float("inf")]]})
 
 
+@pytest.mark.parametrize("dim", [2.9, 2.5, True, False, "2", None, [2], float("inf")])
+def test_doc_dim_must_be_an_integral_number(dim):
+    # A fractional dim used to be truncated and a bool read as 0 or 1.
+    with pytest.raises(ParseError, match='"dim" must be an integer'):
+        doc_to_matrix({"dim": dim, "re": [[1.0, 0.0], [0.0, 0.0]]})
+
+
+def test_doc_dim_accepts_an_integral_float():
+    np.testing.assert_array_equal(
+        doc_to_matrix({"dim": 2.0, "re": [[1.0, 0.0], [0.0, 0.0]]}), np.diag([1.0, 0.0])
+    )
+
+
 def block_projectors(res):
     return [b @ b.conj().T for b in res.bases()]
 

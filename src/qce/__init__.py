@@ -11,193 +11,26 @@ paper's worked examples (states), and a randomized audit of the
 conditional-entropy desiderata (audit) complete the package.
 """
 
-from .config import DEFAULT_TOLERANCES, Tolerances, tolerance_profile
-from .errors import (
-    BadShape,
-    ClusterAmbiguity,
-    DimMismatch,
-    InvalidPartitionData,
-    NotHermitian,
-    NotPSD,
-    NotStrictlyPositive,
-    ParseError,
-    QceError,
-    ValidationError,
-    ZeroCompression,
-)
-from .matcore import (
-    DensityMatrix,
-    IdentityResolution,
-    Projector,
-    SpectralResolution,
-    commutator_residual,
-    hermitize,
-    max_abs,
-    spectral_resolution,
-)
-from .shannon import (
-    ClassicalPartitionData,
-    ProbabilityVector,
-    conditional_shannon_entropy,
-    is_consequence,
-    is_independent,
-    joint_shannon_entropy,
-    mutual_information,
-    shannon_entropy,
-)
-from .entropy import (
-    BlockTerm,
-    EntropyBreakdown,
-    block_distribution,
-    compressed_entropy,
-    compressed_state,
-    conditional_entropy,
-    conditional_entropy_given_blocks,
-    information_gain,
-    joint_entropy,
-    pinch,
-    self_conditional_entropy,
-    self_information_gain,
-    spectrum_distribution,
-    von_neumann_entropy,
-)
-from .resolutions import (
-    OrderWitness,
-    commutant_dim,
-    conditional_entropy_of_states,
-    more_mixed,
-    partition_from_resolutions,
-    resolution_conditional_entropy,
-    resolution_entropy,
-    resolution_joint_entropy,
-    resolution_leq,
-)
-from .rand import random_density, random_projector, random_resolution, random_unitary
-from .states import (
-    SelfGainProbe,
-    coupled_family_probe,
-    coupled_pair_split,
-    coupled_pair_state,
-    dim2_demo,
-    impossibility_demos,
-    probe_max_self_gain,
-    tilted_family_probe,
-    tilted_pair_state,
-)
-from .grassopt import (
-    GapReport,
-    OptimizeResult,
-    entropy_gap_report,
-    maximize_compressed_entropy,
-    variational_gradient,
-)
-from .audit import (
-    AuditReport,
-    ConditionEntry,
-    EXPECTED_VERDICTS,
-    FAILS,
-    HOLDS,
-    EnsembleConfig,
-    audit_deviations,
-    axiom_audit,
-    replay_witness,
-)
-from .serialize import (
-    doc_to_matrix,
-    doc_to_partition,
-    doc_to_resolution,
-    load_document,
-    matrix_to_doc,
-    resolution_to_doc,
-)
+from . import audit, config, entropy, errors, grassopt, matcore, rand, resolutions, serialize
+from . import shannon, states
+from .audit import *
+from .config import *
+from .entropy import *
+from .errors import *
+from .grassopt import *
+from .matcore import *
+from .rand import *
+from .resolutions import *
+from .serialize import *
+from .shannon import *
+from .states import *
 
 __version__ = "0.1.0"
 
+# The public API is the union of the modules' public parts.
 __all__ = [
-    "AuditReport",
-    "BadShape",
-    "BlockTerm",
-    "ClassicalPartitionData",
-    "ClusterAmbiguity",
-    "ConditionEntry",
-    "DEFAULT_TOLERANCES",
-    "DensityMatrix",
-    "DimMismatch",
-    "EXPECTED_VERDICTS",
-    "FAILS",
-    "HOLDS",
-    "EnsembleConfig",
-    "EntropyBreakdown",
-    "GapReport",
-    "IdentityResolution",
-    "InvalidPartitionData",
-    "NotHermitian",
-    "NotPSD",
-    "NotStrictlyPositive",
-    "OptimizeResult",
-    "OrderWitness",
-    "ParseError",
-    "ProbabilityVector",
-    "Projector",
-    "QceError",
-    "SelfGainProbe",
-    "SpectralResolution",
-    "Tolerances",
-    "ValidationError",
-    "ZeroCompression",
-    "audit_deviations",
-    "axiom_audit",
-    "block_distribution",
-    "commutant_dim",
-    "commutator_residual",
-    "compressed_entropy",
-    "compressed_state",
-    "conditional_entropy",
-    "conditional_entropy_given_blocks",
-    "conditional_entropy_of_states",
-    "conditional_shannon_entropy",
-    "coupled_family_probe",
-    "coupled_pair_split",
-    "coupled_pair_state",
-    "dim2_demo",
-    "doc_to_matrix",
-    "doc_to_partition",
-    "doc_to_resolution",
-    "entropy_gap_report",
-    "hermitize",
-    "impossibility_demos",
-    "information_gain",
-    "is_consequence",
-    "is_independent",
-    "joint_entropy",
-    "joint_shannon_entropy",
-    "load_document",
-    "matrix_to_doc",
-    "max_abs",
-    "maximize_compressed_entropy",
-    "more_mixed",
-    "mutual_information",
-    "partition_from_resolutions",
-    "pinch",
-    "probe_max_self_gain",
-    "random_density",
-    "random_projector",
-    "random_resolution",
-    "random_unitary",
-    "replay_witness",
-    "resolution_conditional_entropy",
-    "resolution_entropy",
-    "resolution_joint_entropy",
-    "resolution_leq",
-    "resolution_to_doc",
-    "self_conditional_entropy",
-    "self_information_gain",
-    "shannon_entropy",
-    "spectral_resolution",
-    "spectrum_distribution",
-    "tilted_family_probe",
-    "tilted_pair_state",
-    "tolerance_profile",
-    "variational_gradient",
-    "von_neumann_entropy",
+    name
+    for module in (audit, config, entropy, errors, grassopt, matcore, rand, resolutions,
+                   serialize, shannon, states)
+    for name in module.__all__
 ]

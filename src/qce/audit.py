@@ -29,10 +29,10 @@ and replay_witness decodes its inputs and calls the same violation. The
 acceptance suite's larger samples of the bound and of pinching monotonicity
 go through the same runner, with a changed or an ad-hoc record.
 
-To add a condition, write its violation and draw, append a record to
-_CONDITIONS, and add its label to EXPECTED_VERDICTS. EXPECTED_VERDICTS records
-which verdicts the two functionals are supposed to produce, and
-audit_deviations flags departures.
+To add a condition, write its violation and draw, and append a record to
+_CONDITIONS with the verdicts the two functionals are supposed to produce
+(expected=). EXPECTED_VERDICTS is built from the table, and audit_deviations
+flags departures from it.
 """
 
 from __future__ import annotations
@@ -56,42 +56,12 @@ from .serialize import doc_to_matrix, matrix_to_doc
 from .states import _rotate, _rotation
 
 __all__ = [
-    "AuditReport",
-    "ConditionEntry",
-    "EXPECTED_VERDICTS",
-    "EnsembleConfig",
-    "audit_deviations",
-    "axiom_audit",
-    "replay_witness",
+    "AuditReport", "ConditionEntry", "EXPECTED_VERDICTS", "EnsembleConfig", "FAILS", "HOLDS",
+    "audit_deviations", "axiom_audit", "replay_witness",
 ]
 
 HOLDS = "holds-on-sample"
 FAILS = "fails-with-witness"
-
-EXPECTED_VERDICTS = {
-    "scond": {
-        "1-invariance": HOLDS,
-        "2-bounds": HOLDS,
-        "2-eq-self": FAILS,
-        "2-eq-trivial": HOLDS,
-        "3-commuting-symmetry": FAILS,
-        "4-symmetry": FAILS,
-        "5-continuity-sigma": FAILS,
-        "6-concavity-rho": HOLDS,
-        "6-concavity-sigma": FAILS,
-    },
-    "hres": {
-        "1-invariance": HOLDS,
-        "2-bounds": FAILS,
-        "2-eq-self": HOLDS,
-        "2-eq-trivial": HOLDS,
-        "3-commuting-symmetry": HOLDS,
-        "4-symmetry": HOLDS,
-        "5-continuity-sigma": FAILS,
-        "6-concavity-rho": FAILS,
-        "6-concavity-sigma": FAILS,
-    },
-}
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +204,9 @@ class _Condition:
     A violation above threshold fails the condition. The witness of the
     worst one is {kind, functional, [tag], inputs..., details..., violation}.
     aside(fid, inputs, details), when set, is a side value whose maximum
-    fills {aside} in notes.
+    fills {aside} in notes. expected holds the verdicts the audit should
+    give for the functionals, in the order of _FUNCTIONALS; a record run
+    outside _CONDITIONS has none.
     """
 
     condition: int
@@ -242,6 +214,7 @@ class _Condition:
     notes: str
     kind: str
     violation: Callable
+    expected: tuple[str, ...] = ()
     stream: int = 0
     draw: Callable | None = None
     tag: str | None = None
@@ -331,7 +304,7 @@ def _draw_commuting_pair(rng: np.random.Generator, dim: int, t: int, cfg) -> dic
 _CONDITIONS = (
     _Condition(
         1, "1-invariance", "conjugating both arguments by one unitary",
-        "invariance", _invariance, stream=21, threshold=1e-8,
+        "invariance", _invariance, expected=(HOLDS, HOLDS), stream=21, threshold=1e-8,
         draw=lambda rng, dim, t, cfg: {
             "rho": rand._draw_density(dim, rng, cfg.rank_profile),
             "sigma": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
@@ -340,7 +313,7 @@ _CONDITIONS = (
     ),
     _Condition(
         2, "2-bounds", "two-sided bound 0 <= value <= entropy of the first argument",
-        "bound", _bound, stream=22, tag="sampled",
+        "bound", _bound, expected=(HOLDS, FAILS), stream=22, tag="sampled",
         draw=lambda rng, dim, t, cfg: {
             "rho": rand._draw_density(dim, rng, cfg.rank_profile),
             "sigma": rand._draw_conditioning(dim, rng, t, cfg.gap_floor),
@@ -352,7 +325,7 @@ _CONDITIONS = (
     ),
     _Condition(
         2, "2-eq-self", "conditioning a state on itself should give zero",
-        "eq-self", _eq_self, stream=23, tag="sampled",
+        "eq-self", _eq_self, expected=(FAILS, HOLDS), stream=23, tag="sampled",
         draw=lambda rng, dim, t, cfg: {
             "rho": rand._draw_conditioning(dim, rng, t, cfg.gap_floor)
         },
@@ -362,17 +335,18 @@ _CONDITIONS = (
         2, "2-eq-trivial",
         "conditioning on the maximally mixed state reaches the functional's own "
         "maximal value; max gap against the von Neumann entropy was {aside:.6g}",
-        "eq-trivial", _eq_trivial, stream=24,
+        "eq-trivial", _eq_trivial, expected=(HOLDS, HOLDS), stream=24,
         draw=lambda rng, dim, t, cfg: {"rho": rand._draw_density(dim, rng, cfg.rank_profile)},
         aside=lambda fid, x, details: abs(details["value"] - von_neumann_entropy(x["rho"])),
     ),
     _Condition(
         3, "3-commuting-symmetry", _SYMMETRY_NOTES, "joint-symmetry", _joint_symmetry,
-        stream=25, draw=_draw_commuting_pair, tag="sampled-commuting", probes=_swap_probe,
+        expected=(FAILS, HOLDS), stream=25, draw=_draw_commuting_pair, tag="sampled-commuting",
+        probes=_swap_probe,
     ),
     _Condition(
         4, "4-symmetry", _SYMMETRY_NOTES, "joint-symmetry", _joint_symmetry,
-        stream=26, tag="sampled", probes=_swap_probe,
+        expected=(FAILS, HOLDS), stream=26, tag="sampled", probes=_swap_probe,
         draw=lambda rng, dim, t, cfg: {
             "rho": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
             "sigma": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
@@ -382,7 +356,7 @@ _CONDITIONS = (
         5, "5-continuity-sigma",
         "straight path from the maximally mixed state; the value jumps at the "
         "degeneracy-pattern change at the endpoint",
-        "continuity", _continuity, threshold=0.0,
+        "continuity", _continuity, expected=(FAILS, FAILS), threshold=0.0,
         probes=lambda: ((None, {
             "rho": _rotate(DensityMatrix.diagonal([0.7, 0.3]), _rotation(math.pi / 5.0)),
             "sigma_end": DensityMatrix.diagonal([0.75, 0.25]),
@@ -391,7 +365,7 @@ _CONDITIONS = (
     ),
     _Condition(
         6, "6-concavity-rho", "mixing the first argument", "concavity-rho", _concavity,
-        stream=27, tag="sampled",
+        expected=(HOLDS, FAILS), stream=27, tag="sampled",
         draw=lambda rng, dim, t, cfg: {
             "lambda": float(rng.random()),
             "arg1": rand._draw_density(dim, rng, cfg.rank_profile),
@@ -407,7 +381,8 @@ _CONDITIONS = (
     ),
     _Condition(
         6, "6-concavity-sigma", "mixing the conditioning state", "concavity-sigma",
-        lambda fid, x: _concavity(fid, x, first=False), stream=28, tag="sampled",
+        lambda fid, x: _concavity(fid, x, first=False), expected=(FAILS, FAILS), stream=28,
+        tag="sampled",
         draw=lambda rng, dim, t, cfg: {
             "lambda": float(rng.random()),
             "arg1": rand._draw_degenerate_state(dim, rng, cfg.gap_floor),
@@ -424,6 +399,11 @@ _CONDITIONS = (
     ),
 )
 _BY_KIND = {c.kind: c for c in _CONDITIONS}
+# functional id -> {label: the verdict the audit should give}; audit_deviations
+# flags departures from it.
+EXPECTED_VERDICTS = {
+    fid: {c.label: c.expected[i] for c in _CONDITIONS} for i, fid in enumerate(_FUNCTIONALS)
+}
 
 
 def _probes(c: _Condition, cfg: EnsembleConfig):

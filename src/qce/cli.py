@@ -13,6 +13,11 @@ nats; --units bits divides displayed entropy rows by ln 2 and nothing else.
 --format json emits a versioned document {"schema": "qce/1", "command",
 "settings", "rows", "report"}.
 
+Each subcommand is one entry of _COMMANDS (help text, positional arguments,
+handler), and each demo one entry of _DEMOS (report builder, rows). The
+parser is built from these tables; its other choices are the keys of the
+audit's EXPECTED_VERDICTS and of the tolerance profiles.
+
 Exit codes: 0 success; 2 malformed input, including a negative or
 non-integer --seed or QCE_SEED; 3 failed validation; 4 optimizer did not
 converge (kept in the taxonomy; the exact solve always converges); 5 the
@@ -30,7 +35,7 @@ import os
 import sys
 
 from .audit import EXPECTED_VERDICTS, EnsembleConfig, audit_deviations, axiom_audit
-from .config import tolerance_profile
+from .config import _PROFILES, tolerance_profile
 from .entropy import (
     _gain,
     conditional_entropy,
@@ -109,81 +114,6 @@ def _dims_arg(text: str) -> tuple[int, ...]:
     if not dims:
         raise argparse.ArgumentTypeError("dimension list is empty")
     return dims
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--units", choices=("nats", "bits"), default="nats")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--seed", type=_seed_arg, default=None, help="RNG seed (default: QCE_SEED or 0)"
-    )
-    common.add_argument(
-        "--cluster-tol", type=float, default=None, help="eigenvalue clustering scale"
-    )
-    common.add_argument(
-        "--tol-profile", choices=("default", "strict", "loose"), default="default"
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="qce",
-        description="entropies of density matrices under spectral conditioning",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("entropy", parents=[common], help="entropy of one state")
-    p.add_argument("rho")
-
-    p = sub.add_parser("cond", parents=[common], help="entropy of rho given sigma")
-    p.add_argument("rho")
-    p.add_argument("sigma")
-
-    p = sub.add_parser(
-        "cond-res", parents=[common], help="entropy of rho given a bare resolution"
-    )
-    p.add_argument("rho")
-    p.add_argument("resolution")
-
-    p = sub.add_parser("pinch", parents=[common], help="block-diagonal part of rho")
-    p.add_argument("rho")
-    p.add_argument("resolution")
-
-    p = sub.add_parser(
-        "classical", parents=[common], help="Shannon quantities of partition data"
-    )
-    p.add_argument("data")
-
-    p = sub.add_parser(
-        "hres", parents=[common], help="entropies of two identity resolutions"
-    )
-    p.add_argument("p_res")
-    p.add_argument("q_res")
-
-    p = sub.add_parser(
-        "orders", parents=[common], help="refinement and mixedness comparisons"
-    )
-    p.add_argument("rho")
-    p.add_argument("sigma")
-
-    p = sub.add_parser(
-        "optimize", parents=[common], help="maximize compressed entropy at fixed rank"
-    )
-    p.add_argument("rho")
-    p.add_argument("--rank", type=int, required=True)
-
-    p = sub.add_parser(
-        "audit", parents=[common], help="desiderata audit of a conditional entropy"
-    )
-    p.add_argument("--functional", choices=("scond", "hres"), required=True)
-    p.add_argument("--dims", type=_dims_arg, default=(2, 3, 4))
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--rank-profile", choices=("full", "mixed"), default="mixed")
-    p.add_argument("--gap-floor", type=float, default=1e-3)
-
-    p = sub.add_parser("demo", parents=[common], help="built-in demonstrations")
-    p.add_argument("name", choices=("dim2", "tilted", "coupled", "impossibility"))
-
-    return parser
 
 
 def _row(name: str, value, unit: str = "") -> dict:
@@ -370,77 +300,104 @@ def _cmd_audit(args, tol):
     return rows, report, code
 
 
-def _cmd_demo(args, tol):
-    if args.name == "dim2":
-        report = dim2_demo(args.seed)
-        rows = [
-            _row("entropy", report["entropy"], "nats"),
-            _row("conditional_on_uniform", report["conditional_on_uniform"], "nats"),
-            _row(
-                "conditional_on_nondegenerate",
-                report["conditional_on_nondegenerate"],
-                "nats",
-            ),
-            _row("conditional_on_itself", report["conditional_on_itself"], "nats"),
-        ]
-    elif args.name == "tilted":
-        report = tilted_family_probe()
-        special = report["special_point"]
-        rows = [
-            _row("compressed_entropy", special["compressed_entropy"], "nats"),
-            _row("entropy", special["entropy"], "nats"),
-            _row(
-                "compressed_state_entropy", special["compressed_state_entropy"], "nats"
-            ),
-            _row(
-                "max_compressed_entropy_minus_entropy",
-                report["max_compressed_entropy_minus_entropy"],
-                "nats",
-            ),
-        ]
-    elif args.name == "coupled":
-        report = coupled_family_probe()
-        rows = [
-            _row("entropy_at_zero", report["entropy_at_zero"], "nats"),
-            _row("entropy_at_one", report["entropy_at_one"], "nats"),
-            _row(
-                "max_block_sum_dev_from_ln2",
-                report["max_block_sum_dev_from_ln2"],
-                "nats",
-            ),
-            _row(
-                "max_block_sum_minus_entropy",
-                report["max_block_sum_minus_entropy"],
-                "nats",
-            ),
-        ]
-    else:
-        report = impossibility_demos()
-        rows = []
-        for pair in report["forced_pairs"]:
-            d = pair["dim"]
-            rows.append(_row(f"forced_self_d{d}", pair["required_by_self_rule"], "nats"))
-            rows.append(
-                _row(f"forced_uniform_d{d}", pair["required_by_uniform_rule"], "nats")
-            )
-        deco = report["decomposition"]
-        rows.append(_row("decomposition_weight", deco["lambda"]))
-        rows.append(_row("value_at_rotated", deco["value_at_rotated"], "nats"))
-    return rows, report, EXIT_OK
+def _report_rows(*spec):
+    """Rows read from a demo report: (section, key, unit), section None for its top level."""
+    return lambda report: [
+        _row(key, (report if section is None else report[section])[key], unit)
+        for section, key, unit in spec
+    ]
 
 
-_HANDLERS = {
-    "entropy": _cmd_entropy,
-    "cond": _cmd_cond,
-    "cond-res": _cmd_cond_res,
-    "pinch": _cmd_pinch,
-    "classical": _cmd_classical,
-    "hres": _cmd_hres,
-    "orders": _cmd_orders,
-    "optimize": _cmd_optimize,
-    "audit": _cmd_audit,
-    "demo": _cmd_demo,
+def _impossibility_rows(report: dict) -> list:
+    rows = []
+    for pair in report["forced_pairs"]:
+        d = pair["dim"]
+        rows.append(_row(f"forced_self_d{d}", pair["required_by_self_rule"], "nats"))
+        rows.append(_row(f"forced_uniform_d{d}", pair["required_by_uniform_rule"], "nats"))
+    deco = report["decomposition"]
+    rows.append(_row("decomposition_weight", deco["lambda"]))
+    rows.append(_row("value_at_rotated", deco["value_at_rotated"], "nats"))
+    return rows
+
+
+# demo name -> (report builder taking the seed, report -> rows)
+_DEMOS = {
+    "dim2": (dim2_demo, _report_rows(
+        (None, "entropy", "nats"),
+        (None, "conditional_on_uniform", "nats"),
+        (None, "conditional_on_nondegenerate", "nats"),
+        (None, "conditional_on_itself", "nats"),
+    )),
+    "tilted": (lambda seed: tilted_family_probe(), _report_rows(
+        ("special_point", "compressed_entropy", "nats"),
+        ("special_point", "entropy", "nats"),
+        ("special_point", "compressed_state_entropy", "nats"),
+        (None, "max_compressed_entropy_minus_entropy", "nats"),
+    )),
+    "coupled": (lambda seed: coupled_family_probe(), _report_rows(
+        (None, "entropy_at_zero", "nats"),
+        (None, "entropy_at_one", "nats"),
+        (None, "max_block_sum_dev_from_ln2", "nats"),
+        (None, "max_block_sum_minus_entropy", "nats"),
+    )),
+    "impossibility": (lambda seed: impossibility_demos(), _impossibility_rows),
 }
+
+
+def _cmd_demo(args, tol):
+    build, rows = _DEMOS[args.name]
+    report = build(args.seed)
+    return rows(report), report, EXIT_OK
+
+
+# command -> (help, positional arguments, handler)
+_COMMANDS = {
+    "entropy": ("entropy of one state", ("rho",), _cmd_entropy),
+    "cond": ("entropy of rho given sigma", ("rho", "sigma"), _cmd_cond),
+    "cond-res": ("entropy of rho given a bare resolution", ("rho", "resolution"), _cmd_cond_res),
+    "pinch": ("block-diagonal part of rho", ("rho", "resolution"), _cmd_pinch),
+    "classical": ("Shannon quantities of partition data", ("data",), _cmd_classical),
+    "hres": ("entropies of two identity resolutions", ("p_res", "q_res"), _cmd_hres),
+    "orders": ("refinement and mixedness comparisons", ("rho", "sigma"), _cmd_orders),
+    "optimize": ("maximize compressed entropy at fixed rank", ("rho",), _cmd_optimize),
+    "audit": ("desiderata audit of a conditional entropy", (), _cmd_audit),
+    "demo": ("built-in demonstrations", (), _cmd_demo),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--units", choices=("nats", "bits"), default="nats")
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    common.add_argument(
+        "--seed", type=_seed_arg, default=None, help="RNG seed (default: QCE_SEED or 0)"
+    )
+    common.add_argument(
+        "--cluster-tol", type=float, default=None, help="eigenvalue clustering scale"
+    )
+    common.add_argument("--tol-profile", choices=tuple(_PROFILES), default="default")
+
+    parser = argparse.ArgumentParser(
+        prog="qce",
+        description="entropies of density matrices under spectral conditioning",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, (help_text, positionals, handler) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, parents=[common], help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
+        p.set_defaults(handler=handler)
+
+    commands["optimize"].add_argument("--rank", type=int, required=True)
+    p = commands["audit"]
+    p.add_argument("--functional", choices=tuple(EXPECTED_VERDICTS), required=True)
+    p.add_argument("--dims", type=_dims_arg, default=(2, 3, 4))
+    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--rank-profile", choices=("full", "mixed"), default="mixed")
+    p.add_argument("--gap-floor", type=float, default=1e-3)
+    commands["demo"].add_argument("name", choices=tuple(_DEMOS))
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +496,7 @@ def main(argv=None) -> int:
         if args.cluster_tol is not None:
             tol = dataclasses.replace(profile, cluster=args.cluster_tol)
             _cluster_scale(tol)
-        rows, report, code = _HANDLERS[args.command](args, tol)
+        rows, report, code = args.handler(args, tol)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+__all__ = ["DEFAULT_TOLERANCES", "Tolerances", "tolerance_profile"]
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -16,7 +18,9 @@ class Tolerances:
     trace: allowed deviation of a trace from its target (1 for states,
         an integer rank for projectors).
     cluster: eigenvalue clustering scale; gaps <= cluster/4 merge, gaps in
-        (cluster/4, cluster) are ambiguous, gaps >= cluster separate.
+        (cluster/4, cluster) are ambiguous, gaps >= cluster separate, and a
+        merged cluster spanning cluster or more (first level minus last) is
+        ambiguous too.
     support: eigenvalues <= support count as zero for support/kernel decisions.
     """
 

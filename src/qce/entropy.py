@@ -64,21 +64,10 @@ from .matcore import (
 from .shannon import ProbabilityVector, _h
 
 __all__ = [
-    "BlockTerm",
-    "EntropyBreakdown",
-    "ProbabilityVector",
-    "block_distribution",
-    "compressed_entropy",
-    "compressed_state",
-    "conditional_entropy",
-    "conditional_entropy_given_blocks",
-    "information_gain",
-    "joint_entropy",
-    "pinch",
-    "self_conditional_entropy",
-    "self_information_gain",
-    "spectrum_distribution",
-    "von_neumann_entropy",
+    "BlockTerm", "EntropyBreakdown", "block_distribution", "compressed_entropy",
+    "compressed_state", "conditional_entropy", "conditional_entropy_given_blocks",
+    "information_gain", "joint_entropy", "pinch", "self_conditional_entropy",
+    "self_information_gain", "spectrum_distribution", "von_neumann_entropy",
 ]
 
 

@@ -7,6 +7,12 @@ conditions arising during a computation (ambiguous eigenvalue clustering,
 a vanishing compression, a state that is not strictly positive).
 """
 
+__all__ = [
+    "BadShape", "ClusterAmbiguity", "DimMismatch", "InvalidPartitionData", "NotHermitian",
+    "NotPSD", "NotStrictlyPositive", "ParseError", "QceError", "ValidationError",
+    "ZeroCompression",
+]
+
 
 class QceError(Exception):
     """Base class for all package errors."""

@@ -55,10 +55,7 @@ from .matcore import (
 )
 
 __all__ = [
-    "GapReport",
-    "OptimizeResult",
-    "entropy_gap_report",
-    "maximize_compressed_entropy",
+    "GapReport", "OptimizeResult", "entropy_gap_report", "maximize_compressed_entropy",
     "variational_gradient",
 ]
 

@@ -52,7 +52,10 @@ Eigenvalue clustering turns a raw descending spectrum into distinct levels
 at the scale tol.cluster, which must be finite and positive. Gaps at most
 tol.cluster/4 merge, gaps of at least tol.cluster separate, and gaps strictly
 between signal an unstable grouping and raise ClusterAmbiguity rather than
-silently committing to either reading.
+silently committing to either reading. A cluster whose merged gaps add up to
+tol.cluster or more (its first level minus its last) raises ClusterAmbiguity
+too: rounding in eigh is far below the scale, so a chain that wide is
+structure, not noise.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ from .errors import (
     NotPSD,
     ValidationError,
 )
+
+__all__ = [
+    "DensityMatrix", "IdentityResolution", "Projector", "SpectralResolution",
+    "commutator_residual", "hermitize", "max_abs", "spectral_resolution",
+]
 
 # Dense square complex ndarray; the universal carrier type.
 ComplexMatrix = np.ndarray
@@ -387,7 +395,17 @@ def _cluster_sizes(w_desc: np.ndarray, ctol: float) -> list[int]:
             f"({ctol / 4.0:.3e}, {ctol:.3e})"
         )
     cuts = np.nonzero(gaps >= ctol)[0] + 1
-    return np.diff(np.concatenate(([0], cuts, [len(w_desc)]))).tolist()
+    first = np.concatenate(([0], cuts))
+    last = np.concatenate((cuts, [len(w_desc)])) - 1
+    # Merging is gap by gap, so small gaps can chain into a cluster wider than the scale.
+    wide = np.nonzero(w_desc[first] - w_desc[last] >= ctol)[0]
+    if wide.size:
+        top, bottom = float(w_desc[first[wide[0]]]), float(w_desc[last[wide[0]]])
+        raise ClusterAmbiguity(
+            f"eigenvalues {top!r} to {bottom!r} chain into one cluster spanning "
+            f"{top - bottom:.3e}, at least the clustering scale {ctol:.3e}"
+        )
+    return (last - first + 1).tolist()
 
 
 def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralResolution:
@@ -398,7 +416,8 @@ def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralRe
     the level. Raises TypeError unless rho is a DensityMatrix,
     ValidationError when tol.cluster is not finite and positive, and
     ClusterAmbiguity when a gap falls strictly between tol.cluster/4 and
-    tol.cluster, or when merging leaves two adjacent levels closer than
+    tol.cluster, when merged gaps chain into a cluster spanning tol.cluster
+    or more, or when merging leaves two adjacent levels closer than
     tol.cluster.
 
     The state is resolved from the eigendecomposition it kept at

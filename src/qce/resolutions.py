@@ -44,15 +44,9 @@ from .shannon import (
 )
 
 __all__ = [
-    "OrderWitness",
-    "commutant_dim",
-    "conditional_entropy_of_states",
-    "more_mixed",
-    "partition_from_resolutions",
-    "resolution_conditional_entropy",
-    "resolution_entropy",
-    "resolution_joint_entropy",
-    "resolution_leq",
+    "OrderWitness", "commutant_dim", "conditional_entropy_of_states", "more_mixed",
+    "partition_from_resolutions", "resolution_conditional_entropy", "resolution_entropy",
+    "resolution_joint_entropy", "resolution_leq",
 ]
 
 

@@ -5,8 +5,9 @@ with "im" and "label" optional. A resolution document is {"dim": n,
 "blocks": [matrix documents]}. Partition data is either the four-field form
 {"p", "q", "p_given_q", "q_given_p"} or {"joint": [[...]]}.
 
-Structural problems (bad JSON, missing keys, wrong shapes, non-finite
-numbers) raise ParseError; whether the parsed numbers satisfy a role's
+Structural problems (a file that cannot be read or is not UTF-8, bad or too
+deeply nested JSON, missing keys, wrong shapes, non-finite numbers) raise
+ParseError; whether the parsed numbers satisfy a role's
 invariants is the caller's concern and raises validation errors instead.
 """
 
@@ -21,6 +22,11 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ParseError
 from .matcore import IdentityResolution, Projector, hermitize
 from .shannon import ClassicalPartitionData
+
+__all__ = [
+    "doc_to_matrix", "doc_to_partition", "doc_to_resolution", "load_document",
+    "matrix_to_doc", "resolution_to_doc",
+]
 
 
 def load_document(source) -> dict:
@@ -37,6 +43,8 @@ def load_document(source) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     return doc
@@ -44,8 +52,8 @@ def load_document(source) -> dict:
 
 def _read_path(path: Path) -> str:
     try:
-        return path.read_text()
-    except OSError as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 

@@ -13,6 +13,12 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import BadShape, InvalidPartitionData, ValidationError
 
+__all__ = [
+    "ClassicalPartitionData", "ProbabilityVector", "conditional_shannon_entropy",
+    "is_consequence", "is_independent", "joint_shannon_entropy", "mutual_information",
+    "shannon_entropy",
+]
+
 
 class ProbabilityVector:
     """Nonnegative weights summing to 1; stored as a frozen float array.

@@ -31,6 +31,12 @@ from .matcore import DensityMatrix, IdentityResolution, Projector, hermitize
 from .resolutions import commutant_dim, conditional_entropy_of_states
 from .serialize import matrix_to_doc
 
+__all__ = [
+    "SelfGainProbe", "coupled_family_probe", "coupled_pair_split", "coupled_pair_state",
+    "dim2_demo", "impossibility_demos", "probe_max_self_gain", "tilted_family_probe",
+    "tilted_pair_state",
+]
+
 
 def tilted_pair_state(
     phi1: float,

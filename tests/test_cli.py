@@ -148,6 +148,7 @@ def test_missing_field_is_a_parse_error(capsys):
         # Valid states once "dim" is truncated to 2 or read as 1.
         ["entropy", '{"dim": 2.9, "re": [[1, 0], [0, 0]]}'],
         ["entropy", '{"dim": true, "re": [[1]]}'],
+        ["entropy", '{"a": ' * 10**5 + "1" + "}" * 10**5],
     ],
     ids=[
         "joint-string-entry",
@@ -158,6 +159,7 @@ def test_missing_field_is_a_parse_error(capsys):
         "resolution-dim-string",
         "matrix-dim-fraction",
         "matrix-dim-bool",
+        "json-nested-too-deep",
     ],
 )
 def test_malformed_documents_are_parse_errors(argv, capsys):
@@ -519,12 +521,36 @@ def test_audit_matches_the_expected_verdicts(functional, capsys):
     assert "deviates" not in out
 
 
-@pytest.mark.parametrize("name", ["dim2", "tilted", "coupled", "impossibility"])
+# Each demo's (name, unit) rows, in order, so that no row is dropped, moved or relabeled.
+DEMO_ROWS = {
+    "dim2": [
+        ("entropy", "nats"), ("conditional_on_uniform", "nats"),
+        ("conditional_on_nondegenerate", "nats"), ("conditional_on_itself", "nats"),
+    ],
+    "tilted": [
+        ("compressed_entropy", "nats"), ("entropy", "nats"), ("compressed_state_entropy", "nats"),
+        ("max_compressed_entropy_minus_entropy", "nats"),
+    ],
+    "coupled": [
+        ("entropy_at_zero", "nats"), ("entropy_at_one", "nats"),
+        ("max_block_sum_dev_from_ln2", "nats"), ("max_block_sum_minus_entropy", "nats"),
+    ],
+    "impossibility": [
+        *((f"forced_{rule}_d{d}", "nats") for d in (2, 3, 4) for rule in ("self", "uniform")),
+        ("decomposition_weight", ""), ("value_at_rotated", "nats"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(DEMO_ROWS))
 def test_demo_subcommands_run(name, capsys):
     code, out, err = run(["demo", name], capsys)
     assert code == 0
     assert err == ""
     assert out.startswith("qce demo ")
+    code, doc = run_json(["demo", name], capsys)
+    assert code == 0
+    assert [(r["name"], r["unit"]) for r in doc["rows"]] == DEMO_ROWS[name]
 
 
 def test_demo_dim2_rows(capsys):

@@ -474,6 +474,24 @@ def test_cluster_band_up_to_d128(dim_k, band, u, seed):
     np.testing.assert_allclose(sr.reconstruct(), rho.mat, rtol=0.0, atol=gap + 1e-12)
 
 
+@pytest.mark.parametrize("dim", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("span", [0.9, 1.1])
+def test_a_chained_cluster_is_refused_at_the_clustering_scale(dim, span):
+    # Equal steps of at most CLUSTER / 4, so every gap merges; only the width
+    # of the chain, span * CLUSTER, tells the two cases apart.
+    step = span * CLUSTER / (dim - 1)
+    assert step <= CLUSTER / 4
+    levels = 1.0 / dim + step * (np.arange(dim) - (dim - 1) / 2)
+    u = random_unitary(dim, seed=dim)
+    rotated = DensityMatrix(hermitize((u * levels) @ u.conj().T))
+    for rho in (DensityMatrix.diagonal(levels), rotated):
+        if span < 1:
+            assert spectral_resolution(rho).ranks() == (dim,)
+        else:
+            with pytest.raises(ClusterAmbiguity, match="chain into one cluster"):
+                spectral_resolution(rho)
+
+
 def test_compress_masks_block():
     rho = DensityMatrix(np.full((2, 2), 0.5))
     q = Projector.coordinate(2, [0])

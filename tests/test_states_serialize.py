@@ -135,6 +135,12 @@ def test_load_document_errors(tmp_path):
         load_document("/no/such/file.json")
     with pytest.raises(ParseError, match="cannot load"):
         load_document(42)
+    p.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ParseError, match="cannot read .*utf-8"):
+        load_document(p)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        # Nested far past the interpreter's recursion limit.
+        load_document('{"a": ' * 10**5 + "1" + "}" * 10**5)
 
 
 def test_doc_to_matrix_shape_errors():

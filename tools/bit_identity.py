@@ -3,6 +3,8 @@
 Usage, from the root of a checkout:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bit_identity.py OUT_FILE
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bit_identity.py --digest FILE
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bit_identity.py --check FILE
 
 The inputs come from the generators in bench/workloads.py, so they are
 arrays built with numpy alone:
@@ -18,11 +20,17 @@ op and call, then the repr of the total and of every block's weight and
 factor. The qce package is whichever one PYTHONPATH puts first (its location
 is printed to stderr), so running this script against two checkouts' src
 directories and comparing the two files with `cmp` shows whether a change
-moved any bit of these results.
+moved any bit of these results. --digest FILE writes one SHA-256 per
+workload and seed (the lines of cond-fresh 201, cond-fresh 202 and
+cond-shared 301) into FILE instead, and --check FILE lists the groups whose
+SHA-256 differs from FILE's (see tools/digest.py); tools/golden.sha256 is
+the committed digest.
 """
 
 from __future__ import annotations
 
+import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -58,21 +66,33 @@ def results(qce, workloads):
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: bit_identity.py OUT_FILE", file=sys.stderr)
-        return 2
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    parser = argparse.ArgumentParser(description="conditional-entropy bit-identity set")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("out_file", nargs="?", help="write every result line into this file")
+    mode.add_argument("--digest", metavar="FILE", help="write one SHA-256 per workload and seed")
+    mode.add_argument("--check", metavar="FILE", help="compare every group with FILE")
+    args = parser.parse_args(argv)
+    here = Path(__file__).resolve().parent
+    sys.path[:0] = [str(here), str(here.parent / "bench")]
+    import digest
     import qce
     import workloads
 
     print(f"qce from {Path(qce.__file__).parent}", file=sys.stderr)
+    lines = (line(tag, breakdown) for tag, breakdown in results(qce, workloads))
+    if args.out_file is None:
+        # One output per workload and seed: the first two words of each tag.
+        groups = itertools.groupby(lines, key=lambda text: "-".join(text.split()[:2]))
+        outputs = ((name, "".join(group)) for name, group in groups)
+        if args.digest:
+            return digest.write(Path(args.digest), "bit_identity", outputs)
+        return digest.check(Path(args.check), "bit_identity", outputs)
     count = 0
-    with open(args[0], "w") as out:
-        for tag, breakdown in results(qce, workloads):
-            out.write(line(tag, breakdown))
+    with open(args.out_file, "w") as out:
+        for text in lines:
+            out.write(text)
             count += 1
-    print(f"wrote {count} results to {args[0]}", file=sys.stderr)
+    print(f"wrote {count} results to {args.out_file}", file=sys.stderr)
     return 0
 
 

@@ -3,14 +3,21 @@
 Usage, from the root of a checkout:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py OUT_DIR
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py --digest FILE
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py --check FILE
 
 Each argv in COMMANDS runs in-process through qce.cli.main once per output
-format (text, json) and tolerance profile (default, strict, loose). A run
-writes one file, OUT_DIR/<index>-<command>-<format>-<profile>.txt, holding
-its exit code, its stdout and its stderr. The qce package is whichever one
-PYTHONPATH puts first (its location is printed to stderr), so running this
-script against two checkouts' src directories and comparing the two output
-directories with `diff -r` shows every CLI byte that a change moved.
+format (text, json) and tolerance profile (default, strict, loose); then
+`qce --help` and `qce <command> --help` run once each, at 80 columns. A run
+writes one file, OUT_DIR/<index>-<command>-<format>-<profile>.txt or
+OUT_DIR/help[-<command>].txt, holding its exit code, its stdout and its
+stderr. The qce package is whichever one PYTHONPATH puts first (its location
+is printed to stderr), so running this script against two checkouts' src
+directories and comparing the two output directories with `diff -r` shows
+every CLI byte that a change moved. --digest FILE writes one SHA-256 per
+output into FILE instead, and --check FILE lists the outputs whose SHA-256
+differs from FILE's (see tools/digest.py); tools/golden.sha256 is the
+committed digest.
 
 The documents are inline JSON built by the pure-Python helpers below, so
 the inputs do not depend on numpy or on qce. QCE_SEED is cleared, so every
@@ -19,8 +26,10 @@ run not given --seed uses seed 0.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -130,13 +139,28 @@ COMMANDS: list[list[str]] = [
 ]
 
 
+# Subcommands whose --help page is written, once each: outside COMMANDS,
+# whose every argv runs in each format and profile.
+HELP_COMMANDS = (
+    "entropy", "cond", "cond-res", "pinch", "classical", "hres", "orders", "optimize",
+    "audit", "demo",
+)
+
+
 def runs():
-    """(file name, argv) of every run, in order."""
+    """(file name, argv) of every COMMANDS run, in order."""
     for i, argv in enumerate(COMMANDS):
         for fmt in FORMATS:
             for profile in PROFILES:
                 name = f"{i:03d}-{argv[0]}-{fmt}-{profile}.txt"
                 yield name, [*argv, "--format", fmt, "--tol-profile", profile]
+
+
+def help_runs():
+    """(file name, argv) of every help page: qce's, then each subcommand's."""
+    yield "help.txt", ["--help"]
+    for command in HELP_COMMANDS:
+        yield f"help-{command}.txt", [command, "--help"]
 
 
 def run_one(main, argv) -> str:
@@ -150,20 +174,33 @@ def run_one(main, argv) -> str:
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: golden_cli.py OUT_DIR", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(description="golden qce CLI outputs")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("out_dir", nargs="?", help="write every output into this directory")
+    mode.add_argument("--digest", metavar="FILE", help="write one SHA-256 per output")
+    mode.add_argument("--check", metavar="FILE", help="compare every output with FILE")
+    args = parser.parse_args(argv)
     os.environ.pop("QCE_SEED", None)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    import digest
     import qce
     from qce.cli import main as cli_main
 
     print(f"qce from {Path(qce.__file__).parent}", file=sys.stderr)
-    out_dir = Path(args[0])
+    outputs = (
+        (name, run_one(cli_main, run_argv))
+        for name, run_argv in itertools.chain(runs(), help_runs())
+    )
+    if args.digest:
+        return digest.write(Path(args.digest), "golden_cli", outputs)
+    if args.check:
+        return digest.check(Path(args.check), "golden_cli", outputs)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     count = 0
-    for name, run_argv in runs():
-        (out_dir / name).write_text(run_one(cli_main, run_argv))
+    for name, text in outputs:
+        (out_dir / name).write_text(text)
         count += 1
     print(f"wrote {count} outputs to {out_dir}", file=sys.stderr)
     return 0

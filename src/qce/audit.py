@@ -46,14 +46,14 @@ import numpy as np
 from . import rand
 from .errors import ValidationError
 from .entropy import conditional_entropy, joint_entropy, von_neumann_entropy
-from .matcore import DensityMatrix, spectral_resolution
+from .matcore import DensityMatrix, _rotate, _rotation, spectral_resolution
+from .rand import _RANK_PROFILES
 from .resolutions import (
     conditional_entropy_of_states,
     resolution_entropy,
     resolution_joint_entropy,
 )
 from .serialize import doc_to_matrix, matrix_to_doc
-from .states import _rotate, _rotation
 
 __all__ = [
     "AuditReport", "ConditionEntry", "EXPECTED_VERDICTS", "EnsembleConfig", "FAILS", "HOLDS",
@@ -70,7 +70,12 @@ FAILS = "fails-with-witness"
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Shape of a randomized audit: dimensions, trials per dim, seed, draws."""
+    """Shape of a randomized audit: dimensions, trials per dim, seed, draws.
+
+    rank_profile is a key of rand._RANK_PROFILES. Spaced draws aim for levels
+    and level gaps of at least gap_floor; after 200 missed tries they take
+    evenly spread levels, whose gaps can be smaller.
+    """
 
     dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
     trials: int = 200
@@ -85,8 +90,8 @@ class EnsembleConfig:
             raise ValidationError("trials must be positive")
         if int(self.seed) < 0:
             raise ValidationError("seed must be a nonnegative integer")
-        if self.rank_profile not in ("full", "mixed"):
-            raise ValidationError('rank_profile must be "full" or "mixed"')
+        if self.rank_profile not in _RANK_PROFILES:
+            raise ValidationError(f"rank_profile must be one of {tuple(_RANK_PROFILES)}")
         if not 0.0 < float(self.gap_floor) < 0.5:
             raise ValidationError("gap_floor must lie in (0, 0.5)")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -95,13 +100,7 @@ class EnsembleConfig:
         object.__setattr__(self, "gap_floor", float(self.gap_floor))
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "trials": self.trials,
-            "seed": self.seed,
-            "rank_profile": self.rank_profile,
-            "gap_floor": self.gap_floor,
-        }
+        return {**asdict(self), "dims": list(self.dims)}
 
 
 # A condition fails on a violation above _VIOLATION_TOL unless its record sets
@@ -164,12 +163,6 @@ class AuditReport:
     functional_id: str
     config: EnsembleConfig
     entries: tuple[ConditionEntry, ...]
-
-    def entry(self, label: str) -> ConditionEntry:
-        for e in self.entries:
-            if e.label == label:
-                return e
-        raise KeyError(label)
 
     def verdicts(self) -> dict:
         return {e.label: e.verdict for e in self.entries}
@@ -290,17 +283,6 @@ def _swap_probe() -> tuple:
     return (("constructed", {"rho": flat, "sigma": uniform}),)
 
 
-def _draw_commuting_pair(rng: np.random.Generator, dim: int, t: int, cfg) -> dict:
-    """Two exactly degenerate states diagonal in one Haar-random frame."""
-    frame = rand._haar_unitary(dim, rng)
-    pair = []
-    for _ in range(2):
-        sizes = rand._random_composition(dim, rng, degenerate=True)
-        levels = rand._spaced_levels(sizes, rng, cfg.gap_floor)
-        pair.append(_rotate(DensityMatrix.diagonal(np.repeat(levels, sizes)), frame))
-    return {"rho": pair[0], "sigma": pair[1]}
-
-
 _CONDITIONS = (
     _Condition(
         1, "1-invariance", "conjugating both arguments by one unitary",
@@ -341,8 +323,10 @@ _CONDITIONS = (
     ),
     _Condition(
         3, "3-commuting-symmetry", _SYMMETRY_NOTES, "joint-symmetry", _joint_symmetry,
-        expected=(FAILS, HOLDS), stream=25, draw=_draw_commuting_pair, tag="sampled-commuting",
-        probes=_swap_probe,
+        expected=(FAILS, HOLDS), stream=25, tag="sampled-commuting", probes=_swap_probe,
+        draw=lambda rng, dim, t, cfg: dict(
+            zip(("rho", "sigma"), rand._draw_commuting_pair(dim, rng, cfg.gap_floor))
+        ),
     ),
     _Condition(
         4, "4-symmetry", _SYMMETRY_NOTES, "joint-symmetry", _joint_symmetry,

@@ -11,12 +11,15 @@ latter are a fixed record of the retired iterative ascent that the qce/1
 schema keeps (only their seed follows --seed). Entropies are computed in
 nats; --units bits divides displayed entropy rows by ln 2 and nothing else.
 --format json emits a versioned document {"schema": "qce/1", "command",
-"settings", "rows", "report"}.
+"settings", "rows", "report"}. audit and demo read no tolerance: their
+settings report the profile and --cluster-tol (still checked to be valid),
+but their rows and report do not depend on either.
 
 Each subcommand is one entry of _COMMANDS (help text, positional arguments,
 handler), and each demo one entry of _DEMOS (report builder, rows). The
 parser is built from these tables; its other choices are the keys of the
-audit's EXPECTED_VERDICTS and of the tolerance profiles.
+audit's EXPECTED_VERDICTS, the rank profiles and the tolerance profiles,
+and its audit defaults for --rank-profile and --gap-floor are EnsembleConfig's.
 
 Exit codes: 0 success; 2 malformed input, including a negative or
 non-integer --seed or QCE_SEED; 3 failed validation; 4 optimizer did not
@@ -34,7 +37,7 @@ import math
 import os
 import sys
 
-from .audit import EXPECTED_VERDICTS, EnsembleConfig, audit_deviations, axiom_audit
+from .audit import _RANK_PROFILES, EXPECTED_VERDICTS, EnsembleConfig, audit_deviations, axiom_audit
 from .config import _PROFILES, tolerance_profile
 from .entropy import (
     _gain,
@@ -394,8 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional", choices=tuple(EXPECTED_VERDICTS), required=True)
     p.add_argument("--dims", type=_dims_arg, default=(2, 3, 4))
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--rank-profile", choices=("full", "mixed"), default="mixed")
-    p.add_argument("--gap-floor", type=float, default=1e-3)
+    p.add_argument(
+        "--rank-profile", choices=tuple(_RANK_PROFILES), default=EnsembleConfig.rank_profile
+    )
+    p.add_argument("--gap-floor", type=float, default=EnsembleConfig.gap_floor)
     commands["demo"].add_argument("name", choices=tuple(_DEMOS))
     return parser
 
@@ -461,9 +466,8 @@ def _emit_text(command: str, settings: dict, rows: list, report: dict) -> None:
         print(f"{r['name']:<{width}}  {_fmt_value(r['value'])} {r['unit']}".rstrip())
     if command == "audit":
         print()
-        expected = report["expected"]
         for label, verdict in report["verdicts"].items():
-            marker = "" if verdict == expected[label] else "  <-- deviates"
+            marker = "  <-- deviates" if label in report["deviations"] else ""
             print(f"{label:<24} {verdict}{marker}")
         if report["deviations"]:
             print(f"deviations: {', '.join(report['deviations'])}")

@@ -27,7 +27,8 @@ matrix is wanted (serialize.resolution_to_doc).
 
 The operand checks shared by the functionals (a DensityMatrix, a Projector,
 an IdentityResolution, equal dimensions) live here too, so every entry point
-raises the same TypeError or DimMismatch for the same fault.
+raises the same TypeError or DimMismatch for the same fault. So do _rotate
+(U rho U*) and _rotation (a plane rotation), which states, audit and rand share.
 
 A DensityMatrix is diagonalized once, by its constructor, which keeps the
 frozen eigh of the matrix it stores (after a clamp, of the rebuilt one);
@@ -60,6 +61,7 @@ structure, not noise.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -78,9 +80,6 @@ __all__ = [
     "DensityMatrix", "IdentityResolution", "Projector", "SpectralResolution",
     "commutator_residual", "hermitize", "max_abs", "spectral_resolution",
 ]
-
-# Dense square complex ndarray; the universal carrier type.
-ComplexMatrix = np.ndarray
 
 
 def as_complex_matrix(obj) -> np.ndarray:
@@ -175,6 +174,16 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
+
+
+def _rotate(state: DensityMatrix, unitary: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(hermitize(unitary @ state.mat @ unitary.conj().T))
+
+
+def _rotation(theta: float) -> np.ndarray:
+    """Real rotation of the plane by theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 class Projector:
@@ -345,10 +354,10 @@ class SpectralResolution(IdentityResolution):
 
     Built only by spectral_resolution, from a DensityMatrix. eigenvalues
     holds the levels, strictly descending in [0, 1] with consecutive gaps
-    above the clustering scale; weights holds each block's mass
-    tr(Q_j sigma) = level_j * rank_j under the resolved state, exactly 1.0
-    for a single block, and sums to 1 within tol.trace. Both are tuples of
-    floats, one per block.
+    of at least the clustering scale (up to the rounding of the block means);
+    weights holds each block's mass tr(Q_j sigma) = level_j * rank_j under
+    the resolved state, exactly 1.0 for a single block, and sums to 1 within
+    tol.trace. Both are tuples of floats, one per block.
     """
 
     def __init__(self, *args, **kwargs):
@@ -416,9 +425,8 @@ def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralRe
     the level. Raises TypeError unless rho is a DensityMatrix,
     ValidationError when tol.cluster is not finite and positive, and
     ClusterAmbiguity when a gap falls strictly between tol.cluster/4 and
-    tol.cluster, when merged gaps chain into a cluster spanning tol.cluster
-    or more, or when merging leaves two adjacent levels closer than
-    tol.cluster.
+    tol.cluster, or when merged gaps chain into a cluster spanning
+    tol.cluster or more. _cluster_sizes makes both decisions.
 
     The state is resolved from the eigendecomposition it kept at
     construction, and keeps its resolution per Tolerances record, so
@@ -445,11 +453,6 @@ def _resolve(rho: DensityMatrix, ctol: float, tol: Tolerances) -> SpectralResolu
     w, v = w[::-1], v[:, ::-1]
     sizes = _cluster_sizes(w, ctol)
     levels = np.clip(np.add.reduceat(w, _offsets(sizes)[:-1]) / sizes, 0.0, 1.0)
-    if np.any(levels[:-1] - levels[1:] <= ctol):
-        raise ClusterAmbiguity(
-            "clustered levels collapsed within the clustering scale; "
-            "no stable grouping at this tolerance"
-        )
     eigenvalues = tuple(levels.tolist())
     weights = tuple(x * r for x, r in zip(eigenvalues, sizes)) if len(sizes) > 1 else (1.0,)
     mass = sum(weights)

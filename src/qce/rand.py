@@ -4,7 +4,8 @@ The public API is the four seeded draws: a unitary, a density matrix, a
 projector and an identity resolution, each from its own seed. The private
 helpers draw from a generator that the caller passes, so the audit can key
 every sampled trial by (seed, stream, dim, trial) and replay it in
-isolation.
+isolation. Every state draw of the audit and the demos lives here, beside
+the rank profiles (_RANK_PROFILES) that _draw_density reads.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadShape, ValidationError
-from .matcore import DensityMatrix, IdentityResolution, Projector, hermitize
+from .matcore import DensityMatrix, IdentityResolution, Projector, _rotate, hermitize
 
 __all__ = ["random_density", "random_projector", "random_resolution", "random_unitary"]
 
@@ -88,12 +89,18 @@ def random_resolution(dim: int, block_sizes, seed: int = 0) -> IdentityResolutio
 
 
 # ---------------------------------------------------------------------------
-# Generator-level draws for the audit
+# Generator-level draws for the audit and the demos
+
+
+# rank profile -> the rank (dim, rng) -> r of a _draw_density sample.
+_RANK_PROFILES = {
+    "full": lambda dim, rng: dim,
+    "mixed": lambda dim, rng: int(rng.integers(1, dim + 1)),
+}
 
 
 def _draw_density(dim: int, rng: np.random.Generator, profile: str) -> DensityMatrix:
-    rank = dim if profile == "full" else int(rng.integers(1, dim + 1))
-    return DensityMatrix(_ginibre_density(dim, rank, rng))
+    return DensityMatrix(_ginibre_density(dim, _RANK_PROFILES[profile](dim, rng), rng))
 
 
 def _random_composition(dim: int, rng: np.random.Generator, degenerate: bool) -> list[int]:
@@ -162,3 +169,14 @@ def _draw_conditioning(
     if trial % 2:
         return _draw_degenerate_state(dim, rng, gap_floor)
     return _draw_nondegenerate_state(dim, rng, gap_floor)
+
+
+def _draw_commuting_pair(dim: int, rng: np.random.Generator, gap_floor: float) -> tuple:
+    """Two exactly degenerate states diagonal in one Haar-random frame."""
+    frame = _haar_unitary(dim, rng)
+    pair = []
+    for _ in range(2):
+        sizes = _random_composition(dim, rng, degenerate=True)
+        levels = _spaced_levels(sizes, rng, gap_floor)
+        pair.append(_rotate(DensityMatrix.diagonal(np.repeat(levels, sizes)), frame))
+    return tuple(pair)

@@ -5,7 +5,9 @@ compressed entropy. The demonstrations are the paper's worked examples:
 the impossibility argument, sweeps of the two families, a tour of the
 conditional entropy in dimension 2, and the largest self-information gain
 S(rho) - S(rho | rho) in a given dimension, which is zero exactly when the
-nonzero spectrum is nondegenerate.
+nonzero spectrum is nondegenerate. A family sweep is a table of points:
+each per-point list is built once, each reported extreme is one expression
+over those lists, and dim2_demo's one random state comes from rand.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .entropy import (
     self_information_gain,
     von_neumann_entropy,
 )
-from .matcore import DensityMatrix, IdentityResolution, Projector, hermitize
+from .matcore import DensityMatrix, IdentityResolution, Projector, _rotate, _rotation, hermitize
 from .resolutions import commutant_dim, conditional_entropy_of_states
 from .serialize import matrix_to_doc
 
@@ -84,16 +86,6 @@ def coupled_pair_state(kappa: float, tol: Tolerances = DEFAULT_TOLERANCES) -> De
 def coupled_pair_split(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Projector, Projector]:
     """The canonical two-block split (span(e1,e2), span(e3,e4)) in dimension 4."""
     return Projector.coordinate(4, (0, 1), tol), Projector.coordinate(4, (2, 3), tol)
-
-
-def _rotate(state: DensityMatrix, unitary: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(hermitize(unitary @ state.mat @ unitary.conj().T))
-
-
-def _rotation(theta: float) -> np.ndarray:
-    """Real rotation of the plane by theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -171,35 +163,18 @@ def coupled_family_probe(grid_points: int = 101) -> dict:
     q1, q2 = coupled_pair_split()
     blocks = IdentityResolution([q1, q2])
     ln2, ln4 = math.log(2.0), math.log(4.0)
-    kappas, block_sums, entropies = [], [], []
-    claimed, corrected = [], []
-    max_dev_ln2 = 0.0
-    max_sum_minus_entropy = -math.inf
-    max_dev_corrected = 0.0
-    min_dev_claimed = math.inf
-    max_pinch_dev = 0.0
-    for k in range(grid_points):
-        kappa = k / (grid_points - 1)
-        rho = coupled_pair_state(kappa)
-        bs = compressed_entropy(rho, q1) + compressed_entropy(rho, q2)
-        entropy = von_neumann_entropy(rho)
-        mix = 0.0
-        for x in (1.0 + kappa, 1.0 - kappa):
-            if x > 0.0:
-                mix += 0.5 * x * math.log(x)
-        claim = ln2 - mix
-        correct = ln4 - mix
-        pinch_entropy = von_neumann_entropy(pinch(rho, blocks))
-        kappas.append(kappa)
-        block_sums.append(bs)
-        entropies.append(entropy)
-        claimed.append(claim)
-        corrected.append(correct)
-        max_dev_ln2 = max(max_dev_ln2, abs(bs - ln2))
-        max_sum_minus_entropy = max(max_sum_minus_entropy, bs - entropy)
-        max_dev_corrected = max(max_dev_corrected, abs(entropy - correct))
-        min_dev_claimed = min(min_dev_claimed, abs(entropy - claim))
-        max_pinch_dev = max(max_pinch_dev, abs(pinch_entropy - ln4))
+    kappas = [k / (grid_points - 1) for k in range(grid_points)]
+    states = [coupled_pair_state(kappa) for kappa in kappas]
+    block_sums = [compressed_entropy(rho, q1) + compressed_entropy(rho, q2) for rho in states]
+    entropies = [von_neumann_entropy(rho) for rho in states]
+    pinched = [von_neumann_entropy(pinch(rho, blocks)) for rho in states]
+    # sum over x = 1 +- kappa of (x/2) ln x; each closed form is ln 2 or ln 4 minus it.
+    mixes = [
+        sum(0.5 * x * math.log(x) for x in (1.0 + kappa, 1.0 - kappa) if x > 0.0)
+        for kappa in kappas
+    ]
+    claimed = [ln2 - mix for mix in mixes]
+    corrected = [ln4 - mix for mix in mixes]
     return {
         "kappa": kappas,
         "block_sum": block_sums,
@@ -208,11 +183,11 @@ def coupled_family_probe(grid_points: int = 101) -> dict:
         "corrected_closed_form": corrected,
         "entropy_at_zero": entropies[0],
         "entropy_at_one": entropies[-1],
-        "max_block_sum_dev_from_ln2": max_dev_ln2,
-        "max_block_sum_minus_entropy": max_sum_minus_entropy,
-        "max_entropy_dev_from_corrected": max_dev_corrected,
-        "min_entropy_dev_from_claimed": min_dev_claimed,
-        "max_pinched_entropy_dev_from_ln4": max_pinch_dev,
+        "max_block_sum_dev_from_ln2": max(abs(b - ln2) for b in block_sums),
+        "max_block_sum_minus_entropy": max(b - e for b, e in zip(block_sums, entropies)),
+        "max_entropy_dev_from_corrected": max(abs(e - c) for e, c in zip(entropies, corrected)),
+        "min_entropy_dev_from_claimed": min(abs(e - c) for e, c in zip(entropies, claimed)),
+        "max_pinched_entropy_dev_from_ln4": max(abs(p - ln4) for p in pinched),
         "notes": [
             "the per-block compressions are kappa-independent, so the block sum "
             "stays at ln 2 while the entropy falls from ln 4 to ln 2",
@@ -252,14 +227,9 @@ def tilted_family_probe(grid_points: int = 50) -> dict:
     inside = compressed_state(rho, q)
     inside_entropy = von_neumann_entropy(inside)
     half_projector_dev = float(np.max(np.abs(inside.mat - q.mat / 2.0)))
-    max_excess = -math.inf
-    for i in range(grid_points):
-        for j in range(grid_points):
-            a = 0.5 * math.pi * i / (grid_points - 1)
-            b = 0.5 * math.pi * j / (grid_points - 1)
-            r, qq = tilted_pair_state(a, b, _TILTED_WEIGHT1)
-            excess = compressed_entropy(r, qq) - von_neumann_entropy(r)
-            max_excess = max(max_excess, excess)
+    angles = [0.5 * math.pi * i / (grid_points - 1) for i in range(grid_points)]
+    grid = (tilted_pair_state(a, b, _TILTED_WEIGHT1) for a in angles for b in angles)
+    excess = [compressed_entropy(r, qq) - von_neumann_entropy(r) for r, qq in grid]
     return {
         "weight1": _TILTED_WEIGHT1,
         "special_point": {
@@ -271,7 +241,7 @@ def tilted_family_probe(grid_points: int = 50) -> dict:
             "compressed_state_is_half_projector_dev": half_projector_dev,
         },
         "grid_points": grid_points,
-        "max_compressed_entropy_minus_entropy": max_excess,
+        "max_compressed_entropy_minus_entropy": max(excess),
         "notes": [
             "the compressed state can be strictly more mixed than the state "
             "itself; the mass factor keeps the compressed entropy below the "

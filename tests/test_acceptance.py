@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import scipy.linalg
 
 from qce import (
     HOLDS,
@@ -49,6 +48,7 @@ from qce import (
     von_neumann_entropy,
 )
 from qce import audit, rand
+from helpers import dense_blocks, directional_difference, random_hermitian
 
 LN2 = math.log(2.0)
 
@@ -60,20 +60,6 @@ def elapsed_under(start, budget):
 
 def seeded(rng, bound=1 << 30):
     return int(rng.integers(bound))
-
-
-def random_hermitian(dim, rng):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return hermitize(a)
-
-
-def directional_difference(rho, q, k, h=1e-4):
-    def value(s):
-        flow = scipy.linalg.expm(-1j * s * k)
-        moved = DensityMatrix(hermitize(flow @ rho.mat @ flow.conj().T))
-        return compressed_entropy(moved, q)
-
-    return (value(h) - value(-h)) / (2.0 * h)
 
 
 def separated_block_values(sizes, rng):
@@ -101,11 +87,6 @@ def random_block_sizes(dim, rng, min_blocks=2):
             left -= s
         if len(sizes) >= min(min_blocks, dim):
             return sizes
-
-
-def dense_blocks(res):
-    """Block projectors V_j V_j* of a resolution's frame columns."""
-    return [b @ b.conj().T for b in res.bases()]
 
 
 def resolutions_commute(p_res, q_res):

@@ -25,6 +25,7 @@ from qce import (
     replay_witness,
     tilted_family_probe,
 )
+from qce import rand
 
 LN2 = math.log(2.0)
 SMALL = EnsembleConfig(dims=(2, 3), trials=8, seed=7)
@@ -58,6 +59,16 @@ def test_ensemble_config_validation():
         EnsembleConfig(rank_profile="weird")
     with pytest.raises(ValidationError, match="gap_floor"):
         EnsembleConfig(gap_floor=0.7)
+
+
+def test_spaced_levels_fall_back_to_even_levels_below_the_gap_floor():
+    # Three rank-one levels summing to 1 cannot all reach 0.4, so every random
+    # try misses; the fallback (3, 2, 1) / 6 has gaps of 1/6, below the floor
+    # that EnsembleConfig accepts.
+    assert EnsembleConfig(gap_floor=0.4).gap_floor == 0.4
+    levels = rand._spaced_levels([1, 1, 1], rand._rng_for(0), 0.4)
+    np.testing.assert_array_equal(levels, np.array([3.0, 2.0, 1.0]) / 6.0)
+    assert float(np.min(-np.diff(levels))) < 0.4
 
 
 def test_random_unitary_is_unitary():

@@ -204,6 +204,14 @@ def test_unknown_choices_exit_two(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dims", ["", "2,x"])
+def test_bad_dimension_lists_exit_two(dims, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--functional", "scond", "--dims", dims])
+    assert exc.value.code == 2
+    assert "dimension list" in capsys.readouterr().err
+
+
 # -- eigenvalue clustering flags --------------------------------------------
 
 def test_cluster_tol_merges_the_spectrum(capsys):
@@ -256,6 +264,26 @@ def test_cluster_tol_is_checked_by_every_command(command, scale, capsys):
     assert code == 3
     assert out == ""
     assert "cluster tolerance must be positive" in err
+
+
+TOLERANCE_FLAGS = [
+    [], ["--tol-profile", "strict"], ["--tol-profile", "loose"], ["--cluster-tol", "1e-6"],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--functional", "scond", "--dims", "2,3", "--trials", "4"],
+    ["audit", "--functional", "hres", "--dims", "2,3", "--trials", "4"],
+    *[["demo", name] for name in ("dim2", "tilted", "coupled", "impossibility")],
+], ids=lambda argv: "-".join(a for a in argv[:3] if not a.startswith("--")))
+def test_audit_and_demo_ignore_the_tolerance_flags(argv, capsys):
+    # Their settings report the flags, yet no tolerance reaches the computation:
+    # rows and report stay the same, bit for bit, under every profile and scale.
+    docs = [run_json(argv + flags, capsys)[1] for flags in TOLERANCE_FLAGS]
+    assert docs[1]["settings"]["tolerances"] != docs[0]["settings"]["tolerances"]
+    for doc in docs[1:]:
+        assert doc["rows"] == docs[0]["rows"]
+        assert doc["report"] == docs[0]["report"]
 
 
 # -- per-command behavior ----------------------------------------------------

@@ -33,6 +33,7 @@ from qce import (
     spectrum_distribution,
     von_neumann_entropy,
 )
+from helpers import entropy_oracle, rotated
 
 LN2 = math.log(2.0)
 
@@ -40,12 +41,6 @@ LN2 = math.log(2.0)
 def h(*w):
     """Shannon entropy of an explicit list, the entropy oracle for diagonals."""
     return float(-sum(x * math.log(x) for x in w if x > 0.0))
-
-
-def rotated(diag_vals, theta):
-    c, s = np.cos(theta), np.sin(theta)
-    u = np.array([[c, -s], [s, c]])
-    return DensityMatrix(u @ np.diag(diag_vals) @ u.T)
 
 
 # ---------------------------------------------------------------- entropy
@@ -140,12 +135,6 @@ def clamped_state(dim, rank, seed):
     raise AssertionError("no clamped state drawn")
 
 
-def entropy_oracle(rho):
-    w = np.linalg.eigvalsh(rho.mat)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
-
-
 @pytest.mark.parametrize("dim", [2, 8, 64])
 def test_one_block_conditioning_reads_the_kept_spectrum(dim, monkeypatch):
     # sigma = I/d, the trivial resolution and the identity projector have one
@@ -182,13 +171,6 @@ def test_one_block_conditioning_in_dimension_one(monkeypatch):
     assert conditional_entropy_given_blocks(rho, IdentityResolution.coordinate(1, [1])) == 0.0
 
 
-def vn_entropy_oracle(rho):
-    """-tr(rho ln rho) from a fresh eigvalsh, with 0 ln 0 = 0."""
-    w = np.linalg.eigvalsh(rho.mat)
-    pos = w[w > 0.0]
-    return -float(np.sum(pos * np.log(pos)))
-
-
 def test_von_neumann_entropy_matches_eigvalsh_oracle():
     rng = np.random.default_rng(2024)
     for i in range(200):
@@ -199,7 +181,7 @@ def test_von_neumann_entropy_matches_eigvalsh_oracle():
             rho = random_density(dim, seed=seed)
         else:
             rho = clamped_state(dim, 1 if kind == 1 else max(1, dim // 2), seed)
-        assert abs(von_neumann_entropy(rho) - vn_entropy_oracle(rho)) <= 1e-14, (dim, kind)
+        assert abs(von_neumann_entropy(rho) - entropy_oracle(rho)) <= 1e-14, (dim, kind)
 
 
 def test_von_neumann_entropy_reads_the_kept_eigenvalues(monkeypatch):

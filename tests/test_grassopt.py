@@ -9,7 +9,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +32,7 @@ from qce import (
     variational_gradient,
     von_neumann_entropy,
 )
+from helpers import directional_difference, random_hermitian, rotated
 
 LN2 = math.log(2.0)
 # Settings of the reference Armijo ascent. It stops at gradient norm 1e-6,
@@ -41,28 +41,6 @@ ORACLE = SimpleNamespace(
     step_init=0.5, armijo_c=1e-4, shrink=0.5, grad_tol=1e-6,
     max_iters=2000, restarts=2, seed=0, resync_every=25,
 )
-
-
-def rotated_density(diag_vals, theta):
-    c, s = np.cos(theta), np.sin(theta)
-    u = np.array([[c, -s], [s, c]])
-    return DensityMatrix(u @ np.diag(diag_vals) @ u.T)
-
-
-def directional_difference(rho, q, k, h=1e-4):
-    """Central finite difference of F along the unitary flow generated by k."""
-
-    def value(s):
-        flow = scipy.linalg.expm(-1j * s * k)
-        moved = DensityMatrix(hermitize(flow @ rho.mat @ flow.conj().T))
-        return compressed_entropy(moved, q)
-
-    return (value(h) - value(-h)) / (2.0 * h)
-
-
-def random_hermitian(dim, rng):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return hermitize(a)
 
 
 def oracle_ascent(rho_mat, rank, config):
@@ -160,13 +138,13 @@ def test_gradient_vanishes_when_commuting():
 
 
 def test_gradient_is_hermitian():
-    rho = rotated_density([0.7, 0.3], 0.3)
+    rho = rotated([0.7, 0.3], 0.3)
     g = variational_gradient(rho, Projector.coordinate(2, [0]))
     np.testing.assert_allclose(g, g.conj().T, atol=1e-14)
 
 
 def test_gradient_finite_difference_dim2():
-    rho = rotated_density([0.7, 0.3], 0.3)
+    rho = rotated([0.7, 0.3], 0.3)
     q = Projector.coordinate(2, [0])
     g = variational_gradient(rho, q)
     rng = np.random.default_rng(0)
@@ -214,6 +192,15 @@ def test_gradient_rejects_zero_mass():
     rho = DensityMatrix.diagonal([1.0, 0.0])
     with pytest.raises(ZeroCompression):
         variational_gradient(rho, Projector.coordinate(2, [1]))
+
+
+def test_gradient_rejects_the_zero_projector_and_a_zero_mode():
+    rho = DensityMatrix.diagonal([0.6, 0.4, 0.0])
+    with pytest.raises(ZeroCompression, match="zero projector"):
+        variational_gradient(rho, Projector.zero(3))
+    # The compression onto axes 1 and 2 carries mass 0.4 but has the zero mode of axis 2.
+    with pytest.raises(ZeroCompression, match="near-zero modes"):
+        variational_gradient(rho, Projector.coordinate(3, [1, 2]))
 
 
 # ------------------------------------------------------------ maximization

@@ -225,6 +225,26 @@ def test_spectral_resolution_splits_clear_gap():
     assert sr.ranks() == (1, 1)
 
 
+def test_a_gap_of_exactly_the_clustering_scale_separates():
+    a, b = 2.2613670881738115e-09, 1.2613670881738115e-09
+    assert a - b == DEFAULT_TOLERANCES.cluster
+    sr = spectral_resolution(DensityMatrix.diagonal([1.0 - a - b, a, b]))
+    assert sr.ranks() == (1, 1, 1)
+    assert sr.eigenvalues[1:] == (a, b)
+
+
+def test_resolving_checks_the_eigenvalue_mass_under_its_own_tolerances():
+    # Within the default trace tolerance (1e-9), outside the strict one (1e-11).
+    rho = DensityMatrix(np.diag([0.7 + 5e-10, 0.3]))
+    with pytest.raises(ValidationError, match=r"eigenvalue mass 1\.0000000005 is not 1"):
+        spectral_resolution(rho, tolerance_profile("strict"))
+
+
+def test_an_unknown_tolerance_profile_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown tolerance profile 'nope'"):
+        tolerance_profile("nope")
+
+
 def test_spectral_resolution_cluster_tol_override():
     rho = DensityMatrix(np.diag([0.500001, 0.499999]))
     assert spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=1e-4)).ranks() == (2,)

@@ -55,7 +55,7 @@ RETIRED = [
 IMPORTS = {
     "__init__": {"audit", "config", "entropy", "errors", "grassopt", "matcore", "rand",
                  "resolutions", "serialize", "shannon", "states"},
-    "audit": {"entropy", "errors", "matcore", "rand", "resolutions", "serialize", "states"},
+    "audit": {"entropy", "errors", "matcore", "rand", "resolutions", "serialize"},
     "cli": {"audit", "config", "entropy", "errors", "grassopt", "matcore", "resolutions",
             "serialize", "shannon", "states"},
     "config": set(),

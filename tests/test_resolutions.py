@@ -33,6 +33,7 @@ from qce import (
 )
 from qce.matcore import max_abs
 from qce.resolutions import OrderWitness
+from helpers import dense_blocks
 
 H_PI6 = 0.75 * math.log(4.0 / 3.0) + 0.25 * math.log(4.0)
 
@@ -46,11 +47,6 @@ def rank1_basis_resolution(dim, theta=0.0):
     return IdentityResolution(
         [Projector.from_basis(u[:, [k]]) for k in range(dim)]
     )
-
-
-def dense_blocks(res):
-    """Block projectors V_j V_j* of a resolution's frame columns."""
-    return [b @ b.conj().T for b in res.bases()]
 
 
 def dense_resolution_leq(p_res, q_res, tol=DEFAULT_TOLERANCES):

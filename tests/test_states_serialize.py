@@ -30,6 +30,7 @@ from qce import (
     tilted_pair_state,
     von_neumann_entropy,
 )
+from helpers import dense_blocks
 
 LN2 = math.log(2.0)
 
@@ -163,16 +164,12 @@ def test_doc_dim_accepts_an_integral_float():
     )
 
 
-def block_projectors(res):
-    return [b @ b.conj().T for b in res.bases()]
-
-
 def test_resolution_doc_round_trip():
     res = IdentityResolution.coordinate(4, [2, 1, 1])
     doc = resolution_to_doc(res)
     again = doc_to_resolution(doc)
     assert again.ranks() == (2, 1, 1)
-    for a, b in zip(block_projectors(again), block_projectors(res)):
+    for a, b in zip(dense_blocks(again), dense_blocks(res)):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     # A frame-built resolution writes V_j V_j* of its frame columns, bit for bit.
@@ -192,7 +189,7 @@ def test_resolution_doc_round_trip():
     built = IdentityResolution([Projector(m) for m in given])
     again = doc_to_resolution(resolution_to_doc(built))
     assert again.ranks() == built.ranks() == (1, 2, 1)
-    for m, a in zip(given, block_projectors(again)):
+    for m, a in zip(given, dense_blocks(again)):
         assert max_abs(a - m) <= DEFAULT_TOLERANCES.idem
 
 

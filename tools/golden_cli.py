@@ -136,6 +136,14 @@ COMMANDS: list[list[str]] = [
     # A one-block resolution, and a sigma with a zero-weight rank-2 block.
     ["cond-res", RHO4, blocks_doc(4, [[0, 1, 2, 3]])],
     ["cond", RHO4, diag_doc(0.5, 0.5, 0.0, 0.0)],
+    # --cluster-tol 1e-4 merges the top pair of sigma, which splits at the default scale.
+    ["entropy", diag_doc(0.4, 0.399999, 0.200001), "--cluster-tol", "1e-4"],
+    ["cond", RHO3, diag_doc(0.4, 0.399999, 0.200001), "--cluster-tol", "1e-4"],
+    # Two levels exactly the default clustering scale (1e-9) apart separate.
+    ["entropy", diag_doc(1 - 2.2613670881738115e-09 - 1.2613670881738115e-09,
+                         2.2613670881738115e-09, 1.2613670881738115e-09)],
+    ["audit", "--functional", "scond", "--rank-profile", "full", "--gap-floor", "0.01",
+     "--dims", "2,3", "--trials", "10"],
 ]
 
 

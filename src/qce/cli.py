@@ -12,8 +12,8 @@ schema keeps (only their seed follows --seed). Entropies are computed in
 nats; --units bits divides displayed entropy rows by ln 2 and nothing else.
 --format json emits a versioned document {"schema": "qce/1", "command",
 "settings", "rows", "report"}. audit and demo read no tolerance: their
-settings report the profile and --cluster-tol (still checked to be valid),
-but their rows and report do not depend on either.
+settings report the profile and --cluster-tol (an invalid scale still
+exits 3), but their rows and report do not depend on either.
 
 Each subcommand is one entry of _COMMANDS (help text, positional arguments,
 handler), and each demo one entry of _DEMOS (report builder, rows). The
@@ -48,7 +48,7 @@ from .entropy import (
 )
 from .errors import ParseError, QceError
 from .grassopt import maximize_compressed_entropy
-from .matcore import DensityMatrix, _cluster_scale, spectral_resolution
+from .matcore import DensityMatrix, spectral_resolution
 from .resolutions import (
     commutant_dim,
     more_mixed,
@@ -495,11 +495,9 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _seed_default()
-        profile = tolerance_profile(args.tol_profile)
-        tol = profile
+        tol = profile = tolerance_profile(args.tol_profile)
         if args.cluster_tol is not None:
             tol = dataclasses.replace(profile, cluster=args.cluster_tol)
-            _cluster_scale(tol)
         rows, report, code = args.handler(args, tol)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+
+from .errors import ValidationError
 
 __all__ = ["DEFAULT_TOLERANCES", "Tolerances", "tolerance_profile"]
 
@@ -22,6 +25,10 @@ class Tolerances:
         merged cluster spanning cluster or more (first level minus last) is
         ambiguous too.
     support: eigenvalues <= support count as zero for support/kernel decisions.
+
+    Built (also by dataclasses.replace), the record checks itself: cluster
+    must be finite and positive, every other field finite and nonnegative,
+    else ValidationError. Consumers read the fields without checking again.
     """
 
     herm: float = 1e-8
@@ -31,6 +38,13 @@ class Tolerances:
     trace: float = 1e-9
     cluster: float = 1e-9
     support: float = 1e-9
+
+    def __post_init__(self):
+        if not 0.0 < self.cluster < math.inf:
+            raise ValidationError("cluster tolerance must be positive")
+        for f in fields(self):
+            if not 0.0 <= getattr(self, f.name) < math.inf:
+                raise ValidationError(f"{f.name} tolerance must be finite and nonnegative")
 
 
 DEFAULT_TOLERANCES = Tolerances()

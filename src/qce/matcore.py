@@ -3,7 +3,7 @@
 Everything downstream works with four value types built here:
 
 - DensityMatrix: Hermitian, positive semidefinite, unit trace.
-- Projector: Hermitian idempotent with integer rank (zero allowed).
+- Projector: Hermitian idempotent; its rank (zero allowed) is its basis width.
 - IdentityResolution: one orthonormal frame V (dim x dim) cut into
   consecutive nonzero column blocks; block j is the projector V_j V_j*.
 - SpectralResolution: the IdentityResolution subclass that adds one level
@@ -25,10 +25,10 @@ only representation: consumers work on its column blocks (bases()), and a
 block's projector is V_j V_j* of its block V_j, formed only where a dense
 matrix is wanted (serialize.resolution_to_doc).
 
-The operand checks shared by the functionals (a DensityMatrix, a Projector,
-an IdentityResolution, equal dimensions) live here too, so every entry point
-raises the same TypeError or DimMismatch for the same fault. So do _rotate
-(U rho U*) and _rotation (a plane rotation), which states, audit and rand share.
+The operand checks shared across modules (a DensityMatrix, a Projector, an
+IdentityResolution, equal dimensions, a positive dimension) live here too, so
+every entry point raises the same TypeError, DimMismatch or BadShape for the
+same fault; so do _rotate (U rho U*) and _rotation (a plane rotation).
 
 A DensityMatrix is diagonalized once, by its constructor, which keeps the
 frozen eigh of the matrix it stores (after a clamp, of the rebuilt one);
@@ -42,18 +42,19 @@ The state is immutable, and its spectral resolution depends on the state
 and the Tolerances record alone, so spectral_resolution memoises it on the
 state, keyed by the (frozen, hashable) Tolerances: every caller that
 resolves the same state object under the same tolerances shares one
-clustering and one frame check. The cluster scale is validated before the
-lookup and a failed resolution is never stored, so errors repeat on every
-call; equal but distinct states are resolved afresh. Memory: a state keeps
-its eigenvectors, one dim x dim complex frame, from construction on. A
-resolution's frame is the reversed view of those eigenvectors, so resolving
-adds only levels, weights and block bounds per Tolerances record.
+clustering and one frame check. A failed resolution is never stored, so
+errors repeat on every call; equal but distinct states are resolved
+afresh. Memory: a state keeps its eigenvectors, one dim x dim complex frame,
+from construction on. A resolution's frame is the reversed view of those
+eigenvectors, so resolving adds only levels, weights and block bounds per
+Tolerances record.
 
 Eigenvalue clustering turns a raw descending spectrum into distinct levels
-at the scale tol.cluster, which must be finite and positive. Gaps at most
-tol.cluster/4 merge, gaps of at least tol.cluster separate, and gaps strictly
-between signal an unstable grouping and raise ClusterAmbiguity rather than
-silently committing to either reading. A cluster whose merged gaps add up to
+at the scale tol.cluster, which the Tolerances record checked finite and
+positive when it was built. Gaps at most tol.cluster/4 merge, gaps of at
+least tol.cluster separate, and gaps strictly between signal an unstable
+grouping and raise ClusterAmbiguity rather than silently committing to
+either reading. A cluster whose merged gaps add up to
 tol.cluster or more (its first level minus its last) raises ClusterAmbiguity
 too: rounding in eigh is far below the scale, so a chain that wide is
 structure, not noise.
@@ -168,8 +169,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> "DensityMatrix":
-        if dim < 1:
-            raise BadShape("dimension must be positive")
+        _check_dim(dim)
         return cls(np.eye(dim, dtype=np.complex128) / dim, tol)
 
     def __repr__(self) -> str:
@@ -190,22 +190,27 @@ class Projector:
     """Hermitian idempotent matrix with integer rank; the zero projector is allowed."""
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOLERANCES):
-        self._adopt(mat, tol)
-        w, v = np.linalg.eigh(self.mat)
-        self._basis = _freeze(np.ascontiguousarray(v[:, w > 0.5]))
+        self._adopt(mat, None, tol)
 
-    def _adopt(self, mat, tol: Tolerances) -> None:
-        """Check a dense matrix (Hermitian, idempotent, integer trace) and store it."""
-        a = _require_hermitian(as_complex_matrix(mat), tol, "projector")
+    def _adopt(self, mat, basis, tol: Tolerances) -> None:
+        """Check a projector and store it with its range basis; rank is the basis width.
+
+        basis=None: mat must be Hermitian, and the basis is its eigenvectors of
+        eigenvalue above 1/2. Otherwise mat is the basis's B B*, already Hermitian.
+        """
+        a = as_complex_matrix(mat)
+        if basis is None:
+            a = _require_hermitian(a, tol, "projector")
+            w, v = np.linalg.eigh(a)
+            basis = np.ascontiguousarray(v[:, w > 0.5])
         if max_abs(a @ a - a) > tol.idem:
             raise ValidationError(f"matrix is not idempotent within {tol.idem:g}")
+        rank = basis.shape[1]
         tr = float(np.trace(a).real)
-        rank = int(round(tr))
         if abs(tr - rank) > max(tol.trace, a.shape[0] * tol.idem):
             raise ValidationError(f"projector trace {tr!r} is not near an integer")
-        if rank < 0 or rank > a.shape[0]:
-            raise ValidationError(f"projector rank {rank} outside [0, {a.shape[0]}]")
         self.mat = _freeze(a)
+        self._basis = _freeze(basis)
         self.dim = a.shape[0]
         self.rank = rank
 
@@ -224,10 +229,8 @@ class Projector:
             raise BadShape(f"basis has more columns ({r}) than rows ({dim})")
         if r > 0 and max_abs(b.conj().T @ b - np.eye(r)) > tol.orth:
             raise ValidationError(f"basis columns are not orthonormal within {tol.orth:g}")
-        mat = b @ b.conj().T if r > 0 else np.zeros((dim, dim), dtype=np.complex128)
         q = cls.__new__(cls)
-        q._adopt(hermitize(mat), tol)
-        q._basis = _freeze(np.array(b, copy=True))
+        q._adopt(hermitize(b @ b.conj().T), np.array(b, copy=True), tol)
         return q
 
     @classmethod
@@ -330,8 +333,7 @@ class IdentityResolution:
         cls, dim: int, sizes, tol: Tolerances = DEFAULT_TOLERANCES
     ) -> "IdentityResolution":
         """Consecutive coordinate blocks of the given sizes."""
-        if dim < 1:
-            raise BadShape("dimension must be positive")
+        _check_dim(dim)
         return IdentityResolution._from_frame(np.eye(dim), sizes, tol)
 
     def bases(self) -> tuple[np.ndarray, ...]:
@@ -386,14 +388,6 @@ class SpectralResolution(IdentityResolution):
         return f"SpectralResolution(dim={self.dim}, [{pairs}])"
 
 
-def _cluster_scale(tol: Tolerances) -> float:
-    """tol.cluster, checked finite and positive (NaN or inf would merge every gap)."""
-    ctol = float(tol.cluster)
-    if not 0.0 < ctol < np.inf:
-        raise ValidationError("cluster tolerance must be positive")
-    return ctol
-
-
 def _cluster_sizes(w_desc: np.ndarray, ctol: float) -> list[int]:
     """Group a descending spectrum into clusters, refusing the ambiguous band."""
     gaps = w_desc[:-1] - w_desc[1:]
@@ -422,8 +416,7 @@ def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralRe
 
     Eigenvalues are clustered at the scale tol.cluster; each cluster becomes
     one block of the eigenvector frame, with the cluster's mean eigenvalue as
-    the level. Raises TypeError unless rho is a DensityMatrix,
-    ValidationError when tol.cluster is not finite and positive, and
+    the level. Raises TypeError unless rho is a DensityMatrix, and
     ClusterAmbiguity when a gap falls strictly between tol.cluster/4 and
     tol.cluster, or when merged gaps chain into a cluster spanning
     tol.cluster or more. _cluster_sizes makes both decisions.
@@ -436,14 +429,13 @@ def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralRe
     not kept.
     """
     _check_state(rho, "rho")
-    ctol = _cluster_scale(tol)
     res = rho._resolutions.get(tol)
     if res is None:
-        res = rho._resolutions[tol] = _resolve(rho, ctol, tol)
+        res = rho._resolutions[tol] = _resolve(rho, tol)
     return res
 
 
-def _resolve(rho: DensityMatrix, ctol: float, tol: Tolerances) -> SpectralResolution:
+def _resolve(rho: DensityMatrix, tol: Tolerances) -> SpectralResolution:
     """Cluster a state's kept spectrum; the frame is the reversed view of its eigenvectors.
 
     The one place a block's weight tr(Q_j sigma) is computed: level_j * rank_j,
@@ -451,7 +443,7 @@ def _resolve(rho: DensityMatrix, ctol: float, tol: Tolerances) -> SpectralResolu
     """
     w, v = rho._eig
     w, v = w[::-1], v[:, ::-1]
-    sizes = _cluster_sizes(w, ctol)
+    sizes = _cluster_sizes(w, tol.cluster)
     levels = np.clip(np.add.reduceat(w, _offsets(sizes)[:-1]) / sizes, 0.0, 1.0)
     eigenvalues = tuple(levels.tolist())
     weights = tuple(x * r for x, r in zip(eigenvalues, sizes)) if len(sizes) > 1 else (1.0,)
@@ -462,6 +454,11 @@ def _resolve(rho: DensityMatrix, ctol: float, tol: Tolerances) -> SpectralResolu
     res.eigenvalues = eigenvalues
     res.weights = weights
     return res
+
+
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise BadShape("dimension must be positive")
 
 
 def _check_state(x, name: str) -> DensityMatrix:

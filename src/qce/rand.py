@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadShape, ValidationError
-from .matcore import DensityMatrix, IdentityResolution, Projector, _rotate, hermitize
+from .matcore import DensityMatrix, IdentityResolution, Projector, _check_dim, _rotate, hermitize
 
 __all__ = ["random_density", "random_projector", "random_resolution", "random_unitary"]
 
@@ -46,11 +46,6 @@ def _ginibre_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarra
     g = _complex_gaussian(rng, dim, rank)
     a = g @ g.conj().T
     return a / np.trace(a).real
-
-
-def _check_dim(dim: int) -> None:
-    if dim < 1:
-        raise BadShape("dimension must be positive")
 
 
 # ---------------------------------------------------------------------------

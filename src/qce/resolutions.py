@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DimMismatch
 from .matcore import (
     DensityMatrix,
     IdentityResolution,
@@ -52,8 +51,7 @@ __all__ = [
 
 def _block_overlaps(pb: IdentityResolution, qb: IdentityResolution) -> np.ndarray:
     """tr(P_i Q_j) for all block pairs: block sums of |V* W|^2 over the frames."""
-    if pb.dim != qb.dim:
-        raise DimMismatch(f"resolutions have dims {pb.dim} and {qb.dim}")
+    _check_same_dim(pb, qb)
     overlap = np.abs(pb.frame.conj().T @ qb.frame) ** 2
     rows = np.add.reduceat(overlap, pb.bounds[:-1], axis=0)
     return np.add.reduceat(rows, qb.bounds[:-1], axis=1)

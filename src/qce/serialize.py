@@ -9,6 +9,8 @@ Structural problems (a file that cannot be read or is not UTF-8, bad or too
 deeply nested JSON, missing keys, wrong shapes, non-finite numbers) raise
 ParseError; whether the parsed numbers satisfy a role's
 invariants is the caller's concern and raises validation errors instead.
+Every numeric field is read by _numbers (numbers, right axes, nonempty,
+finite); each reader checks its own dim x dim or cross-field shapes.
 """
 
 from __future__ import annotations
@@ -57,13 +59,23 @@ def _read_path(path: Path) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _grid(doc: dict, key: str, dim: int) -> np.ndarray:
-    rows = doc[key]
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape != (dim, dim):
-        raise ParseError(f'"{key}" must be a {dim} x {dim} grid, got shape {arr.shape}')
+def _numbers(doc: dict, key: str, ndim: int) -> np.ndarray:
+    """doc[key] as a nonempty, finite float array with ndim axes, else ParseError."""
+    try:
+        arr = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f'"{key}" must be a rectangular array of numbers') from None
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ParseError(f'"{key}" must be a nonempty {ndim}-D array, got shape {arr.shape}')
     if not np.all(np.isfinite(arr)):
         raise ParseError(f'"{key}" contains non-finite entries')
+    return arr
+
+
+def _grid(doc: dict, key: str, dim: int) -> np.ndarray:
+    arr = _numbers(doc, key, 2)
+    if arr.shape != (dim, dim):
+        raise ParseError(f'"{key}" must be a {dim} x {dim} grid, got shape {arr.shape}')
     return arr
 
 
@@ -83,11 +95,8 @@ def doc_to_matrix(doc: dict) -> np.ndarray:
     if "dim" not in doc or "re" not in doc:
         raise ParseError('matrix document needs "dim" and "re" fields')
     dim = _dim(doc)
-    try:
-        re = _grid(doc, "re", dim)
-        im = _grid(doc, "im", dim) if "im" in doc else np.zeros((dim, dim))
-    except (TypeError, ValueError):
-        raise ParseError("matrix entries must be numbers") from None
+    re = _grid(doc, "re", dim)
+    im = _grid(doc, "im", dim) if "im" in doc else np.zeros((dim, dim))
     return re + 1j * im
 
 
@@ -139,33 +148,14 @@ def resolution_to_doc(res: IdentityResolution) -> dict:
 def doc_to_partition(doc: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> ClassicalPartitionData:
     """Partition document -> ClassicalPartitionData."""
     if "joint" in doc:
-        try:
-            joint = np.asarray(doc["joint"], dtype=float)
-        except (TypeError, ValueError):
-            raise ParseError('"joint" must be a numeric matrix') from None
-        if joint.ndim != 2 or 0 in joint.shape:
-            raise ParseError(f'"joint" must be a 2-D matrix, got shape {joint.shape}')
-        if not np.all(np.isfinite(joint)):
-            raise ParseError('"joint" contains non-finite entries')
-        return ClassicalPartitionData.from_joint(joint, tol)
-    needed = ("p", "q", "p_given_q", "q_given_p")
-    if not all(k in doc for k in needed):
+        return ClassicalPartitionData.from_joint(_numbers(doc, "joint", 2), tol)
+    axes = {"p": 1, "q": 1, "p_given_q": 2, "q_given_p": 2}
+    if not all(k in doc for k in axes):
         raise ParseError(
             'partition document needs either "joint" or all of '
             '"p", "q", "p_given_q", "q_given_p"'
         )
-    try:
-        p = np.asarray(doc["p"], dtype=float)
-        q = np.asarray(doc["q"], dtype=float)
-        pg = np.asarray(doc["p_given_q"], dtype=float)
-        qg = np.asarray(doc["q_given_p"], dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError("partition fields must be numeric arrays") from None
-    for name, arr, ndim in (("p", p, 1), ("q", q, 1), ("p_given_q", pg, 2), ("q_given_p", qg, 2)):
-        if arr.ndim != ndim or 0 in arr.shape:
-            raise ParseError(f'"{name}" must be a nonempty {ndim}-D array, got shape {arr.shape}')
-        if not np.all(np.isfinite(arr)):
-            raise ParseError(f'"{name}" contains non-finite entries')
+    p, q, pg, qg = (_numbers(doc, k, ndim) for k, ndim in axes.items())
     # The constructor's convention: p_given_q[a, b] = P(X=a | Y=b).
     for name, arr, shape in (
         ("p_given_q", pg, (p.size, q.size)),

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rand
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import BadShape, ValidationError
+from .errors import ValidationError
 from .entropy import (
     compressed_entropy,
     compressed_state,
@@ -29,7 +29,15 @@ from .entropy import (
     self_information_gain,
     von_neumann_entropy,
 )
-from .matcore import DensityMatrix, IdentityResolution, Projector, _rotate, _rotation, hermitize
+from .matcore import (
+    DensityMatrix,
+    IdentityResolution,
+    Projector,
+    _check_dim,
+    _rotate,
+    _rotation,
+    hermitize,
+)
 from .resolutions import commutant_dim, conditional_entropy_of_states
 from .serialize import matrix_to_doc
 
@@ -336,8 +344,7 @@ def probe_max_self_gain(
     DensityMatrix. min_gap must be positive and finite.
     """
     dim = int(dim)
-    if dim < 1:
-        raise BadShape("dimension must be positive")
+    _check_dim(dim)
     if not 0.0 < min_gap < math.inf:
         raise ValidationError(f"min_gap must be positive and finite, got {min_gap!r}")
     scored = []

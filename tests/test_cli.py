@@ -149,6 +149,15 @@ def test_missing_field_is_a_parse_error(capsys):
         ["entropy", '{"dim": 2.9, "re": [[1, 0], [0, 0]]}'],
         ["entropy", '{"dim": true, "re": [[1]]}'],
         ["entropy", '{"a": ' * 10**5 + "1" + "}" * 10**5],
+        ["entropy", '{"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, "a"], [0, 0]]}'],
+        ["classical", json.dumps({
+            "p": [1.0], "q": [], "p_given_q": [[1.0]], "q_given_p": [[1.0]],
+        })],
+        ["classical", json.dumps({
+            "p": [0.5, 0.5], "q": [1.0],
+            "p_given_q": [[0.5], [float("inf")]], "q_given_p": [[1.0, 1.0]],
+        })],
+        ["entropy", '{"dim": 2, "re": [[1, 0], [0]]}'],
     ],
     ids=[
         "joint-string-entry",
@@ -160,6 +169,10 @@ def test_missing_field_is_a_parse_error(capsys):
         "matrix-dim-fraction",
         "matrix-dim-bool",
         "json-nested-too-deep",
+        "matrix-im-string",
+        "four-field-empty-marginal",
+        "four-field-conditional-inf",
+        "matrix-re-ragged",
     ],
 )
 def test_malformed_documents_are_parse_errors(argv, capsys):

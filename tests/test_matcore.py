@@ -19,6 +19,7 @@ from qce import (
     NotStrictlyPositive,
     Projector,
     SpectralResolution,
+    Tolerances,
     ValidationError,
     commutator_residual,
     compressed_entropy,
@@ -131,6 +132,16 @@ def test_projector_takes_no_unchecked_basis():
 def test_projector_rejects_nonidempotent():
     with pytest.raises(ValidationError, match="idempotent"):
         Projector(np.diag([0.5, 1.0]))
+
+
+def test_projector_rank_is_its_basis_width_and_the_trace_must_lie_near_it():
+    # A loose idempotence bound lets near-projectors through; the rank is then
+    # the count of eigenvalues above 1/2, and the trace is checked against it.
+    q = Projector([[0.9]], Tolerances(idem=0.1))
+    assert q.rank == q.range_basis().shape[1] == 1
+    for mat in ([[0.5]], [[0.6]]):
+        with pytest.raises(ValidationError, match="not near an integer"):
+            Projector(mat, Tolerances(idem=0.3))
 
 
 def test_projector_identity_and_zero():
@@ -249,11 +260,42 @@ def test_spectral_resolution_cluster_tol_override():
     rho = DensityMatrix(np.diag([0.500001, 0.499999]))
     assert spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=1e-4)).ranks() == (2,)
     assert spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=1e-9)).ranks() == (1, 1)
-    # NaN or inf would fail every "gap >= scale" test and merge the spectrum.
+    # NaN or inf would fail every "gap >= scale" test and merge the spectrum;
+    # the record refuses such a scale before any spectrum is clustered.
     for bad in (-1.0, 0.0, float("nan"), float("inf")):
-        tol = replace(DEFAULT_TOLERANCES, cluster=bad)
         with pytest.raises(ValidationError, match="positive"):
-            spectral_resolution(rho, tol)
+            spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=bad))
+
+
+TOLERANCE_FIELDS = ("herm", "idem", "orth", "psd", "trace", "cluster", "support")
+
+
+@pytest.mark.parametrize("field", TOLERANCE_FIELDS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "neg"])
+def test_a_tolerance_record_refuses_a_bad_field_when_built(field, bad):
+    with pytest.raises(ValidationError, match=f"{field} tolerance must be"):
+        Tolerances(**{field: bad})
+    with pytest.raises(ValidationError, match=f"{field} tolerance must be"):
+        replace(DEFAULT_TOLERANCES, **{field: bad})
+
+
+def test_a_tolerance_record_takes_zero_except_for_the_cluster_scale():
+    with pytest.raises(ValidationError, match="cluster tolerance must be positive"):
+        Tolerances(cluster=0.0)
+    exact = Tolerances(**{f: 0.0 for f in TOLERANCE_FIELDS if f != "cluster"})
+    assert DensityMatrix.diagonal([0.5, 0.5], exact).dim == 2
+
+
+def test_a_bad_tolerance_cannot_reach_a_state():
+    # Each record used to be accepted, and with it a matrix that is no state:
+    # a NaN bound makes every "deviation > bound" test false.
+    nan = float("nan")
+    with pytest.raises(ValidationError, match="herm tolerance"):
+        DensityMatrix([[0.5, 0.4], [0.0, 0.5]], Tolerances(herm=nan))
+    with pytest.raises(ValidationError, match="psd tolerance"):
+        DensityMatrix(np.diag([1.5, -0.5]), Tolerances(psd=nan))
+    with pytest.raises(ValidationError, match="trace tolerance"):
+        DensityMatrix(np.diag([3.0, 1.0]), Tolerances(trace=nan))
 
 
 def test_only_a_density_matrix_has_a_spectral_resolution():
@@ -424,10 +466,9 @@ def test_spectral_resolution_failures_are_never_memoised():
     rho = DensityMatrix(np.diag([0.7, 0.3]))
     spectral_resolution(rho)
     for bad in (float("nan"), 0.0):
-        tol = replace(DEFAULT_TOLERANCES, cluster=bad)
         for _ in range(2):
             with pytest.raises(ValidationError, match="positive"):
-                spectral_resolution(rho, tol)
+                spectral_resolution(rho, replace(DEFAULT_TOLERANCES, cluster=bad))
     # A raw array is refused, every time.
     mat = np.diag([0.7, 0.3]).astype(complex)
     for _ in range(2):

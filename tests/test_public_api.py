@@ -58,13 +58,13 @@ IMPORTS = {
     "audit": {"entropy", "errors", "matcore", "rand", "resolutions", "serialize"},
     "cli": {"audit", "config", "entropy", "errors", "grassopt", "matcore", "resolutions",
             "serialize", "shannon", "states"},
-    "config": set(),
+    "config": {"errors"},
     "entropy": {"config", "errors", "matcore", "shannon"},
     "errors": set(),
     "grassopt": {"config", "entropy", "errors", "matcore"},
     "matcore": {"config", "errors"},
     "rand": {"errors", "matcore"},
-    "resolutions": {"config", "errors", "matcore", "shannon"},
+    "resolutions": {"config", "matcore", "shannon"},
     "serialize": {"config", "errors", "matcore", "shannon"},
     "shannon": {"config", "errors"},
     "states": {"config", "entropy", "errors", "matcore", "rand", "resolutions", "serialize"},

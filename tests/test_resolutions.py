@@ -13,6 +13,7 @@ from qce import (
     Projector,
     SpectralResolution,
     commutant_dim,
+    conditional_entropy,
     conditional_entropy_given_blocks,
     conditional_entropy_of_states,
     is_consequence,
@@ -149,6 +150,21 @@ def test_bayes_data_dim_mismatch():
             IdentityResolution.coordinate(2, [1, 1]),
             IdentityResolution.coordinate(3, [1, 1, 1]),
         )
+
+
+def test_every_dimension_mismatch_raises_the_one_message():
+    # Resolutions, resolution orders and states all name the fault alike.
+    two = IdentityResolution.coordinate(2, [1, 1])
+    three = IdentityResolution.coordinate(3, [2, 1])
+    for call in (
+        lambda: partition_from_resolutions(two, three),
+        lambda: resolution_leq(two, three),
+        lambda: conditional_entropy(
+            DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3)
+        ),
+    ):
+        with pytest.raises(DimMismatch, match=r"^operands have dims 2 and 3$"):
+            call()
 
 
 # --------------------------------------------------- resolution entropies

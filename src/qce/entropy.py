@@ -36,6 +36,11 @@ projector). The other blocks of rank two or more are taken one rank group
 at a time: the blocks of equal rank are compressed onto their frame columns
 as one stack, diagonalized by one batched call and scored as one stack, so
 no numpy call runs per block unless its compression is rank-deficient.
+The blocks are read straight from the resolution's frame and bounds
+(_block_entropies(rho, frame, bounds, tol)), with no view built per block,
+and a resolution with as many blocks as dim > 1, the resolution of a
+nondegenerate conditioning state, is scored without visiting its blocks:
+every block has rank one and every factor is 0.0.
 
 All entropies are in nats.
 """
@@ -132,31 +137,37 @@ def _spectrum_entropies(w: np.ndarray, tol: Tolerances) -> list[float]:
     ]
 
 
-def _block_entropies(rho: DensityMatrix, bases, tol: Tolerances) -> list[float]:
+def _block_entropies(rho: DensityMatrix, frame, bounds, tol: Tolerances) -> list[float]:
     """Entropy mass of rho in the span of each block, in block order.
 
-    The spectrum of V* rho V is that of the nonzero block of Q rho Q, Q = V V*.
-    A block spanning the whole space (V unitary, even at dim 1) holds all of
+    Block j is spanned by the frame columns V_j = frame[:, bounds[j]:bounds[j + 1]],
+    and the spectrum of V_j* rho V_j is that of the nonzero block of
+    Q_j rho Q_j, Q_j = V_j V_j*. With as many blocks as dim > 1 every block
+    has rank one and every factor is 0.0, so the blocks are not visited. A
+    block spanning the whole space (V_j unitary, even at dim 1) holds all of
     rho, so its factor is von_neumann_entropy(rho), read from the eigenvalues
     the state kept. Blocks of equal rank 2 <= m < dim form one rank group:
-    their bases are stacked as (k, dim, m), compressed into (k, m, m),
-    diagonalized by one batched eigvalsh and scored as one stack
+    their column slices are stacked as (k, dim, m), compressed into
+    (k, m, m), diagonalized by one batched eigvalsh and scored as one stack
     (_spectrum_entropies), so no numpy call runs per block unless its
     compression is rank-deficient. Other rank-one blocks give 0.0 without a
     compression.
     """
-    factors = [0.0] * len(bases)
+    k = len(bounds) - 1
+    factors = [0.0] * k
+    if k == rho.dim > 1:
+        return factors
     by_rank: dict[int, list[int]] = {}
-    for j, basis in enumerate(bases):
-        m = basis.shape[1]
+    for j in range(k):
+        m = bounds[j + 1] - bounds[j]
         if m == rho.dim:
             factors[j] = von_neumann_entropy(rho, tol)
         elif m > 1:
             by_rank.setdefault(m, []).append(j)
-    for group in by_rank.values():
-        stack = np.array([bases[j] for j in group])
-        m = hermitize(stack.conj().swapaxes(1, 2) @ rho.mat @ stack)
-        for j, factor in zip(group, _spectrum_entropies(np.linalg.eigvalsh(m), tol)):
+    for m, group in by_rank.items():
+        stack = np.array([frame[:, bounds[j]:bounds[j] + m] for j in group])
+        c = hermitize(stack.conj().swapaxes(1, 2) @ rho.mat @ stack)
+        for j, factor in zip(group, _spectrum_entropies(np.linalg.eigvalsh(c), tol)):
             factors[j] = factor
     return factors
 
@@ -174,7 +185,7 @@ def compressed_entropy(
     _check_state(rho, "rho")
     _check_projector(q, "q")
     _check_same_dim(rho, q)
-    return _block_entropies(rho, [q.range_basis()], tol)[0]
+    return _block_entropies(rho, q.range_basis(), (0, q.rank), tol)[0]
 
 
 def compressed_state(
@@ -216,15 +227,13 @@ def conditional_entropy(
     _check_state(sigma, "sigma")
     _check_same_dim(rho, sigma)
     res = spectral_resolution(sigma, tol)
-    factors = _block_entropies(rho, res.bases(), tol)
-    terms = []
+    factors = _block_entropies(rho, res.frame, res.bounds, tol)
+    weights = [0.0 if w <= tol.support else w for w in res.weights]
     total = 0.0
-    for j, (weight, factor) in enumerate(zip(res.weights, factors)):
-        if weight <= tol.support:
-            weight = 0.0
-        terms.append(BlockTerm(j, weight, factor))
+    for weight, factor in zip(weights, factors):
         total += weight * factor
-    return EntropyBreakdown(total=total, per_block=tuple(terms))
+    per_block = tuple(map(BlockTerm, range(len(weights)), weights, factors))
+    return EntropyBreakdown(total=total, per_block=per_block)
 
 
 def self_conditional_entropy(
@@ -260,7 +269,7 @@ def conditional_entropy_given_blocks(
     _check_state(rho, "rho")
     _check_resolution(blocks, "blocks")
     _check_same_dim(rho, blocks)
-    factors = _block_entropies(rho, blocks.bases(), tol)
+    factors = _block_entropies(rho, blocks.frame, blocks.bounds, tol)
     total = 0.0
     for rank, factor in zip(blocks.ranks(), factors):
         total += (rank / rho.dim) * factor

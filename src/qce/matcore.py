@@ -21,9 +21,10 @@ dim columns that single O(dim^3) test covers both orthogonality of the blocks
 and completeness, so no block is checked on its own and no pair of blocks is
 multiplied. Built from projectors, the frame is their stacked range bases;
 built by spectral_resolution, it is the eigenvector matrix. The frame is the
-only representation: consumers work on its column blocks (bases()), and a
-block's projector is V_j V_j* of its block V_j, formed only where a dense
-matrix is wanted (serialize.resolution_to_doc).
+only representation: consumers work on its column blocks, read through
+bases() or straight from frame and bounds, and a block's projector is
+V_j V_j* of its block V_j, formed only where a dense matrix is wanted
+(serialize.resolution_to_doc).
 
 The operand checks shared across modules (a DensityMatrix, a Projector, an
 IdentityResolution, equal dimensions, a positive dimension) live here too, so
@@ -49,20 +50,22 @@ from construction on. A resolution's frame is the reversed view of those
 eigenvectors, so resolving adds only levels, weights and block bounds per
 Tolerances record.
 
-Eigenvalue clustering turns a raw descending spectrum into distinct levels
-at the scale tol.cluster, which the Tolerances record checked finite and
-positive when it was built. Gaps at most tol.cluster/4 merge, gaps of at
-least tol.cluster separate, and gaps strictly between signal an unstable
-grouping and raise ClusterAmbiguity rather than silently committing to
-either reading. A cluster whose merged gaps add up to
-tol.cluster or more (its first level minus its last) raises ClusterAmbiguity
-too: rounding in eigh is far below the scale, so a chain that wide is
-structure, not noise.
+Eigenvalue clustering turns a raw descending spectrum, taken as Python
+floats, into distinct levels at the scale tol.cluster, which the Tolerances
+record checked finite and positive when it was built. Gaps at most
+tol.cluster/4 merge, gaps of at least tol.cluster separate, and gaps
+strictly between signal an unstable grouping and raise ClusterAmbiguity
+rather than silently committing to either reading. A cluster whose merged
+gaps add up to tol.cluster or more (its first level minus its last) raises
+ClusterAmbiguity too: rounding in eigh is far below the scale, so a chain
+that wide is structure, not noise. An ambiguous gap anywhere is reported
+before a chain that is too wide.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import accumulate
 
 import numpy as np
@@ -316,7 +319,7 @@ class IdentityResolution:
         """
         frame = np.asarray(frame, dtype=np.complex128)
         sizes = [int(s) for s in sizes]
-        if sum(sizes) != frame.shape[0] or any(s < 1 for s in sizes):
+        if sum(sizes) != frame.shape[0] or min(sizes, default=0) < 1:
             raise BadShape(f"block sizes {sizes} do not partition dimension {frame.shape[0]}")
         res = cls.__new__(cls)
         res._adopt(frame, _offsets(sizes), tol)
@@ -388,27 +391,38 @@ class SpectralResolution(IdentityResolution):
         return f"SpectralResolution(dim={self.dim}, [{pairs}])"
 
 
-def _cluster_sizes(w_desc: np.ndarray, ctol: float) -> list[int]:
-    """Group a descending spectrum into clusters, refusing the ambiguous band."""
-    gaps = w_desc[:-1] - w_desc[1:]
-    ambiguous = np.nonzero((gaps > ctol / 4.0) & (gaps < ctol))[0]
-    if ambiguous.size:
-        raise ClusterAmbiguity(
-            f"eigenvalue gap {float(gaps[ambiguous[0]]):.3e} falls in the unstable band "
-            f"({ctol / 4.0:.3e}, {ctol:.3e})"
-        )
-    cuts = np.nonzero(gaps >= ctol)[0] + 1
-    first = np.concatenate(([0], cuts))
-    last = np.concatenate((cuts, [len(w_desc)])) - 1
-    # Merging is gap by gap, so small gaps can chain into a cluster wider than the scale.
-    wide = np.nonzero(w_desc[first] - w_desc[last] >= ctol)[0]
-    if wide.size:
-        top, bottom = float(w_desc[first[wide[0]]]), float(w_desc[last[wide[0]]])
-        raise ClusterAmbiguity(
-            f"eigenvalues {top!r} to {bottom!r} chain into one cluster spanning "
-            f"{top - bottom:.3e}, at least the clustering scale {ctol:.3e}"
-        )
-    return (last - first + 1).tolist()
+def _cluster_sizes(w: list[float], ctol: float) -> list[int]:
+    """Sizes of the clusters of a descending spectrum w, given as Python floats.
+
+    One pass over the gaps w[i] - w[i+1], formed once, applies the
+    three-band rule at the scale ctol: gaps at most ctol/4 merge, gaps of at
+    least ctol cut, and gaps strictly between are ambiguous. The two
+    refusals come in this order, each a ClusterAmbiguity: first the first
+    ambiguous gap anywhere in the spectrum, then the first cluster whose
+    first level minus its last reaches ctol. Python float subtraction and
+    comparison are the IEEE double operations numpy applies to float64
+    arrays, so every decision and every number in a message is the one the
+    array arithmetic gives.
+    """
+    gaps = list(map(operator.sub, w, w[1:]))
+    quarter = ctol / 4.0
+    for gap in gaps:
+        if quarter < gap < ctol:
+            raise ClusterAmbiguity(
+                f"eigenvalue gap {gap:.3e} falls in the unstable band ({quarter:.3e}, {ctol:.3e})"
+            )
+    bounds = [0, *(i for i, gap in enumerate(gaps, 1) if gap >= ctol), len(w)]
+    # Merging is gap by gap, so small gaps can chain into a cluster wider than
+    # the scale. A cluster of one level spans 0.0: with no merge, none can.
+    if len(bounds) <= len(w):
+        for first, end in zip(bounds, bounds[1:]):
+            top, bottom = w[first], w[end - 1]
+            if top - bottom >= ctol:
+                raise ClusterAmbiguity(
+                    f"eigenvalues {top!r} to {bottom!r} chain into one cluster spanning "
+                    f"{top - bottom:.3e}, at least the clustering scale {ctol:.3e}"
+                )
+    return list(map(operator.sub, bounds[1:], bounds))
 
 
 def spectral_resolution(rho, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralResolution:
@@ -440,18 +454,25 @@ def _resolve(rho: DensityMatrix, tol: Tolerances) -> SpectralResolution:
 
     The one place a block's weight tr(Q_j sigma) is computed: level_j * rank_j,
     or exactly 1.0 when one block spans the space (the state's unit trace).
+    A level is its block's mean eigenvalue clamped to [0, 1]: the eigenvalue
+    itself when every block has rank one, else numpy's reduceat sum, whose
+    summation order sets the bits, over the rank.
     """
     w, v = rho._eig
     w, v = w[::-1], v[:, ::-1]
-    sizes = _cluster_sizes(w, tol.cluster)
-    levels = np.clip(np.add.reduceat(w, _offsets(sizes)[:-1]) / sizes, 0.0, 1.0)
-    eigenvalues = tuple(levels.tolist())
-    weights = tuple(x * r for x, r in zip(eigenvalues, sizes)) if len(sizes) > 1 else (1.0,)
+    levels = w.tolist()
+    sizes = _cluster_sizes(levels, tol.cluster)
+    bounds = _offsets(sizes)
+    if len(sizes) < len(levels):
+        levels = (np.add.reduceat(w, bounds[:-1]) / sizes).tolist()
+    levels = [0.0 if x < 0.0 else 1.0 if x > 1.0 else x for x in levels]
+    weights = tuple(map(operator.mul, levels, sizes)) if len(sizes) > 1 else (1.0,)
     mass = sum(weights)
     if abs(mass - 1.0) > tol.trace:
         raise ValidationError(f"eigenvalue mass {mass!r} is not 1")
-    res = SpectralResolution._from_frame(v, sizes, tol)
-    res.eigenvalues = eigenvalues
+    res = SpectralResolution.__new__(SpectralResolution)
+    res._adopt(v, bounds, tol)
+    res.eigenvalues = tuple(levels)
     res.weights = weights
     return res
 

@@ -585,7 +585,7 @@ def test_stacked_scoring_matches_the_per_block_oracle_bit_for_bit(sizes):
         states.append(cut_state(states[0], kept))
     for rho in states:
         oracle = per_block_oracle(rho, bases)
-        assert qce.entropy._block_entropies(rho, bases, tol) == oracle
+        assert qce.entropy._block_entropies(rho, res.frame, res.bounds, tol) == oracle
         breakdown = conditional_entropy(rho, sigma)
         assert [t.factor for t in breakdown.per_block] == oracle
         total = 0.0
@@ -602,7 +602,7 @@ def test_stacked_scoring_matches_the_per_block_oracle_bit_for_bit(sizes):
             q = Projector.from_basis(basis)
             assert compressed_entropy(rho, q) == per_block_oracle(rho, [q.range_basis()])[0]
     if len(bases) > 1:
-        factors = qce.entropy._block_entropies(states[-1], bases, tol)
+        factors = qce.entropy._block_entropies(states[-1], res.frame, res.bounds, tol)
         assert all(factors[j] == 0.0 for j in cut)
         full = [j for j, b in enumerate(bases) if j not in cut and b.shape[1] > 1]
         assert full and all(factors[j] > 0.0 for j in full)
@@ -997,12 +997,14 @@ def test_information_gain_of_a_pure_state_given_the_identity_is_never_negative()
 def test_conditioning_on_a_multiple_of_the_identity_is_the_entropy_bit_for_bit():
     # S(rho | I/d) = S(rho) and no information is gained, exactly: the one
     # block weighs 1.0 and scores von_neumann_entropy(rho). Likewise for the
-    # one-block coordinate resolution, weighted rank/dim = 1.0. Pure, rank-
+    # one-block coordinate resolution, weighted rank/dim = 1.0, and for the
+    # compression into the identity projector, at d = 1 too. Pure, rank-
     # deficient and full-rank states, a clamped state among them, at d <= 64.
     cases = 0
     for dim in range(1, 65):
         sigma = DensityMatrix.maximally_mixed(dim)
         one_block = IdentityResolution.coordinate(dim, [dim])
+        identity = Projector.identity(dim)
         ranks = sorted({1, max(1, dim // 2), dim})
         states = [random_density(dim, r, seed=8 * dim + s) for r in ranks for s in range(8)]
         if dim > 1:
@@ -1013,6 +1015,7 @@ def test_conditioning_on_a_multiple_of_the_identity_is_the_entropy_bit_for_bit()
             assert information_gain(rho, sigma) == 0.0
             assert conditional_entropy_given_blocks(rho, one_block) == s_rho
             assert conditional_entropy(rho, DensityMatrix(np.eye(dim) / dim)).total == s_rho
+            assert compressed_entropy(rho, identity) == s_rho
             cases += 1
     assert cases >= 1500
 

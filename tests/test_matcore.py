@@ -1,5 +1,6 @@
 """Validation, spectral clustering, and projector algebra checks."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from qce import (
     variational_gradient,
     von_neumann_entropy,
 )
+from qce.matcore import _cluster_sizes
 from qce.states import _decomposition_weight
 
 
@@ -551,6 +553,127 @@ def test_a_chained_cluster_is_refused_at_the_clustering_scale(dim, span):
         else:
             with pytest.raises(ClusterAmbiguity, match="chain into one cluster"):
                 spectral_resolution(rho)
+
+
+def numpy_cluster_sizes(w_desc, ctol):
+    """The array version of the clustering rule, as the library had it, kept as an oracle."""
+    gaps = w_desc[:-1] - w_desc[1:]
+    ambiguous = np.nonzero((gaps > ctol / 4.0) & (gaps < ctol))[0]
+    if ambiguous.size:
+        raise ClusterAmbiguity(
+            f"eigenvalue gap {float(gaps[ambiguous[0]]):.3e} falls in the unstable band "
+            f"({ctol / 4.0:.3e}, {ctol:.3e})"
+        )
+    cuts = np.nonzero(gaps >= ctol)[0] + 1
+    first = np.concatenate(([0], cuts))
+    last = np.concatenate((cuts, [len(w_desc)])) - 1
+    wide = np.nonzero(w_desc[first] - w_desc[last] >= ctol)[0]
+    if wide.size:
+        top, bottom = float(w_desc[first[wide[0]]]), float(w_desc[last[wide[0]]])
+        raise ClusterAmbiguity(
+            f"eigenvalues {top!r} to {bottom!r} chain into one cluster spanning "
+            f"{top - bottom:.3e}, at least the clustering scale {ctol:.3e}"
+        )
+    return (last - first + 1).tolist()
+
+
+def up(x):
+    return math.nextafter(x, math.inf)
+
+
+def down(x):
+    return math.nextafter(x, 0.0)
+
+
+def clustering_outcome(cluster, w, ctol):
+    try:
+        return cluster(w, ctol)
+    except ClusterAmbiguity as exc:
+        return type(exc), str(exc)
+
+
+def exact_tails(ctol):
+    """Descending runs ending at 0.0 whose gaps or spans sit exactly on, or one ulp off, an edge.
+
+    A difference of two floats is exact only where both are multiples of the
+    gap's last bit, which near the clustering scale means near zero, so each
+    run ends at 0.0.
+    """
+    quarter = ctol / 4.0
+    edges = (quarter, ctol, up(quarter), down(quarter), up(ctol), down(ctol))
+    tails = [[g, 0.0] for g in edges]
+    # Eight steps of about ctol/8: the span is the top value exactly.
+    for top in (ctol, down(ctol)):
+        tails.append([top * j / 8.0 for j in range(8, 0, -1)] + [0.0])
+    return tails
+
+
+def clustering_spectra(dim, ctol, seed):
+    """Seeded descending spectra of dim floats: random levels above, an exact tail below."""
+    rng = np.random.default_rng(seed)
+    quarter = ctol / 4.0
+    pool = (quarter, ctol, up(quarter), down(quarter), up(ctol), down(ctol))
+    for tail in exact_tails(ctol) + [[]]:
+        tail = tail[:dim]
+        n = dim - len(tail)
+        # Clear merges (half of them exact degeneracies) and clear cuts, in a
+        # ratio drawn per spectrum so that some merge chains grow wider than
+        # the scale; then maybe one gap on or next to an edge, maybe one
+        # inside the band.
+        p_merge = rng.random()
+        gaps = [
+            (quarter * 0.99 * rng.random() if rng.random() < 0.5 else 0.0)
+            if rng.random() < p_merge else ctol * (1.01 + 99.0 * rng.random())
+            for _ in range(n)
+        ]
+        if n and rng.random() < 0.5:
+            gaps[rng.integers(n)] = pool[rng.integers(len(pool))]
+        if n and rng.random() < 0.2:
+            gaps[rng.integers(n)] = quarter + (ctol - quarter) * rng.random()
+        levels = list(tail)
+        top = tail[0] + 3.0 * ctol if tail else rng.random()
+        for gap in gaps:
+            levels.insert(0, top)
+            top = top + gap
+        yield np.array(levels)
+    # A chain wider than the scale, then an ambiguous gap: ambiguity is reported first.
+    chain = 1.0 / dim + (ctol / 8.0) * np.arange(dim, 0, -1, dtype=float)
+    if dim > 2:
+        chain[-1] = chain[-2] - ctol / 2.0
+        yield chain
+
+
+@pytest.mark.parametrize("ctol", [DEFAULT_TOLERANCES.cluster, 1e-4], ids=["default", "1e-4"])
+def test_cluster_sizes_match_the_array_oracle(ctol):
+    # Same sizes, or the same refusal with the same message, as the array
+    # rule; the counts make sure every outcome and both edge gaps are met.
+    seen = {"sizes": 0, "unstable band": 0, "chain into one cluster": 0}
+    for dim in range(1, 129):
+        for seed in range(2):
+            for w in clustering_spectra(dim, ctol, seed=1000 * dim + seed):
+                assert np.all(np.diff(w) <= 0.0)
+                expected = clustering_outcome(numpy_cluster_sizes, w, ctol)
+                assert clustering_outcome(_cluster_sizes, w.tolist(), ctol) == expected, w
+                if isinstance(expected, list):
+                    seen["sizes"] += 1
+                else:
+                    seen[next(k for k in seen if k in expected[1])] += 1
+    assert min(seen.values()) >= 100, seen
+    quarter = ctol / 4.0
+    # The band's edges: ctol/4 merges and ctol cuts; one ulp inside either is ambiguous.
+    assert _cluster_sizes([quarter, 0.0], ctol) == [2]
+    assert _cluster_sizes([ctol, 0.0], ctol) == [1, 1]
+    assert _cluster_sizes([down(quarter), 0.0], ctol) == [2]
+    assert _cluster_sizes([up(ctol), 0.0], ctol) == [1, 1]
+    for gap in (up(quarter), down(ctol)):
+        with pytest.raises(ClusterAmbiguity, match="unstable band"):
+            _cluster_sizes([gap, 0.0], ctol)
+    # A chain of small gaps spanning ctol exactly is refused; one ulp less is one cluster.
+    tails = exact_tails(ctol)
+    with pytest.raises(ClusterAmbiguity, match="chain into one cluster"):
+        _cluster_sizes(tails[-2], ctol)
+    assert _cluster_sizes(tails[-1], ctol) == [9]
+    assert _cluster_sizes([0.5], ctol) == [1]
 
 
 def test_compress_masks_block():

@@ -1,0 +1,53 @@
+"""The alternating A/B timing tool: both sides run, gates count, bench/ stays untouched."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# A qce whose conditional entropy is always -1: every cond-fresh gate fails.
+WRONG_QCE = '''
+from types import SimpleNamespace
+
+def DensityMatrix(mat):
+    return mat
+
+def conditional_entropy(rho, sigma):
+    return SimpleNamespace(total=-1.0)
+'''
+
+
+def snapshot(path):
+    return {p: p.stat().st_mtime_ns for p in path.rglob("*")}
+
+
+def ab_kinds(*args):
+    return subprocess.run(
+        [sys.executable, "tools/ab_kinds.py", "--workload", "cond-fresh", *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_ab_kinds_reports_both_sides_and_leaves_bench_alone():
+    before = snapshot(ROOT / "bench")
+    proc = ab_kinds("--ops", "24", "--rounds", "1", "src", "src")
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[0].startswith("round 1 (A first): A ")
+    src = ROOT / "src" / "qce"
+    assert f"A: qce from {src}" in out and f"B: qce from {src}" in out
+    # One row per kind of the 12-op cycle, then each side's rate.
+    assert sum(line.split()[1:2] in (["d=8"], ["d=16"], ["d=32"], ["d=64"]) for line in out) == 12
+    assert any(line.startswith("A: 12 kinds / sum(medians)") for line in out)
+    assert any(line.startswith("B: 12 kinds / sum(medians)") for line in out)
+    assert out[-1] in ("B won 0 of 1 rounds", "B won 1 of 1 rounds")
+    assert snapshot(ROOT / "bench") == before
+
+
+def test_ab_kinds_exits_nonzero_when_a_gate_fails(tmp_path):
+    (tmp_path / "qce").mkdir()
+    (tmp_path / "qce" / "__init__.py").write_text(WRONG_QCE)
+    proc = ab_kinds("--ops", "12", "--rounds", "1", "src", str(tmp_path))
+    assert proc.returncode == 1
+    assert "failed ops: A 0, B 12" in proc.stderr

@@ -38,6 +38,7 @@ flags departures from it.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
@@ -72,6 +73,7 @@ FAILS = "fails-with-witness"
 class EnsembleConfig:
     """Shape of a randomized audit: dimensions, trials per dim, seed, draws.
 
+    dims, trials and seed are integers; a float among them raises TypeError.
     rank_profile is a key of rand._RANK_PROFILES. Spaced draws aim for levels
     and level gaps of at least gap_floor; after 200 missed tries they take
     evenly spread levels, whose gaps can be smaller.
@@ -84,19 +86,21 @@ class EnsembleConfig:
     gap_floor: float = 1e-3
 
     def __post_init__(self):
-        if not self.dims or any(int(d) < 2 for d in self.dims):
+        dims = tuple(map(operator.index, self.dims))
+        trials, seed = operator.index(self.trials), operator.index(self.seed)
+        if not dims or min(dims) < 2:
             raise ValidationError("dims must be a nonempty tuple of dimensions >= 2")
-        if int(self.trials) < 1:
+        if trials < 1:
             raise ValidationError("trials must be positive")
-        if int(self.seed) < 0:
+        if seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
         if self.rank_profile not in _RANK_PROFILES:
             raise ValidationError(f"rank_profile must be one of {tuple(_RANK_PROFILES)}")
         if not 0.0 < float(self.gap_floor) < 0.5:
             raise ValidationError("gap_floor must lie in (0, 0.5)")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "gap_floor", float(self.gap_floor))
 
     def to_dict(self) -> dict:

@@ -66,13 +66,13 @@ from .matcore import (
     hermitize,
     spectral_resolution,
 )
-from .shannon import ProbabilityVector, _h
+from .shannon import _h
 
 __all__ = [
-    "BlockTerm", "EntropyBreakdown", "block_distribution", "compressed_entropy",
-    "compressed_state", "conditional_entropy", "conditional_entropy_given_blocks",
-    "information_gain", "joint_entropy", "pinch", "self_conditional_entropy",
-    "self_information_gain", "spectrum_distribution", "von_neumann_entropy",
+    "BlockTerm", "EntropyBreakdown", "compressed_entropy", "compressed_state",
+    "conditional_entropy", "conditional_entropy_given_blocks", "information_gain",
+    "joint_entropy", "pinch", "self_conditional_entropy", "self_information_gain",
+    "von_neumann_entropy",
 ]
 
 
@@ -333,26 +333,3 @@ def self_information_gain(
     two terms agree but for a rounding, which is reported as +0.0.
     """
     return _gain(von_neumann_entropy(rho, tol), self_conditional_entropy(rho, tol))
-
-
-def spectrum_distribution(
-    rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
-) -> ProbabilityVector:
-    """Eigenvalues of rho repeated with multiplicity, descending."""
-    _check_state(rho, "rho")
-    res = spectral_resolution(rho, tol)
-    reps = np.repeat(res.eigenvalues, res.ranks())
-    return ProbabilityVector(reps, tol)
-
-
-def block_distribution(
-    rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES
-) -> ProbabilityVector:
-    """Mass rank_i * value_i of each distinct eigenvalue: the resolution's weights.
-
-    With the state's own eigenvalues as weights this splits the entropy
-    exactly: S(rho) = shannon_entropy(block_distribution(rho))
-    + sum_i rank_i * value_i * ln(rank_i).
-    """
-    _check_state(rho, "rho")
-    return ProbabilityVector(spectral_resolution(rho, tol).weights, tol)

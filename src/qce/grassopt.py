@@ -37,6 +37,7 @@ the frozen settings.optimizer record of the CLI's qce/1 reports.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +156,7 @@ def maximize_compressed_entropy(
     there, so that maximizer is as good as any).
     """
     _check_state(rho, "rho")
-    rank = int(rank)
+    rank = operator.index(rank)
     if rank < 1 or rank > rho.dim:
         raise BadShape(f"rank {rank} outside [1, {rho.dim}]")
     vals, vecs = _positive_eigh(rho)

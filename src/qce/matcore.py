@@ -230,7 +230,7 @@ class Projector:
         dim, r = b.shape
         if r > dim:
             raise BadShape(f"basis has more columns ({r}) than rows ({dim})")
-        if r > 0 and max_abs(b.conj().T @ b - np.eye(r)) > tol.orth:
+        if r > 0 and float(_orth_deviation(b).max()) > tol.orth:
             raise ValidationError(f"basis columns are not orthonormal within {tol.orth:g}")
         q = cls.__new__(cls)
         q._adopt(hermitize(b @ b.conj().T), np.array(b, copy=True), tol)
@@ -247,7 +247,7 @@ class Projector:
     @classmethod
     def coordinate(cls, dim: int, indices, tol: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
         """Projector onto the span of the given coordinate axes."""
-        idx = sorted(set(int(i) for i in indices))
+        idx = sorted(set(map(operator.index, indices)))
         if any(i < 0 or i >= dim for i in idx):
             raise BadShape(f"coordinate indices {idx} outside range(0, {dim})")
         b = np.zeros((dim, len(idx)), dtype=np.complex128)
@@ -264,8 +264,19 @@ class Projector:
 
 
 def _offsets(sizes) -> tuple[int, ...]:
-    """Block bounds (0, s0, s0+s1, ..., sum) from block sizes."""
-    return tuple(accumulate((int(s) for s in sizes), initial=0))
+    """Block bounds (0, s0, s0+s1, ..., sum) from block sizes, already Python ints."""
+    return tuple(accumulate(sizes, initial=0))
+
+
+def _orth_deviation(b: np.ndarray) -> np.ndarray:
+    """|B* B - I| entrywise, bit for bit, with 1.0 taken off the Gram diagonal in place.
+
+    ascontiguousarray copies nothing (matmul returns C order) and makes ravel
+    a view whatever the layout of B.
+    """
+    gram = np.ascontiguousarray(b.conj().T @ b)
+    gram.ravel()[:: gram.shape[0] + 1] -= 1.0
+    return np.abs(gram)
 
 
 def _check_frame(frame: np.ndarray, bounds: tuple[int, ...], tol: Tolerances) -> None:
@@ -275,7 +286,7 @@ def _check_frame(frame: np.ndarray, bounds: tuple[int, ...], tol: Tolerances) ->
     pair does, the blocks miss dimensions.
     """
     dim, width = frame.shape
-    dev = np.abs(frame.conj().T @ frame - np.eye(width))
+    dev = _orth_deviation(frame)
     if width == dim and float(dev.max()) <= tol.orth:
         return
     block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
@@ -318,7 +329,7 @@ class IdentityResolution:
         adopted and frozen, not copied.
         """
         frame = np.asarray(frame, dtype=np.complex128)
-        sizes = [int(s) for s in sizes]
+        sizes = [operator.index(s) for s in sizes]
         if sum(sizes) != frame.shape[0] or min(sizes, default=0) < 1:
             raise BadShape(f"block sizes {sizes} do not partition dimension {frame.shape[0]}")
         res = cls.__new__(cls)

@@ -10,6 +10,8 @@ the rank profiles (_RANK_PROFILES) that _draw_density reads.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import BadShape, ValidationError
@@ -19,8 +21,8 @@ __all__ = ["random_density", "random_projector", "random_resolution", "random_un
 
 
 def _rng_for(*tags: int) -> np.random.Generator:
-    """Generator keyed by a tuple of nonnegative integers (a seed and stream tags)."""
-    key = tuple(int(t) for t in tags)
+    """Generator keyed by nonnegative integers (a seed and stream tags); a float is a TypeError."""
+    key = tuple(map(operator.index, tags))
     if any(t < 0 for t in key):
         raise ValidationError(f"seed must be a nonnegative integer, got tags {key}")
     return np.random.default_rng(key)
@@ -61,7 +63,7 @@ def random_unitary(dim: int, seed: int = 0) -> np.ndarray:
 def random_density(dim: int, rank: int | None = None, seed: int = 0) -> DensityMatrix:
     """Trace-normalized Wishart state G G* / tr with G complex Gaussian dim x rank."""
     _check_dim(dim)
-    rank = dim if rank is None else int(rank)
+    rank = dim if rank is None else operator.index(rank)
     if rank < 1 or rank > dim:
         raise BadShape(f"rank {rank} outside [1, {dim}]")
     return DensityMatrix(_ginibre_density(dim, rank, _rng_for(seed)))
@@ -70,7 +72,7 @@ def random_density(dim: int, rank: int | None = None, seed: int = 0) -> DensityM
 def random_projector(dim: int, rank: int, seed: int = 0) -> Projector:
     """Projector onto a Haar-random subspace of the given rank."""
     _check_dim(dim)
-    rank = int(rank)
+    rank = operator.index(rank)
     if rank < 0 or rank > dim:
         raise BadShape(f"rank {rank} outside [0, {dim}]")
     basis = np.ascontiguousarray(_haar_unitary(dim, _rng_for(seed))[:, :rank])

@@ -162,19 +162,6 @@ class ClassicalPartitionData:
             raise InvalidPartitionData(f"joint sums to {float(j.sum())!r}, not 1")
         return cls.__new__(cls)._store(j, tol)
 
-    @classmethod
-    def from_conditional(
-        cls, p_given_q, q, tol: Tolerances = DEFAULT_TOLERANCES
-    ) -> "ClassicalPartitionData":
-        """Build from q and the conditional columns p_given_q[:, b]."""
-        qv = ProbabilityVector(q, tol).weights
-        pg = np.asarray(p_given_q, dtype=float)
-        if pg.ndim != 2 or pg.shape[1] != qv.size:
-            raise BadShape(
-                f"p_given_q must have {qv.size} columns, got shape {pg.shape}"
-            )
-        return cls.from_joint(pg * qv[None, :], tol)
-
     def joint(self) -> np.ndarray:
         """The stored joint matrix J[a, b] = P(X=a, Y=b), read-only."""
         return self._joint

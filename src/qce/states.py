@@ -2,10 +2,8 @@
 
 The families are closed-form states in dimension 4 that probe the
 compressed entropy. The demonstrations are the paper's worked examples:
-the impossibility argument, sweeps of the two families, a tour of the
-conditional entropy in dimension 2, and the largest self-information gain
-S(rho) - S(rho | rho) in a given dimension, which is zero exactly when the
-nonzero spectrum is nondegenerate. A family sweep is a table of points:
+the impossibility argument, sweeps of the two families, and a tour of the
+conditional entropy in dimension 2. A family sweep is a table of points:
 each per-point list is built once, each reported extreme is one expression
 over those lists, and dim2_demo's one random state comes from rand.
 """
@@ -13,7 +11,6 @@ over those lists, and dim2_demo's one random state comes from rand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,22 +26,13 @@ from .entropy import (
     self_information_gain,
     von_neumann_entropy,
 )
-from .matcore import (
-    DensityMatrix,
-    IdentityResolution,
-    Projector,
-    _check_dim,
-    _rotate,
-    _rotation,
-    hermitize,
-)
+from .matcore import DensityMatrix, IdentityResolution, Projector, _rotate, _rotation, hermitize
 from .resolutions import commutant_dim, conditional_entropy_of_states
 from .serialize import matrix_to_doc
 
 __all__ = [
-    "SelfGainProbe", "coupled_family_probe", "coupled_pair_split", "coupled_pair_state",
-    "dim2_demo", "impossibility_demos", "probe_max_self_gain", "tilted_family_probe",
-    "tilted_pair_state",
+    "coupled_family_probe", "coupled_pair_state", "dim2_demo", "impossibility_demos",
+    "tilted_family_probe", "tilted_pair_state",
 ]
 
 
@@ -89,11 +77,6 @@ def coupled_pair_state(kappa: float, tol: Tolerances = DEFAULT_TOLERANCES) -> De
     m[0, 3] = m[3, 0] = kappa
     m[1, 2] = m[2, 1] = kappa
     return DensityMatrix(m / 4.0, tol)
-
-
-def coupled_pair_split(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[Projector, Projector]:
-    """The canonical two-block split (span(e1,e2), span(e3,e4)) in dimension 4."""
-    return Projector.coordinate(4, (0, 1), tol), Projector.coordinate(4, (2, 3), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +151,7 @@ def coupled_family_probe(grid_points: int = 101) -> dict:
     """
     if grid_points < 2:
         raise ValidationError("grid needs at least two points")
-    q1, q2 = coupled_pair_split()
+    q1, q2 = Projector.coordinate(4, (0, 1)), Projector.coordinate(4, (2, 3))
     blocks = IdentityResolution([q1, q2])
     ln2, ln4 = math.log(2.0), math.log(4.0)
     kappas = [k / (grid_points - 1) for k in range(grid_points)]
@@ -279,93 +262,3 @@ def dim2_demo(seed: int = 0) -> dict:
             "self-conditional entropy equals its entropy",
         ],
     }
-
-
-@dataclass(frozen=True)
-class SelfGainProbe:
-    """Best self-information gain found over degeneracy patterns."""
-
-    dim: int
-    best_state: DensityMatrix
-    best_gain: float
-    pattern: tuple[int, ...]
-    per_pattern: tuple[tuple[tuple[int, ...], float], ...]
-
-
-def _integer_partitions(n: int, cap: int | None = None):
-    cap = n if cap is None else cap
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _integer_partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _pattern_weights(mult: np.ndarray) -> np.ndarray:
-    """Block weights p maximizing H(p) + sum_i p_i (1 - p_i) ln m_i on the simplex.
-
-    The maximizer solves ln p_i + ln m_i (2 p_i - 1) = s with sum_i p_i = 1.
-    The left side (in u = ln p_i) and sum_i p_i(s) are increasing and convex,
-    so Newton steps started right of each root descend onto it.
-    """
-    a = np.log(mult)
-    s = float(np.max(a * (2.0 / mult.size - 1.0) - math.log(mult.size)))
-    for _ in range(100):
-        u = np.minimum(s + a, 0.0)
-        for _ in range(100):
-            e = 2.0 * a * np.exp(u)
-            step = (u + e - s - a) / (1.0 + e)
-            u = u - step
-            if float(step.max()) <= 1e-15:
-                break
-        p = np.exp(u)
-        ds = (float(p.sum()) - 1.0) / float(np.sum(p / (1.0 + 2.0 * a * p)))
-        s -= ds
-        if ds <= 1e-16:
-            break
-    return p
-
-
-def probe_max_self_gain(
-    dim: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    min_gap: float = 1e-6,
-) -> SelfGainProbe:
-    """The largest self-information gain S(rho) - S(rho | rho) in a given dimension.
-
-    A pattern with multiplicities m_i and block weights p_i = m_i x_i has the
-    strictly concave gain H(p) + sum_i p_i (1 - p_i) ln m_i, maximized exactly
-    by _pattern_weights. Equal multiplicities tie there, and a tie belongs to
-    a coarser pattern, so each tied group is spread symmetrically by min_gap:
-    the reported gain sits just under the supremum. A pattern whose
-    eigenvalues then come closer than min_gap/2, or reach zero, is skipped;
-    the rest are scored through self_information_gain on a diagonal
-    DensityMatrix. min_gap must be positive and finite.
-    """
-    dim = int(dim)
-    _check_dim(dim)
-    if not 0.0 < min_gap < math.inf:
-        raise ValidationError(f"min_gap must be positive and finite, got {min_gap!r}")
-    scored = []
-    for pattern in _integer_partitions(dim):
-        if len(pattern) == 1:
-            state = DensityMatrix.maximally_mixed(dim, tol)
-        else:
-            mult = np.asarray(pattern, dtype=float)
-            x = _pattern_weights(mult) / mult
-            for m in set(pattern):
-                group = np.flatnonzero(mult == m)
-                x[group] += min_gap * (np.arange(group.size) - (group.size - 1) / 2.0)
-            if float(x.min()) <= 0.0 or float(np.diff(np.sort(x)).min()) < min_gap / 2.0:
-                continue
-            state = DensityMatrix.diagonal(np.repeat(x, pattern), tol)
-        scored.append((self_information_gain(state, tol=tol), pattern, state))
-    best_gain, best_pattern, best_state = max(scored, key=lambda c: c[0])
-    return SelfGainProbe(
-        dim=dim,
-        best_state=best_state,
-        best_gain=best_gain,
-        pattern=best_pattern,
-        per_pattern=tuple((pattern, gain) for gain, pattern, _ in scored),
-    )

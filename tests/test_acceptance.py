@@ -25,7 +25,6 @@ from qce import (
     compressed_entropy,
     compressed_state,
     conditional_entropy,
-    coupled_pair_split,
     coupled_pair_state,
     doc_to_matrix,
     entropy_gap_report,
@@ -99,7 +98,7 @@ def resolutions_commute(p_res, q_res):
 
 def test_c01_coupled_family_block_sums_stay_at_ln2():
     start = time.monotonic()
-    q_low, q_high = coupled_pair_split()
+    q_low, q_high = Projector.coordinate(4, (0, 1)), Projector.coordinate(4, (2, 3))
     for k in range(11):
         rho = coupled_pair_state(k / 10.0)
         block_sum = compressed_entropy(rho, q_low) + compressed_entropy(rho, q_high)

@@ -11,13 +11,17 @@ from qce import (
     EXPECTED_VERDICTS,
     FAILS,
     HOLDS,
+    DensityMatrix,
     EnsembleConfig,
+    IdentityResolution,
+    Projector,
     ValidationError,
     audit_deviations,
     axiom_audit,
     coupled_family_probe,
     dim2_demo,
     impossibility_demos,
+    maximize_compressed_entropy,
     random_density,
     random_projector,
     random_resolution,
@@ -59,6 +63,41 @@ def test_ensemble_config_validation():
         EnsembleConfig(rank_profile="weird")
     with pytest.raises(ValidationError, match="gap_floor"):
         EnsembleConfig(gap_floor=0.7)
+
+
+# Each call passes a float where a count, an index or a seed goes; truncating
+# it would answer a different question (rank 2 for 2.7, seed 1 for 1.5).
+NOT_AN_INTEGER = {
+    "rng-tag": lambda: rand._rng_for(0, 2.5),
+    "random_unitary-seed": lambda: random_unitary(2, seed=1.5),
+    "random_density-rank": lambda: random_density(4, rank=2.7),
+    "random_density-seed": lambda: random_density(4, seed=1.5),
+    "random_projector-rank": lambda: random_projector(4, 1.5),
+    "random_resolution-sizes": lambda: random_resolution(3, [1.5, 1.5]),
+    "maximize-rank": lambda: maximize_compressed_entropy(
+        DensityMatrix.diagonal([0.5, 0.3, 0.2]), 2.0
+    ),
+    "resolution-sizes": lambda: IdentityResolution.coordinate(3, [1.5, 1.5]),
+    "frame-sizes": lambda: IdentityResolution._from_frame(np.eye(2), [1.0, 1.0]),
+    "projector-indices": lambda: Projector.coordinate(3, [0.5, 1]),
+    "config-dims": lambda: EnsembleConfig(dims=(2.5, 3.9)),
+    "config-trials": lambda: EnsembleConfig(trials=8.0),
+    "config-seed": lambda: EnsembleConfig(seed=1.5),
+}
+
+
+@pytest.mark.parametrize("call", NOT_AN_INTEGER.values(), ids=NOT_AN_INTEGER.keys())
+def test_a_float_count_index_or_seed_is_a_type_error(call):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+def test_numpy_integers_still_count_and_are_stored_as_python_ints():
+    cfg = EnsembleConfig(dims=(np.int64(2), 3), trials=np.int32(8), seed=np.uint8(7))
+    assert cfg == SMALL and type(cfg.dims[0]) is int and type(cfg.seed) is int
+    res = IdentityResolution.coordinate(3, np.array([2, 1]))
+    assert res.bounds == (0, 2, 3) and all(type(b) is int for b in res.bounds)
+    np.testing.assert_array_equal(random_unitary(2, seed=np.int64(3)), random_unitary(2, seed=3))
 
 
 def test_spaced_levels_fall_back_to_even_levels_below_the_gap_floor():

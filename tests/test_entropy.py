@@ -14,7 +14,6 @@ from qce import (
     Projector,
     QceError,
     ZeroCompression,
-    block_distribution,
     compressed_entropy,
     compressed_state,
     conditional_entropy,
@@ -30,7 +29,6 @@ from qce import (
     self_information_gain,
     shannon_entropy,
     spectral_resolution,
-    spectrum_distribution,
     von_neumann_entropy,
 )
 from helpers import entropy_oracle, rotated
@@ -1048,22 +1046,24 @@ def test_information_gain_vanishes_conditioning_on_mixed():
 # ------------------------------------------------------- entropy split
 
 
+# The spectrum distribution is each level repeated rank times; the block
+# distribution is the resolution's weights, rank * level per distinct level.
+
+
 def test_spectrum_distribution_lists_multiplicities():
-    rho = DensityMatrix.diagonal([0.4, 0.4, 0.2])
-    np.testing.assert_allclose(spectrum_distribution(rho).weights, [0.4, 0.4, 0.2])
+    res = spectral_resolution(DensityMatrix.diagonal([0.4, 0.4, 0.2]))
+    np.testing.assert_allclose(np.repeat(res.eigenvalues, res.ranks()), [0.4, 0.4, 0.2])
 
 
 def test_block_distribution_oracle():
-    rho = DensityMatrix.diagonal([0.4, 0.4, 0.2])
-    np.testing.assert_allclose(block_distribution(rho).weights, [0.8, 0.2])
-    assert shannon_entropy(block_distribution(rho).weights) == pytest.approx(
-        0.500402, abs=5e-7
-    )
+    weights = spectral_resolution(DensityMatrix.diagonal([0.4, 0.4, 0.2])).weights
+    np.testing.assert_allclose(weights, [0.8, 0.2])
+    assert shannon_entropy(weights) == pytest.approx(0.500402, abs=5e-7)
 
 
 def test_entropy_splits_into_classical_and_degeneracy_parts():
     rho = DensityMatrix.diagonal([0.4, 0.4, 0.2])
-    split = shannon_entropy(block_distribution(rho).weights) + 0.8 * LN2
+    split = shannon_entropy(spectral_resolution(rho).weights) + 0.8 * LN2
     assert von_neumann_entropy(rho) == pytest.approx(split, abs=1e-12)
     assert von_neumann_entropy(rho) == pytest.approx(1.054920, abs=5e-7)
 
@@ -1074,6 +1074,6 @@ def test_entropy_split_holds_on_random_degenerate_states():
         u = random_unitary(4, seed=int(rng.integers(1 << 30)))
         vals = np.array([0.3, 0.3, 0.3, 0.1])
         rho = DensityMatrix(u @ np.diag(vals) @ u.conj().T)
-        parts = shannon_entropy(block_distribution(rho).weights)
+        parts = shannon_entropy(spectral_resolution(rho).weights)
         parts += 0.9 * math.log(3)
         assert von_neumann_entropy(rho) == pytest.approx(parts, abs=1e-9)

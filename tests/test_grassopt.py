@@ -18,14 +18,12 @@ from qce import (
     DensityMatrix,
     NotStrictlyPositive,
     Projector,
-    ValidationError,
     ZeroCompression,
     compressed_entropy,
     entropy_gap_report,
     hermitize,
     max_abs,
     maximize_compressed_entropy,
-    probe_max_self_gain,
     random_density,
     random_projector,
     random_unitary,
@@ -411,76 +409,6 @@ def test_rank_values_read_the_kept_spectrum(dim, monkeypatch):
 def test_gap_report_needs_a_strictly_positive_state():
     with pytest.raises(NotStrictlyPositive):
         entropy_gap_report(DensityMatrix.diagonal([0.6, 0.4, 0.0]))
-
-
-# ------------------------------------------------------------- gain probe
-
-
-def test_self_gain_probe_dim2():
-    probe = probe_max_self_gain(2)
-    assert probe.pattern == (1, 1)
-    assert LN2 - 1e-2 <= probe.best_gain <= LN2 + 1e-9
-    gains = dict(probe.per_pattern)
-    # The fully degenerate pattern is the maximally mixed state: zero gain.
-    assert gains[(2,)] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_self_gain_probe_dim3_patterns():
-    probe = probe_max_self_gain(3)
-    gains = dict(probe.per_pattern)
-    assert set(gains) == {(3,), (2, 1), (1, 1, 1)}
-    assert gains[(3,)] == pytest.approx(0.0, abs=1e-12)
-    assert probe.best_gain <= math.log(3) + 1e-9
-    assert probe.best_gain == pytest.approx(max(gains.values()), abs=1e-12)
-
-
-def test_self_gain_probe_equal_blocks_reach_the_closed_form():
-    # k blocks of size m: the supremum is ln k + (1 - 1/k) ln m.
-    checked = 0
-    for dim in range(2, 9):
-        gains = dict(probe_max_self_gain(dim).per_pattern)
-        for k in range(2, dim + 1):
-            if dim % k:
-                continue
-            m = dim // k
-            sup = math.log(k) + (1.0 - 1.0 / k) * math.log(m)
-            assert gains[(m,) * k] == pytest.approx(sup, abs=1e-9)
-            checked += 1
-    assert checked == 12
-
-
-def test_self_gain_probe_two_blocks_match_a_grid_maximum():
-    p1 = np.linspace(0.0, 1.0, 100_001)[1:-1]
-    weights = np.stack([p1, 1.0 - p1])
-    entropy = -np.sum(weights * np.log(weights), axis=0)
-    for dim in range(2, 9):
-        gains = dict(probe_max_self_gain(dim).per_pattern)
-        for m2 in range(1, dim // 2 + 1):
-            mult = np.array([dim - m2, m2], dtype=float)[:, None]
-            grid = entropy + np.sum(weights * (1.0 - weights) * np.log(mult), axis=0)
-            assert gains[(dim - m2, m2)] == pytest.approx(float(grid.max()), abs=1e-8)
-
-
-def test_self_gain_probe_scores_its_states_through_the_pipeline():
-    probe = probe_max_self_gain(4)
-    values = np.sort(np.linalg.eigvalsh(probe.best_state.mat))
-    assert probe.pattern == (1, 1, 1, 1)
-    assert np.min(np.diff(values)) >= 0.5e-6
-    # Nondegenerate: S(rho | rho) = 0, so the gain is the Shannon entropy.
-    assert probe.best_gain == pytest.approx(-np.sum(values * np.log(values)), abs=1e-12)
-
-
-def test_self_gain_probe_skips_spreads_that_leave_the_simplex():
-    # Spreading three eigenvalues near 1/3 by 0.5 would make one negative.
-    probe = probe_max_self_gain(3, min_gap=0.5)
-    assert set(dict(probe.per_pattern)) == {(3,), (2, 1)}
-
-
-@pytest.mark.parametrize("min_gap", [0.0, -1e-3, math.nan, math.inf])
-def test_self_gain_probe_needs_a_positive_min_gap(min_gap):
-    # Without a positive spread, tied levels stay tied and score a coarser pattern.
-    with pytest.raises(ValidationError, match="min_gap must be positive"):
-        probe_max_self_gain(3, min_gap=min_gap)
 
 
 def test_import_loads_no_scipy():

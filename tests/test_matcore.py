@@ -36,7 +36,7 @@ from qce import (
     variational_gradient,
     von_neumann_entropy,
 )
-from qce.matcore import _cluster_sizes
+from qce.matcore import _cluster_sizes, _orth_deviation
 from qce.states import _decomposition_weight
 
 
@@ -175,6 +175,19 @@ def test_a_frame_resolution_checks_its_block_sizes(sizes):
     # Sizes that miss a column, overrun the frame or are not positive.
     with pytest.raises(BadShape, match=r"block sizes .* do not partition dimension 3"):
         IdentityResolution._from_frame(np.eye(3), sizes)
+
+
+def test_orthonormality_deviation_is_the_dense_one_bit_for_bit():
+    # A reversed-column view (as _resolve passes), a Fortran-ordered frame, a
+    # (d, r < d) basis, and a frame that is orthonormal only to rounding.
+    u = random_unitary(6, seed=3)
+    near = u + 1e-9 * random_unitary(6, seed=4)
+    for b in (u[:, ::-1], np.asfortranarray(u), np.ascontiguousarray(u[:, :2]), near):
+        r = b.shape[1]
+        expected = np.abs(b.conj().T @ b - np.eye(r))
+        dev = _orth_deviation(b)
+        assert dev.shape == (r, r) and dev.dtype == expected.dtype
+        assert dev.tobytes() == expected.tobytes()
 
 
 def test_resolution_rejects_overlapping_blocks():

@@ -14,39 +14,42 @@ PUBLIC = [
     "ClusterAmbiguity", "ConditionEntry", "DEFAULT_TOLERANCES", "DensityMatrix",
     "DimMismatch", "EXPECTED_VERDICTS", "EnsembleConfig", "EntropyBreakdown", "FAILS",
     "GapReport", "HOLDS", "IdentityResolution", "InvalidPartitionData", "NotHermitian",
-    "NotPSD", "NotStrictlyPositive", "OptimizeResult",
-    "OrderWitness", "ParseError", "ProbabilityVector", "Projector", "QceError",
-    "SelfGainProbe", "SpectralResolution", "Tolerances",
+    "NotPSD", "NotStrictlyPositive", "OptimizeResult", "OrderWitness", "ParseError",
+    "ProbabilityVector", "Projector", "QceError", "SpectralResolution", "Tolerances",
     "ValidationError", "ZeroCompression", "audit_deviations", "axiom_audit",
-    "block_distribution", "commutant_dim", "commutator_residual",
-    "compressed_entropy", "compressed_state", "conditional_entropy",
-    "conditional_entropy_given_blocks", "conditional_entropy_of_states",
-    "conditional_shannon_entropy", "coupled_family_probe", "coupled_pair_split",
-    "coupled_pair_state", "dim2_demo", "doc_to_matrix", "doc_to_partition",
-    "doc_to_resolution", "entropy_gap_report", "hermitize", "impossibility_demos",
-    "information_gain",
-    "is_consequence", "is_independent", "joint_entropy", "joint_shannon_entropy",
-    "load_document", "matrix_to_doc", "max_abs", "maximize_compressed_entropy",
-    "more_mixed", "mutual_information", "partition_from_resolutions", "pinch",
-    "probe_max_self_gain", "random_density", "random_projector",
+    "commutant_dim", "commutator_residual", "compressed_entropy", "compressed_state",
+    "conditional_entropy", "conditional_entropy_given_blocks",
+    "conditional_entropy_of_states", "conditional_shannon_entropy",
+    "coupled_family_probe", "coupled_pair_state", "dim2_demo", "doc_to_matrix",
+    "doc_to_partition", "doc_to_resolution", "entropy_gap_report", "hermitize",
+    "impossibility_demos", "information_gain", "is_consequence", "is_independent",
+    "joint_entropy", "joint_shannon_entropy", "load_document", "matrix_to_doc",
+    "max_abs", "maximize_compressed_entropy", "more_mixed", "mutual_information",
+    "partition_from_resolutions", "pinch", "random_density", "random_projector",
     "random_resolution", "random_unitary", "replay_witness",
     "resolution_conditional_entropy", "resolution_entropy", "resolution_joint_entropy",
     "resolution_leq", "resolution_to_doc", "self_conditional_entropy",
     "self_information_gain", "shannon_entropy", "spectral_resolution",
-    "spectrum_distribution", "tilted_family_probe", "tilted_pair_state",
-    "tolerance_profile", "variational_gradient", "von_neumann_entropy",
+    "tilted_family_probe", "tilted_pair_state", "tolerance_profile",
+    "variational_gradient", "von_neumann_entropy",
 ]
 
 # Names that left the API: never raised, unused outside their own module, a
 # private helper of the random ensembles, settings of the retired iterative
-# ascent, sampling loops folded into the audit's condition runner, or dense
-# helpers no code path needed (compress, trace_xlnx), or generator-level draws
-# that the seeded random_* draws replace.
+# ascent, sampling loops folded into the audit's condition runner, dense
+# helpers no code path needed (compress, trace_xlnx), generator-level draws
+# that the seeded random_* draws replace, or names with neither a CLI path nor
+# a statement of the paper to compute (the self-gain probe, whose statement
+# self_conditional_entropy and the audit's 2-eq-self cover; the two
+# distribution wrappers over spectral_resolution(rho).weights; the
+# two-projector split of the coupled family).
 RETIRED = [
-    "NotApplicable", "NotCommuting", "OptimizeConfig", "SweepReport",
-    "complex_gaussian", "compress", "eig_hermitian", "ginibre_density", "haar_basis",
-    "haar_unitary", "normalized_trace", "pinch_sweep", "relative_entropy", "rng_for",
-    "shannon_sweep", "support_projector", "trace_xlnx", "unnormalized_compressed_entropy",
+    "NotApplicable", "NotCommuting", "OptimizeConfig", "SelfGainProbe", "SweepReport",
+    "block_distribution", "complex_gaussian", "compress", "coupled_pair_split",
+    "eig_hermitian", "ginibre_density", "haar_basis", "haar_unitary",
+    "normalized_trace", "pinch_sweep", "probe_max_self_gain", "relative_entropy",
+    "rng_for", "shannon_sweep", "spectrum_distribution", "support_projector",
+    "trace_xlnx", "unnormalized_compressed_entropy",
 ]
 
 # Module -> the qce modules it imports. rand draws on matcore alone, the
@@ -76,7 +79,7 @@ SUBMODULES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 86
+    assert len(PUBLIC) == 81
     assert sorted(qce.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(qce, name) is not None
@@ -95,6 +98,12 @@ def test_retired_names_are_gone(name):
     for module in SUBMODULES:
         assert name not in getattr(module, "__all__", ())
         assert not hasattr(module, name), f"{module.__name__} still defines {name}"
+
+
+def test_partition_data_has_no_conditional_constructor():
+    # Its one-kernel form accepted kernels whose columns do not sum to 1; the
+    # four-field constructor and from_joint(kernel * q) are the ways in.
+    assert not hasattr(qce.ClassicalPartitionData, "from_conditional")
 
 
 def _relative_imports(path: pathlib.Path) -> set:

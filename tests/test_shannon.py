@@ -95,11 +95,11 @@ def test_from_joint_marginals_and_conditionals():
     np.testing.assert_allclose(data.joint(), DIAG_JOINT)
 
 
-def test_from_conditional_round_trip():
-    data = ClassicalPartitionData.from_conditional(
-        [[0.75, 0.25], [0.25, 0.75]], [0.5, 0.5]
-    )
-    np.testing.assert_allclose(data.joint(), DIAG_JOINT)
+def test_kernel_times_marginal_round_trips_through_from_joint():
+    kernel = np.array([[0.75, 0.25], [0.25, 0.75]])
+    data = ClassicalPartitionData.from_joint(kernel * [0.5, 0.5])
+    np.testing.assert_array_equal(data.joint(), DIAG_JOINT)
+    np.testing.assert_array_equal(data.p_given_q, kernel)
 
 
 def random_joints(count=200):
@@ -152,8 +152,8 @@ def test_bayes_violation_rejected():
 
 
 def test_nonstochastic_kernel_rejected():
-    with pytest.raises(InvalidPartitionData, match="sums to|sum to 1"):
-        ClassicalPartitionData.from_conditional([[0.7, 0.2], [0.2, 0.7]], [0.5, 0.5])
+    with pytest.raises(InvalidPartitionData, match="sums to"):
+        ClassicalPartitionData.from_joint(np.array([[0.7, 0.2], [0.2, 0.7]]) * [0.5, 0.5])
     with pytest.raises(InvalidPartitionData, match="sum to 1"):
         ClassicalPartitionData(
             [0.5, 0.5],
@@ -161,6 +161,13 @@ def test_nonstochastic_kernel_rejected():
             [[0.7, 0.2], [0.2, 0.7]],
             [[0.75, 0.25], [0.25, 0.75]],
         )
+    # Columns summing to 1.1 and 0.9 mix to a distribution, p = kernel q, and
+    # q_given_p is their Bayes inverse: only the kernel's column sums are wrong.
+    kernel = np.array([[0.9, 0.0], [0.2, 0.9]])
+    joint = kernel * [0.5, 0.5]
+    p = joint.sum(axis=1)
+    with pytest.raises(InvalidPartitionData, match="^columns of p_given_q do not sum to 1$"):
+        ClassicalPartitionData(p, [0.5, 0.5], kernel, joint.T / p)
 
 
 def test_joint_must_normalize():
@@ -211,9 +218,7 @@ def test_joint_entropy_swap_symmetric():
 
 def test_consequence_means_zero_conditional_entropy():
     # Q determines P: each column of p_given_q is a point mass.
-    data = ClassicalPartitionData.from_conditional(
-        [[1.0, 0.0], [0.0, 1.0]], [0.3, 0.7]
-    )
+    data = ClassicalPartitionData.from_joint([[0.3, 0.0], [0.0, 0.7]])
     assert is_consequence(data)
     assert conditional_shannon_entropy(data) == pytest.approx(0.0, abs=1e-12)
     assert not is_consequence(ClassicalPartitionData.from_joint(DIAG_JOINT))
@@ -263,7 +268,7 @@ def test_entropy_bounds_property(p):
 def test_conditioning_reduces_entropy_property(col0, col1, col2):
     kernel = np.column_stack([col0, col1, col2])
     q = np.array([0.2, 0.3, 0.5])
-    data = ClassicalPartitionData.from_conditional(kernel, q)
+    data = ClassicalPartitionData.from_joint(kernel * q)
     assert conditional_shannon_entropy(data) <= shannon_entropy(data.p) + 1e-9
     assert mutual_information(data) >= -1e-9
 
@@ -280,7 +285,7 @@ def test_product_joint_is_independent_property(p, q):
 @given(simplex(2), simplex(2), simplex(2))
 def test_swap_preserves_joint_entropy_property(col0, col1, w):
     kernel = np.column_stack([col0, col1])
-    data = ClassicalPartitionData.from_conditional(kernel, w)
+    data = ClassicalPartitionData.from_joint(kernel * w)
     assert joint_shannon_entropy(data.swapped()) == pytest.approx(
         joint_shannon_entropy(data), abs=1e-10
     )

@@ -15,7 +15,6 @@ from qce import (
     ValidationError,
     compressed_entropy,
     compressed_state,
-    coupled_pair_split,
     coupled_pair_state,
     doc_to_matrix,
     doc_to_partition,
@@ -87,7 +86,7 @@ def test_coupled_state_spectrum():
 
 
 def test_coupled_state_block_sum_constant():
-    q1, q2 = coupled_pair_split()
+    q1, q2 = Projector.coordinate(4, (0, 1)), Projector.coordinate(4, (2, 3))
     for kappa in (0.0, 0.3, 0.8, 1.0):
         rho = coupled_pair_state(kappa)
         total = compressed_entropy(rho, q1) + compressed_entropy(rho, q2)

@@ -1,5 +1,7 @@
-"""The alternating A/B timing tool: both sides run, gates count, bench/ stays untouched."""
+"""The tools: the A/B timing tool runs both sides, counts gates and leaves bench/ untouched;
+the digest tools import the qce that PYTHONPATH names, else this checkout's src."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +53,22 @@ def test_ab_kinds_exits_nonzero_when_a_gate_fails(tmp_path):
     proc = ab_kinds("--ops", "12", "--rounds", "1", "src", str(tmp_path))
     assert proc.returncode == 1
     assert "failed ops: A 0, B 12" in proc.stderr
+
+
+def test_the_tools_find_this_checkouts_src_unless_pythonpath_names_one(tmp_path):
+    code = "import digest; print(digest.import_qce().__file__)"
+
+    def run(**extra):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        return subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT / "tools", env={**env, **extra},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+
+    proc = run()
+    assert proc.stdout.strip() == str(ROOT / "src" / "qce" / "__init__.py")
+    assert proc.stderr == f"qce from {ROOT / 'src' / 'qce'}\n"
+    # The fallback is appended, so a qce on PYTHONPATH still wins.
+    (tmp_path / "qce").mkdir()
+    (tmp_path / "qce" / "__init__.py").write_text(WRONG_QCE)
+    assert run(PYTHONPATH=str(tmp_path)).stdout.strip() == str(tmp_path / "qce" / "__init__.py")

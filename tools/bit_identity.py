@@ -2,9 +2,9 @@
 
 Usage, from the root of a checkout:
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bit_identity.py OUT_FILE
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bit_identity.py --digest FILE
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bit_identity.py --check FILE
+    OPENBLAS_NUM_THREADS=1 python3 tools/bit_identity.py OUT_FILE
+    OPENBLAS_NUM_THREADS=1 python3 tools/bit_identity.py --digest FILE
+    OPENBLAS_NUM_THREADS=1 python3 tools/bit_identity.py --check FILE
 
 The inputs come from the generators in bench/workloads.py, so they are
 arrays built with numpy alone:
@@ -17,14 +17,14 @@ arrays built with numpy alone:
 
 That is 1,728 results. Each one is a line of OUT_FILE: its workload, seed,
 op and call, then the repr of the total and of every block's weight and
-factor. The qce package is whichever one PYTHONPATH puts first (its location
-is printed to stderr), so running this script against two checkouts' src
-directories and comparing the two files with `cmp` shows whether a change
-moved any bit of these results. --digest FILE writes one SHA-256 per
-workload and seed (the lines of cond-fresh 201, cond-fresh 202 and
-cond-shared 301) into FILE instead, and --check FILE lists the groups whose
-SHA-256 differs from FILE's (see tools/digest.py); tools/golden.sha256 is
-the committed digest.
+factor. The qce package is whichever one PYTHONPATH puts first, else this
+checkout's src (its location is printed to stderr; see digest.import_qce),
+so running this script against two checkouts' src directories and comparing
+the two files with `cmp` shows whether a change moved any bit of these
+results. --digest FILE writes one SHA-256 per workload and seed (the lines
+of cond-fresh 201, cond-fresh 202 and cond-shared 301) into FILE instead,
+and --check FILE lists the groups whose SHA-256 differs from FILE's (see
+tools/digest.py); tools/golden.sha256 is the committed digest.
 """
 
 from __future__ import annotations
@@ -75,10 +75,9 @@ def main(argv=None) -> int:
     here = Path(__file__).resolve().parent
     sys.path[:0] = [str(here), str(here.parent / "bench")]
     import digest
-    import qce
-    import workloads
 
-    print(f"qce from {Path(qce.__file__).parent}", file=sys.stderr)
+    qce = digest.import_qce()  # before workloads, which imports qce itself
+    import workloads
     lines = (line(tag, breakdown) for tag, breakdown in results(qce, workloads))
     if args.out_file is None:
         # One output per workload and seed: the first two words of each tag.

@@ -21,6 +21,25 @@ import sys
 from pathlib import Path
 
 
+def import_qce():
+    """Import qce and print where it came from; fall back on this checkout's src.
+
+    The qce that sys.path finds wins, so PYTHONPATH still decides which
+    checkout a two-checkout comparison runs. Only when there is none is this
+    checkout's src appended to sys.path, so the tools run from a bare
+    checkout without PYTHONPATH.
+    """
+    try:
+        import qce
+    except ModuleNotFoundError as exc:
+        if exc.name != "qce":
+            raise
+        sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+        import qce
+    print(f"qce from {Path(qce.__file__).parent}", file=sys.stderr)
+    return qce
+
+
 def environment() -> str:
     import numpy as np
 

@@ -2,22 +2,22 @@
 
 Usage, from the root of a checkout:
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py OUT_DIR
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py --digest FILE
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py --check FILE
+    OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py OUT_DIR
+    OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py --digest FILE
+    OPENBLAS_NUM_THREADS=1 python3 tools/golden_cli.py --check FILE
 
 Each argv in COMMANDS runs in-process through qce.cli.main once per output
 format (text, json) and tolerance profile (default, strict, loose); then
 `qce --help` and `qce <command> --help` run once each, at 80 columns. A run
 writes one file, OUT_DIR/<index>-<command>-<format>-<profile>.txt or
 OUT_DIR/help[-<command>].txt, holding its exit code, its stdout and its
-stderr. The qce package is whichever one PYTHONPATH puts first (its location
-is printed to stderr), so running this script against two checkouts' src
-directories and comparing the two output directories with `diff -r` shows
-every CLI byte that a change moved. --digest FILE writes one SHA-256 per
-output into FILE instead, and --check FILE lists the outputs whose SHA-256
-differs from FILE's (see tools/digest.py); tools/golden.sha256 is the
-committed digest.
+stderr. The qce package is whichever one PYTHONPATH puts first, else this
+checkout's src (its location is printed to stderr; see digest.import_qce),
+so running this script against two checkouts' src directories and comparing
+the two output directories with `diff -r` shows every CLI byte that a
+change moved. --digest FILE writes one SHA-256 per output into FILE
+instead, and --check FILE lists the outputs whose SHA-256 differs from
+FILE's (see tools/digest.py); tools/golden.sha256 is the committed digest.
 
 The documents are inline JSON built by the pure-Python helpers below, so
 the inputs do not depend on numpy or on qce. QCE_SEED is cleared, so every
@@ -192,10 +192,10 @@ def main(argv=None) -> int:
     os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     import digest
-    import qce
+
+    digest.import_qce()
     from qce.cli import main as cli_main
 
-    print(f"qce from {Path(qce.__file__).parent}", file=sys.stderr)
     outputs = (
         (name, run_one(cli_main, run_argv))
         for name, run_argv in itertools.chain(runs(), help_runs())

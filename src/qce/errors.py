@@ -4,13 +4,12 @@ ValidationError covers every "the object you handed me is not what the
 operation requires" failure; its subclasses name the specific broken
 invariant so callers can branch on them. Errors outside that branch signal
 conditions arising during a computation (ambiguous eigenvalue clustering,
-a vanishing compression, a state that is not strictly positive).
+a vanishing compression).
 """
 
 __all__ = [
     "BadShape", "ClusterAmbiguity", "DimMismatch", "InvalidPartitionData", "NotHermitian",
-    "NotPSD", "NotStrictlyPositive", "ParseError", "QceError", "ValidationError",
-    "ZeroCompression",
+    "NotPSD", "ParseError", "QceError", "ValidationError", "ZeroCompression",
 ]
 
 
@@ -51,8 +50,4 @@ class ClusterAmbiguity(QceError):
 
 
 class ZeroCompression(QceError):
-    """Compression Q rho Q vanishes where the operation needs mass."""
-
-
-class NotStrictlyPositive(QceError):
-    """Operand must be strictly positive definite and is not."""
+    """Compression Q rho Q vanishes, or has zero modes, where the operation needs it positive."""

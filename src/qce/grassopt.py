@@ -29,6 +29,12 @@ Rank-one projectors are global flats: the functional vanishes identically
 on them and the gradient is exactly zero. entropy_gap_report reads the
 maximum at every rank below full from the same kept spectrum.
 
+Interlacing and the monotonicity of g hold on the whole positive
+semidefinite cone, so rho may be rank-deficient; the maximum equals S(rho)
+at r >= rank(rho). For rank(rho) < r < dim the compression onto the
+maximizer has zero modes, where the gradient is undefined, so the
+optimizer raises ZeroCompression rather than report a grad_norm.
+
 Nothing here iterates. The Armijo ascent this solve replaced survives only
 as an independent oracle in the test suite; its settings survive only as
 the frozen settings.optimizer record of the CLI's qce/1 reports.
@@ -43,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import BadShape, NotStrictlyPositive, ZeroCompression
+from .errors import BadShape, ZeroCompression
 from .entropy import _spectrum_entropies, von_neumann_entropy
 from .matcore import (
     DensityMatrix,
@@ -93,7 +99,8 @@ def _gradient_from_basis(
         raise ZeroCompression(f"tr(Q rho) = {t:.3e} carries no mass")
     if float(mu[0]) <= psd_tol:
         raise ZeroCompression(
-            "compression has near-zero modes; the gradient is undefined there"
+            f"compression has near-zero modes (smallest {float(mu[0]):.1e} <= {psd_tol:g}); "
+            "the gradient is undefined there"
         )
     q_mat = basis @ basis.conj().T
     ln_m = (u * np.log(mu)) @ u.conj().T
@@ -117,17 +124,6 @@ def variational_gradient(
     return _gradient_from_basis(rho.mat, q.range_basis(), tol.support, tol.psd)
 
 
-def _positive_eigh(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The state's kept eigendecomposition, ascending, once rho > 1e-6 is checked."""
-    vals, vecs = rho._eig
-    min_eig = float(vals[0])
-    if min_eig <= 1e-6:
-        raise NotStrictlyPositive(
-            f"min eigenvalue {min_eig:.3e} <= 1e-6; the optimizer needs rho > 0"
-        )
-    return vals, vecs
-
-
 def _top_value(vals: np.ndarray, rank: int, tol: Tolerances) -> float:
     """Compressed entropy of the top-rank eigenspace, from the ascending spectrum.
 
@@ -146,20 +142,21 @@ def maximize_compressed_entropy(
 ) -> OptimizeResult:
     """Maximize compressed_entropy(rho, Q) over projectors of the given rank.
 
-    rho must be strictly positive (min eigenvalue above 1e-6). The maximizer
-    is the top-rank eigenspace of rho (see the module docstring), read off
-    the eigendecomposition the state kept, and the value is the entropy mass
-    of the top-rank kept eigenvalues. Only the reported grad_norm compresses
-    rho onto the maximizer and diagonalizes that compression. A full-rank
-    request returns the entropy of rho, and a rank-one request returns value
-    zero at the top spectral direction (the functional is identically zero
-    there, so that maximizer is as good as any).
+    The maximizer is the top-rank eigenspace of rho (see the module
+    docstring), read off the eigendecomposition the state kept, and the
+    value is the entropy mass of the top-rank kept eigenvalues. Only the
+    reported grad_norm compresses rho onto the maximizer and diagonalizes
+    that compression; it raises ZeroCompression when rank(rho) < rank < dim,
+    where that compression has zero modes. A full-rank request returns the
+    entropy of rho, and a rank-one request returns value zero at the top
+    spectral direction (the functional is identically zero there, so that
+    maximizer is as good as any).
     """
     _check_state(rho, "rho")
     rank = operator.index(rank)
     if rank < 1 or rank > rho.dim:
         raise BadShape(f"rank {rank} outside [1, {rho.dim}]")
-    vals, vecs = _positive_eigh(rho)
+    vals, vecs = rho._eig
     if rank == rho.dim:
         value = von_neumann_entropy(rho, tol)
         best_q = Projector.identity(rho.dim, tol)
@@ -186,7 +183,7 @@ def maximize_compressed_entropy(
 
 @dataclass(frozen=True)
 class GapReport:
-    """Gap between the rank-constrained maxima and the entropy."""
+    """Gap between the rank-constrained maxima and the entropy: strict only for r < rank(rho)."""
 
     dim: int
     entropy: float
@@ -211,11 +208,12 @@ def entropy_gap_report(
 
         S(rho) - max_value = -t_r ln t_r - sum_{i>r} lambda_i ln lambda_i,
 
-    which is positive whenever t_r < 1, so all_strict holds for every
-    strictly positive rho (up to rounding of the computed margins).
+    which is positive exactly when r < rank(rho) and zero up to rounding at
+    r >= rank(rho). So all_strict, every margin positive, means full rank:
+    the smallest kept eigenvalue is above tol.support.
     """
     _check_state(rho, "rho")
-    vals = _positive_eigh(rho)[0]
+    vals = rho._eig[0]
     entropy = von_neumann_entropy(rho, tol)
     ranks = tuple(range(1, rho.dim))
     values = tuple(_top_value(vals, rank, tol) for rank in ranks)
@@ -227,5 +225,5 @@ def entropy_gap_report(
         values=values,
         margins=margins,
         min_margin=min(margins) if margins else entropy,
-        all_strict=all(m > 0.0 for m in margins),
+        all_strict=float(vals[0]) > tol.support,
     )

@@ -1,6 +1,7 @@
 """Exact rank-r maximum: gradient oracle, ascent and subset oracles, gap reports."""
 
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -16,12 +17,12 @@ import qce
 from qce import (
     BadShape,
     DensityMatrix,
-    NotStrictlyPositive,
     Projector,
     ZeroCompression,
     compressed_entropy,
     entropy_gap_report,
     hermitize,
+    matrix_to_doc,
     max_abs,
     maximize_compressed_entropy,
     random_density,
@@ -30,6 +31,7 @@ from qce import (
     variational_gradient,
     von_neumann_entropy,
 )
+from qce.cli import main as cli_main
 from helpers import directional_difference, random_hermitian, rotated
 
 LN2 = math.log(2.0)
@@ -91,10 +93,11 @@ def oracle_ascent(rho_mat, rank, config):
 
 
 def top_window_value(spectrum, rank):
-    """t ln t - sum mu ln mu over the rank largest eigenvalues."""
+    """t ln t - sum mu ln mu over the rank largest eigenvalues (0 ln 0 = 0)."""
     top = np.sort(spectrum)[::-1][:rank]
     t = top.sum()
-    return float(t * np.log(t) - np.sum(top * np.log(top)))
+    pos = top[top > 0.0]
+    return float((t * np.log(t) if t > 0.0 else 0.0) - np.sum(pos * np.log(pos)))
 
 
 def subset_max(spectrum, rank):
@@ -197,7 +200,7 @@ def test_gradient_rejects_the_zero_projector_and_a_zero_mode():
     with pytest.raises(ZeroCompression, match="zero projector"):
         variational_gradient(rho, Projector.zero(3))
     # The compression onto axes 1 and 2 carries mass 0.4 but has the zero mode of axis 2.
-    with pytest.raises(ZeroCompression, match="near-zero modes"):
+    with pytest.raises(ZeroCompression, match=r"near-zero modes \(smallest 0.0e\+00 <= 1e-10\)"):
         variational_gradient(rho, Projector.coordinate(3, [1, 2]))
 
 
@@ -288,9 +291,10 @@ def test_maximize_unitary_invariant_value():
 
 
 def test_maximize_validates_inputs():
+    # A rank-deficient state is accepted: a pure state's maximum is 0 at every rank.
     rho = DensityMatrix.diagonal([1.0, 0.0])
-    with pytest.raises(NotStrictlyPositive):
-        maximize_compressed_entropy(rho, 1)
+    assert maximize_compressed_entropy(rho, 1).best_value == 0.0
+    assert maximize_compressed_entropy(rho, 2).best_value == von_neumann_entropy(rho)
     good = DensityMatrix.diagonal([0.7, 0.3])
     with pytest.raises(BadShape, match="rank"):
         maximize_compressed_entropy(good, 3)
@@ -406,9 +410,45 @@ def test_rank_values_read_the_kept_spectrum(dim, monkeypatch):
     assert max(abs(v - o) for v, o in zip(rep.values, oracle)) <= 1e-13
 
 
-def test_gap_report_needs_a_strictly_positive_state():
-    with pytest.raises(NotStrictlyPositive):
-        entropy_gap_report(DensityMatrix.diagonal([0.6, 0.4, 0.0]))
+def test_gap_report_of_a_rank_deficient_state():
+    # Rank 2 of 3: strict below rank 2, equal to the entropy at rank 2.
+    rep = entropy_gap_report(DensityMatrix.diagonal([0.6, 0.4, 0.0]))
+    entropy = -(0.6 * math.log(0.6) + 0.4 * math.log(0.4))
+    assert rep.dim == 3 and rep.ranks == (1, 2)
+    assert rep.entropy == pytest.approx(entropy, abs=1e-15)
+    assert rep.values[0] == 0.0
+    assert rep.values[1] == pytest.approx(entropy, abs=1e-15)
+    assert rep.margins[0] == rep.entropy
+    assert abs(rep.margins[1]) <= 1e-15
+    assert rep.min_margin == min(rep.margins)
+    assert rep.all_strict is False
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_rank_deficient_maxima_match_the_subset_oracle(dim, capsys):
+    # Refused exactly where the gradient at the maximizer is undefined
+    # (rank < r < dim), and the CLI exits 0 or 3 to match.
+    for rank, seed in itertools.product(range(1, dim + 1), range(5)):
+        rho = random_density(dim, rank, seed)
+        spectrum = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)
+        rep = entropy_gap_report(rho)
+        assert rep.all_strict == (rank == dim)
+        doc = json.dumps(matrix_to_doc(rho.mat))
+        for r in range(1, dim + 1):
+            oracle = subset_max(spectrum, r)
+            refused = rank < r < dim
+            if refused:
+                with pytest.raises(ZeroCompression, match="near-zero modes"):
+                    maximize_compressed_entropy(rho, r)
+            else:
+                value = maximize_compressed_entropy(rho, r).best_value
+                assert abs(value - oracle) <= 1e-12
+                if r < dim:
+                    assert rep.values[r - 1] == value
+            if r < dim:
+                assert abs(rep.values[r - 1] - oracle) <= 1e-12
+            assert cli_main(["optimize", doc, "--rank", str(r)]) == (3 if refused else 0)
+            capsys.readouterr()
 
 
 def test_import_loads_no_scipy():

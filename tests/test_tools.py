@@ -41,10 +41,33 @@ def test_ab_kinds_reports_both_sides_and_leaves_bench_alone():
     assert f"A: qce from {src}" in out and f"B: qce from {src}" in out
     # One row per kind of the 12-op cycle, then each side's rate.
     assert sum(line.split()[1:2] in (["d=8"], ["d=16"], ["d=32"], ["d=64"]) for line in out) == 12
-    assert any(line.startswith("A: 12 kinds / sum(medians)") for line in out)
-    assert any(line.startswith("B: 12 kinds / sum(medians)") for line in out)
+    for side in "AB":
+        rate_line = next(line for line in out if line.startswith(f"{side}: 12 kinds"))
+        assert ", quartiles " in rate_line and ", range " in rate_line
     assert out[-1] in ("B won 0 of 1 rounds", "B won 1 of 1 rounds")
+    assert out[-2].startswith(("claim rule met (", "claim rule not met ("))
     assert snapshot(ROOT / "bench") == before
+
+
+def test_the_claim_rule_needs_ten_rounds_nine_tenths_won_and_a_gain_above_the_spread():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from ab_kinds import claim_rule
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    a = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+    assert claim_rule(a, [x + 5.0 for x in a]) == (
+        "claim rule met (>= 10 rounds, B wins >= 9/10, median gain > A's quartile spread): "
+        "gain 5.0 ops/s, spread 4.5\nB won 10 of 10 rounds"
+    )
+    # Fewer than ten rounds, or a gain inside A's quartile spread, is too little.
+    assert claim_rule(a[:9], [x + 5.0 for x in a[:9]]).startswith("claim rule not met")
+    assert claim_rule(a, [x + 4.0 for x in a]).startswith("claim rule not met")
+    two_lost = [x + 20.0 for x in a[:8]] + a[8:]
+    assert claim_rule(a, two_lost).endswith("B won 8 of 10 rounds")
+    assert claim_rule(a, two_lost).startswith("claim rule not met")
+    one_tie = [x + 6.0 for x in a[:9]] + a[9:]  # a tie counts for neither side
+    assert claim_rule(a, one_tie).startswith("claim rule met")
 
 
 def test_ab_kinds_exits_nonzero_when_a_gate_fails(tmp_path):

@@ -17,7 +17,10 @@ of kinds over the sum of the kinds' median op times.
 
 Printed: each round's two rates, each side's per-kind median op time (the
 median over rounds of each round's per-kind median) with the ratio B/A,
-each side's median rate, and the number of rounds B won. Exit code 1 when
+each side's median rate with its quartiles and range, whether the rounds
+meet the rule for claiming a gain (at least ten rounds, B wins at least
+nine tenths of them, and the median rates differ by more than the distance
+between A's quartiles), and the number of rounds B won. Exit code 1 when
 any op of either side failed or raised, 0 otherwise. Only the in-process
 workloads are offered: the cli workload's ops spawn the checkout's own src.
 """
@@ -97,6 +100,30 @@ def rate(side: dict) -> float:
     return len(side["medians"]) / sum(side["medians"].values())
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """First and third quartiles (inclusive method); one value is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def claim_rule(a: list[float], b: list[float]) -> str:
+    """Two lines on paired rates: whether B may claim a gain over A, and B's wins.
+
+    The rule: at least ten rounds, B wins at least nine tenths of them
+    (ties count for neither), and its median rate beats A's by more than
+    the distance between A's quartiles.
+    """
+    wins = sum(y > x for x, y in zip(a, b))
+    q1, q3 = quartiles(a)
+    gain = statistics.median(b) - statistics.median(a)
+    met = len(a) >= 10 and wins >= 0.9 * len(a) and gain > q3 - q1
+    return (f"claim rule {'met' if met else 'not met'} (>= 10 rounds, B wins >= 9/10, "
+            f"median gain > A's quartile spread): gain {gain:.1f} ops/s, spread {q3 - q1:.1f}\n"
+            f"B won {wins} of {len(a)} rounds")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="alternating per-kind A/B op timing")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -123,12 +150,13 @@ def main(argv=None) -> int:
     for k, label in labels.items():
         a, b = (statistics.median(run["medians"][k] for run in runs[s]) * 1e6 for s in "AB")
         print(f"{k:>4} {label:<18} {a:>10.1f} {b:>10.1f} {b / a:>6.3f}")
-    for side in ("A", "B"):
-        rates = [rate(run) for run in runs[side]]
-        print(f"{side}: {len(labels)} kinds / sum(medians): median {statistics.median(rates):.0f} "
-              f"ops/s, range {min(rates):.0f}-{max(rates):.0f}")
-    wins = sum(rate(b) > rate(a) for a, b in zip(runs["A"], runs["B"]))
-    print(f"B won {wins} of {args.rounds} rounds")
+    rates = {side: [rate(run) for run in runs[side]] for side in "AB"}
+    for side in "AB":
+        q1, q3 = quartiles(rates[side])
+        print(f"{side}: {len(labels)} kinds / sum(medians): median "
+              f"{statistics.median(rates[side]):.0f} ops/s, quartiles {q1:.0f}-{q3:.0f}, "
+              f"range {min(rates[side]):.0f}-{max(rates[side]):.0f}")
+    print(claim_rule(rates["A"], rates["B"]))
     failed = {s: sum(run["failed"] for run in runs[s]) for s in "AB"}
     if any(failed.values()):
         print(f"failed ops: A {failed['A']}, B {failed['B']}", file=sys.stderr)

@@ -55,14 +55,17 @@ def diag_doc(*vals) -> str:
     return matrix_doc(diag(*vals))
 
 
-def mixed_doc(dim: int) -> str:
-    """A fixed full-rank complex state: (A A* + I) / tr, A with small integer entries."""
+def mixed_doc(dim: int, rank: int | None = None) -> str:
+    """A fixed complex state: (A A* + I) / tr with A dim x dim, or A A* / tr with A
+    dim x rank, of that rank; A has small integer entries."""
+    cols, shift = (dim, 1) if rank is None else (rank, 0)
     a = [
-        [complex((3 * i + 7 * j) % 5 - 2, (2 * i + 5 * j) % 3 - 1) for j in range(dim)]
+        [complex((3 * i + 7 * j) % 5 - 2, (2 * i + 5 * j) % 3 - 1) for j in range(cols)]
         for i in range(dim)
     ]
     m = [
-        [sum(a[i][k] * a[j][k].conjugate() for k in range(dim)) + (i == j) for j in range(dim)]
+        [sum(a[i][k] * a[j][k].conjugate() for k in range(cols)) + shift * (i == j)
+         for j in range(dim)]
         for i in range(dim)
     ]
     tr = sum(m[i][i].real for i in range(dim))
@@ -144,6 +147,13 @@ COMMANDS: list[list[str]] = [
                          2.2613670881738115e-09, 1.2613670881738115e-09)],
     ["audit", "--functional", "scond", "--rank-profile", "full", "--gap-floor", "0.01",
      "--dims", "2,3", "--trials", "10"],
+    # Rank-2 states at d = 4: exit 0 at ranks 1, 2 and 4; exit 3 at rank 3, where the
+    # compression onto the maximizer has a zero mode.
+    *[
+        ["optimize", rho, "--rank", str(r)]
+        for rho in (diag_doc(0.6, 0.4, 0.0, 0.0), mixed_doc(4, rank=2))
+        for r in range(1, 5)
+    ],
 ]
 
 

@@ -15,7 +15,7 @@ class Tolerances:
     """Tolerance bundle used by validation and clustering.
 
     herm: max entrywise deviation from Hermitian symmetry.
-    idem: max entrywise deviation of Q@Q from Q for projectors.
+    idem: max entrywise deviation of Q@Q from Q, for projector matrices only.
     orth: max entrywise deviation for orthogonality/completeness checks.
     psd: eigenvalues below -psd are an error; in (-psd, 0) they are clamped to 0.
     trace: allowed deviation of a trace from its target (1 for states,

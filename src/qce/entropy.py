@@ -193,16 +193,18 @@ def compressed_state(
 ) -> DensityMatrix:
     """Renormalized compression Q rho Q / tr(Q rho).
 
+    Compressed on Q's range basis V, as compressed_entropy is: V (V* rho V) V* / t.
     Raises ZeroCompression when the compression carries no mass.
     """
     _check_state(rho, "rho")
     _check_projector(q, "q")
     _check_same_dim(rho, q)
-    c = hermitize(q.mat @ rho.mat @ q.mat)
+    v = q.range_basis()
+    c = v.conj().T @ rho.mat @ v
     t = float(np.trace(c).real)
     if t <= tol.support:
         raise ZeroCompression(f"tr(Q rho) = {t:.3e} is below the support tolerance")
-    return DensityMatrix(c / t, tol)
+    return DensityMatrix(hermitize(v @ c @ v.conj().T) / t, tol)
 
 
 def conditional_entropy(

@@ -3,7 +3,7 @@
 Everything downstream works with four value types built here:
 
 - DensityMatrix: Hermitian, positive semidefinite, unit trace.
-- Projector: Hermitian idempotent; its rank (zero allowed) is its basis width.
+- Projector: Hermitian idempotent, stored as its range basis alone (rank = width >= 0).
 - IdentityResolution: one orthonormal frame V (dim x dim) cut into
   consecutive nonzero column blocks; block j is the projector V_j V_j*.
 - SpectralResolution: the IdentityResolution subclass that adds one level
@@ -24,7 +24,8 @@ built by spectral_resolution, it is the eigenvector matrix. The frame is the
 only representation: consumers work on its column blocks, read through
 bases() or straight from frame and bounds, and a block's projector is
 V_j V_j* of its block V_j, formed only where a dense matrix is wanted
-(serialize.resolution_to_doc).
+(serialize.resolution_to_doc). A Projector is read the same way, through
+its range basis B; its mat is B B*, formed on each read by the same helper.
 
 The operand checks shared across modules (a DensityMatrix, a Projector, an
 IdentityResolution, equal dimensions, a positive dimension) live here too, so
@@ -32,13 +33,12 @@ every entry point raises the same TypeError, DimMismatch or BadShape for the
 same fault; so do _rotate (U rho U*) and _rotation (a plane rotation).
 
 A DensityMatrix is diagonalized once, by its constructor, which keeps the
-frozen eigh of the matrix it stores (after a clamp, of the rebuilt one);
-a Projector likewise keeps its range basis from construction on. The state's
-resolution, the optimizer and the audit all read that one decomposition, and
-so does every functional that needs only the state's own spectrum:
-von_neumann_entropy, the compressed entropy in a block spanning the whole
-space (conditioning on I/d or on the trivial resolution), and the
-rank-constrained maxima, which are the entropy masses of the top eigenvalues.
+frozen eigh of the matrix it stores (after a clamp, of the rebuilt one).
+The state's resolution, the optimizer and the audit all read that one
+decomposition, and so does every functional that needs only the state's
+own spectrum: von_neumann_entropy, the compressed entropy in a block
+spanning the whole space (conditioning on I/d or on the trivial resolution),
+and the rank-constrained maxima, the entropy masses of the top eigenvalues.
 The state is immutable, and its spectral resolution depends on the state
 and the Tolerances record alone, so spectral_resolution memoises it on the
 state, keyed by the (frozen, hashable) Tolerances: every caller that
@@ -106,6 +106,11 @@ def max_abs(a) -> float:
 def hermitize(a: np.ndarray) -> np.ndarray:
     """(A + A*)/2, the Hermitian part; of each matrix, for a stack (..., n, n)."""
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _span_matrix(b: np.ndarray) -> np.ndarray:
+    """hermitize(B B*), the projector onto the span of orthonormal columns B."""
+    return hermitize(b @ b.conj().T)
 
 
 def commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -190,63 +195,55 @@ def _rotation(theta: float) -> np.ndarray:
 
 
 class Projector:
-    """Hermitian idempotent matrix with integer rank; the zero projector is allowed."""
+    """Hermitian idempotent matrix of integer rank (zero allowed), stored as its range basis."""
 
     def __init__(self, mat, tol: Tolerances = DEFAULT_TOLERANCES):
-        self._adopt(mat, None, tol)
-
-    def _adopt(self, mat, basis, tol: Tolerances) -> None:
-        """Check a projector and store it with its range basis; rank is the basis width.
-
-        basis=None: mat must be Hermitian, and the basis is its eigenvectors of
-        eigenvalue above 1/2. Otherwise mat is the basis's B B*, already Hermitian.
-        """
-        a = as_complex_matrix(mat)
-        if basis is None:
-            a = _require_hermitian(a, tol, "projector")
-            w, v = np.linalg.eigh(a)
-            basis = np.ascontiguousarray(v[:, w > 0.5])
+        a = _require_hermitian(as_complex_matrix(mat), tol, "projector")
+        w, v = np.linalg.eigh(a)
+        basis = np.ascontiguousarray(v[:, w > 0.5])
         if max_abs(a @ a - a) > tol.idem:
             raise ValidationError(f"matrix is not idempotent within {tol.idem:g}")
         rank = basis.shape[1]
         tr = float(np.trace(a).real)
         if abs(tr - rank) > max(tol.trace, a.shape[0] * tol.idem):
             raise ValidationError(f"projector trace {tr!r} is not near an integer")
-        self.mat = _freeze(a)
         self._basis = _freeze(basis)
-        self.dim = a.shape[0]
-        self.rank = rank
+        self.dim, self.rank = a.shape[0], rank
 
     @classmethod
     def from_basis(cls, basis, tol: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
-        """Projector onto the span of orthonormal columns.
+        """Projector onto the span of orthonormal columns B, shape (dim, r), dim >= 1.
 
-        basis has shape (dim, r); columns must be orthonormal within tol.orth.
-        Their copy is the range basis, so no eigh runs; the matrix is checked.
+        The one check is a frame's, |B*B - I| <= eps = tol.orth, which gives
+        ||(BB*)^2 - BB*|| = ||B (B*B - I) B*|| <= r eps (1 + r eps). B's copy is the basis.
         """
         b = np.asarray(basis, dtype=np.complex128)
         if b.ndim != 2:
             raise BadShape(f"basis must be 2-D, got shape {b.shape}")
         dim, r = b.shape
+        _check_dim(dim)
         if r > dim:
             raise BadShape(f"basis has more columns ({r}) than rows ({dim})")
-        if r > 0 and float(_orth_deviation(b).max()) > tol.orth:
+        if r > 0 and not float(_orth_deviation(b).max()) <= tol.orth:
             raise ValidationError(f"basis columns are not orthonormal within {tol.orth:g}")
         q = cls.__new__(cls)
-        q._adopt(hermitize(b @ b.conj().T), np.array(b, copy=True), tol)
+        q._basis = _freeze(np.array(b, copy=True))
+        q.dim, q.rank = dim, r
         return q
 
     @classmethod
     def zero(cls, dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
-        return cls.from_basis(np.zeros((dim, 0), dtype=np.complex128), tol)
+        return cls.coordinate(dim, (), tol)
 
     @classmethod
     def identity(cls, dim: int, tol: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
+        _check_dim(dim)
         return cls.from_basis(np.eye(dim, dtype=np.complex128), tol)
 
     @classmethod
     def coordinate(cls, dim: int, indices, tol: Tolerances = DEFAULT_TOLERANCES) -> "Projector":
         """Projector onto the span of the given coordinate axes."""
+        _check_dim(dim)
         idx = sorted(set(map(operator.index, indices)))
         if any(i < 0 or i >= dim for i in idx):
             raise BadShape(f"coordinate indices {idx} outside range(0, {dim})")
@@ -254,6 +251,11 @@ class Projector:
         for col, i in enumerate(idx):
             b[i, col] = 1.0
         return cls.from_basis(b, tol)
+
+    @property
+    def mat(self) -> np.ndarray:
+        """B B* of the range basis; for Projector(m), the projector onto its kept eigenvectors."""
+        return _span_matrix(self._basis)
 
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range, shape (dim, rank), frozen at construction."""

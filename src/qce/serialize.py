@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ParseError
-from .matcore import IdentityResolution, Projector, hermitize
+from .matcore import IdentityResolution, Projector, _span_matrix
 from .shannon import ClassicalPartitionData
 
 __all__ = [
@@ -141,7 +141,7 @@ def resolution_to_doc(res: IdentityResolution) -> dict:
     """IdentityResolution -> resolution document; block j is V_j V_j* of its frame columns."""
     return {
         "dim": res.dim,
-        "blocks": [matrix_to_doc(hermitize(b @ b.conj().T)) for b in res.bases()],
+        "blocks": [matrix_to_doc(_span_matrix(b)) for b in res.bases()],
     }
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qce.audit
 from qce.cli import _build_parser, main
 
 
@@ -560,6 +561,23 @@ def test_audit_matches_the_expected_verdicts(functional, capsys):
     assert all(r["name"].startswith("max_violation[") for r in doc["rows"])
     _, out, _ = run(argv, capsys)
     assert "deviates" not in out
+
+
+def test_audit_exits_5_and_names_a_deviating_verdict(monkeypatch, capsys):
+    # Expect the opposite verdict for one condition: the audit itself is unchanged.
+    expected = qce.audit.EXPECTED_VERDICTS["scond"]
+    label = "1-invariance"
+    flipped = qce.audit.FAILS if expected[label] == qce.audit.HOLDS else qce.audit.HOLDS
+    monkeypatch.setitem(expected, label, flipped)
+    argv = ["audit", "--functional", "scond", "--dims", "2", "--trials", "2"]
+    code, doc = run_json(argv, capsys)
+    assert code == 5
+    assert doc["report"]["deviations"] == [label]
+    code, out, _ = run(argv, capsys)
+    assert code == 5
+    deviating = [line for line in out.splitlines() if line.endswith("<-- deviates")]
+    assert len(deviating) == 1 and deviating[0].startswith(label)
+    assert f"deviations: {label}" in out.splitlines()
 
 
 # Each demo's (name, unit) rows, in order, so that no row is dropped, moved or relabeled.

@@ -13,6 +13,7 @@ from qce import (
     IdentityResolution,
     Projector,
     QceError,
+    Tolerances,
     ZeroCompression,
     compressed_entropy,
     compressed_state,
@@ -24,11 +25,13 @@ from qce import (
     max_abs,
     pinch,
     random_density,
+    random_projector,
     random_unitary,
     self_conditional_entropy,
     self_information_gain,
     shannon_entropy,
     spectral_resolution,
+    tolerance_profile,
     von_neumann_entropy,
 )
 from helpers import entropy_oracle, rotated
@@ -355,6 +358,44 @@ def test_compressed_state_zero_mass_raises():
     rho = DensityMatrix.diagonal([1.0, 0.0, 0.0])
     with pytest.raises(ZeroCompression, match="support tolerance"):
         compressed_state(rho, Projector.coordinate(3, [1, 2]))
+
+
+def near_projectors(tol, count=40):
+    """Seeded projectors at d = 3..8 moved off idempotent by about tol.idem / 2.
+
+    The move is a random Hermitian H scaled so that the first-order idempotence
+    error delta * max|PH + HP - H| is tol.idem / 2, so Projector(m, tol) accepts m.
+    """
+    rng = np.random.default_rng(30)
+    for seed in range(count):
+        dim = 3 + seed % 6
+        u = random_unitary(dim, seed=seed)
+        b = u[:, : 1 + seed % (dim - 1)]
+        p = b @ b.conj().T
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = hermitize(x)
+        delta = 0.5 * tol.idem / max_abs(p @ h + h @ p - h)
+        yield p + delta * h
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [DEFAULT_TOLERANCES, tolerance_profile("loose"), Tolerances(idem=0.1)],
+    ids=["default", "loose", "idem0.1"],
+)
+def test_compressed_entropy_is_mass_times_entropy_of_the_compressed_state(tol):
+    # compressed_entropy(rho, Q) = t S(compressed_state(rho, Q)), t = tr(Q rho):
+    # both read Q's range basis, so a near-projector Q means one subspace to both.
+    projectors = [Projector(m, tol) for m in near_projectors(tol)]
+    projectors += [random_projector(dim, 1 + dim % 3, seed=dim) for dim in range(3, 9)]
+    for k, q in enumerate(projectors):
+        rho = random_density(q.dim, seed=100 + k)
+        v = q.range_basis()
+        t = float(np.trace(v.conj().T @ rho.mat @ v).real)
+        inside = compressed_state(rho, q, tol)
+        assert compressed_entropy(rho, q, tol) == pytest.approx(
+            t * von_neumann_entropy(inside, tol), abs=1e-12
+        )
 
 
 # --------------------------------------------------- conditional entropy

@@ -29,6 +29,7 @@ from qce import (
     hermitize,
     max_abs,
     maximize_compressed_entropy,
+    random_projector,
     random_unitary,
     spectral_resolution,
     tolerance_profile,
@@ -467,6 +468,31 @@ def test_a_projector_keeps_its_range_basis_from_construction(monkeypatch):
         np.testing.assert_allclose(basis @ basis.conj().T, proj.mat, atol=1e-12)
     assert calls == []
     np.testing.assert_array_equal(built[0].range_basis(), b)
+
+
+def test_a_projector_holds_no_dense_matrix():
+    # Every constructor stores the range basis alone; mat is formed from it on
+    # each read, bit for bit hermitize(B B*), and cannot be assigned.
+    near = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    near[0, 2] = near[2, 0] = 5e-9
+    b = random_unitary(3, seed=3)[:, :2]
+    built = [
+        Projector(near),
+        Projector.from_basis(b),
+        Projector.identity(3),
+        Projector.zero(3),
+        Projector.coordinate(3, [0, 2]),
+        random_projector(3, 1, seed=4),
+    ]
+    for q in built:
+        assert "mat" not in vars(q) and set(vars(q)) == {"_basis", "dim", "rank"}
+        basis = q.range_basis()
+        np.testing.assert_array_equal(q.mat, hermitize(basis @ basis.conj().T))
+        with pytest.raises(AttributeError):
+            q.mat = np.eye(3)
+    # Projector(m) reads as the projector onto m's kept eigenvectors, which
+    # agrees with m at the idempotence scale.
+    assert max_abs(built[0].mat - near) <= 1e-8
 
 
 def test_spectral_resolution_failures_are_never_memoised():

@@ -93,6 +93,19 @@ def rotated_blocks_doc() -> str:
     return json.dumps({"dim": 3, "blocks": [{"dim": 3, "re": b} for b in (plus, minus, third)]})
 
 
+def near_projector_blocks_doc() -> str:
+    """Blocks diag(1, 1, 0) + 5e-9 (E02 + E20) and diag(0, 0, 1).
+
+    The first block is idempotent to 2.5e-17 but tilted 5e-9 toward the third
+    axis, so its kept eigenvectors pass the frame check against the second block
+    under default and loose (orth 1e-8, 1e-6) and fail it under strict (1e-10).
+    """
+    near = diag(1.0, 1.0, 0.0)
+    near[0][2] = near[2][0] = 5e-9
+    third = diag(0.0, 0.0, 1.0)
+    return json.dumps({"dim": 3, "blocks": [{"dim": 3, "re": b} for b in (near, third)]})
+
+
 PURE3 = matrix_doc([[1 / 3] * 3] * 3)
 RHO3 = mixed_doc(3)
 RHO4 = mixed_doc(4)
@@ -154,6 +167,10 @@ COMMANDS: list[list[str]] = [
         for rho in (diag_doc(0.6, 0.4, 0.0, 0.0), mixed_doc(4, rank=2))
         for r in range(1, 5)
     ],
+    # A resolution whose first block is 5e-9 from the projector onto its kept
+    # eigenvectors.
+    ["cond-res", RHO3, near_projector_blocks_doc()],
+    ["pinch", RHO3, near_projector_blocks_doc()],
 ]
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +83,11 @@ class BlockTerm(NamedTuple):
     index: int
     weight: float
     factor: float
+
+
+# BlockTerm from an (index, weight, factor) tuple without the NamedTuple's
+# Python-level __new__: the same tuple, built in C.
+_block_term = partial(tuple.__new__, BlockTerm)
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,7 @@ def conditional_entropy(
     total = 0.0
     for weight, factor in zip(weights, factors):
         total += weight * factor
-    per_block = tuple(map(BlockTerm, range(len(weights)), weights, factors))
+    per_block = tuple(map(_block_term, zip(range(len(weights)), weights, factors)))
     return EntropyBreakdown(total=total, per_block=per_block)
 
 
@@ -287,6 +293,7 @@ def pinch(
 
     Computed on the resolution's frame V as V (M o V* rho V) V*, where the
     mask M keeps the entries whose row and column fall in the same block.
+    The product is symmetrized first, since the caller's tol.herm may be 0.
     The pinched state commutes with every block, the map is idempotent, and
     it never decreases entropy.
     """

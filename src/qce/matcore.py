@@ -185,7 +185,8 @@ class DensityMatrix:
 
 
 def _rotate(state: DensityMatrix, unitary: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(hermitize(unitary @ state.mat @ unitary.conj().T))
+    """U rho U*; the constructor symmetrizes the product."""
+    return DensityMatrix(unitary @ state.mat @ unitary.conj().T)
 
 
 def _rotation(theta: float) -> np.ndarray:

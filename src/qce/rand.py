@@ -5,7 +5,9 @@ projector and an identity resolution, each from its own seed. The private
 helpers draw from a generator that the caller passes, so the audit can key
 every sampled trial by (seed, stream, dim, trial) and replay it in
 isolation. Every state draw of the audit and the demos lives here, beside
-the rank profiles (_RANK_PROFILES) that _draw_density reads.
+the rank profiles (_RANK_PROFILES) that _draw_density reads. Each draw
+builds its state once, handing the DensityMatrix constructor the product
+it drew (G G* / tr, U diag U*), which the constructor symmetrizes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import operator
 import numpy as np
 
 from .errors import BadShape, ValidationError
-from .matcore import DensityMatrix, IdentityResolution, Projector, _check_dim, _rotate, hermitize
+from .matcore import DensityMatrix, IdentityResolution, Projector, _check_dim
 
 __all__ = ["random_density", "random_projector", "random_resolution", "random_unitary"]
 
@@ -146,7 +148,7 @@ def _draw_degenerate_state(
         cols = frame[:, start:start + s]
         mat += level * (cols @ cols.conj().T)
         start += s
-    return DensityMatrix(hermitize(mat))
+    return DensityMatrix(mat)
 
 
 def _draw_nondegenerate_state(
@@ -155,8 +157,7 @@ def _draw_nondegenerate_state(
     """Full-rank state with all spectral gaps >= gap_floor."""
     levels = _spaced_levels([1] * dim, rng, gap_floor)
     frame = _haar_unitary(dim, rng)
-    mat = (frame * levels) @ frame.conj().T
-    return DensityMatrix(hermitize(mat))
+    return DensityMatrix((frame * levels) @ frame.conj().T)
 
 
 def _draw_conditioning(
@@ -169,11 +170,11 @@ def _draw_conditioning(
 
 
 def _draw_commuting_pair(dim: int, rng: np.random.Generator, gap_floor: float) -> tuple:
-    """Two exactly degenerate states diagonal in one Haar-random frame."""
+    """Two exactly degenerate states diagonal in one Haar-random frame U: U diag U*."""
     frame = _haar_unitary(dim, rng)
     pair = []
     for _ in range(2):
         sizes = _random_composition(dim, rng, degenerate=True)
-        levels = _spaced_levels(sizes, rng, gap_floor)
-        pair.append(_rotate(DensityMatrix.diagonal(np.repeat(levels, sizes)), frame))
+        levels = np.repeat(_spaced_levels(sizes, rng, gap_floor), sizes)
+        pair.append(DensityMatrix(frame @ np.diag(levels) @ frame.conj().T))
     return tuple(pair)

@@ -2,8 +2,10 @@
 
 A pair of partitions is described entirely by its joint table J[a, b] =
 P(X=a, Y=b); no underlying sample space is ever materialized. The marginals
-(p, q) and the conditionals (p_given_q, q_given_p) are derived from the table
-once, when it is stored. All entropies are in nats.
+(p, q) and the conditional p_given_q are derived from the table once, when
+it is stored; H(Y|X) is read through swapped(), the transposed table.
+Weights, whether a marginal or a distribution given to shannon_entropy, are
+checked by one private rule, _weights. All entropies are in nats.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import BadShape, InvalidPartitionData, ValidationError
 
 __all__ = [
-    "ClassicalPartitionData", "ProbabilityVector", "conditional_shannon_entropy",
+    "ClassicalPartitionData", "conditional_shannon_entropy",
     "is_consequence", "is_independent", "joint_shannon_entropy", "mutual_information",
     "shannon_entropy",
 ]
 
 
-class ProbabilityVector:
-    """Nonnegative weights summing to 1; stored as a frozen float array.
+def _weights(weights, tol: Tolerances) -> np.ndarray:
+    """Nonnegative weights summing to 1, as a frozen float array.
 
     Weights are accepted when they sum to 1 within tol.trace, and are then
     divided by their sum unless it is 1 within the rounding of the sum
@@ -29,37 +31,24 @@ class ProbabilityVector:
     normalized distribution, and validating stored weights again leaves
     them unchanged.
     """
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights, tol: Tolerances = DEFAULT_TOLERANCES):
-        w = np.array(weights, dtype=float, copy=True)
-        if w.ndim > 1:
-            raise BadShape(f"probability vector must be 1-D, got shape {w.shape}")
-        w = w.reshape(-1)
-        if w.size == 0:
-            raise BadShape("probability vector must be nonempty")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("probability vector has non-finite entries")
-        if w.min() < -tol.psd:
-            raise ValidationError(f"weight {w.min():.3e} below -{tol.psd:g}")
-        np.clip(w, 0.0, None, out=w)
-        total = float(w.sum())
-        if abs(total - 1.0) > tol.trace:
-            raise ValidationError(f"weights sum to {total!r}, not 1")
-        if abs(total - 1.0) > w.size * np.finfo(float).eps:
-            w /= total
-        w.flags.writeable = False
-        self.weights = w
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.weights, dtype=dtype)
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    def __repr__(self) -> str:
-        return f"ProbabilityVector({np.array2string(self.weights, precision=6)})"
+    w = np.array(weights, dtype=float, copy=True)
+    if w.ndim > 1:
+        raise BadShape(f"probability vector must be 1-D, got shape {w.shape}")
+    w = w.reshape(-1)
+    if w.size == 0:
+        raise BadShape("probability vector must be nonempty")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("probability vector has non-finite entries")
+    if w.min() < -tol.psd:
+        raise ValidationError(f"weight {w.min():.3e} below -{tol.psd:g}")
+    np.clip(w, 0.0, None, out=w)
+    total = float(w.sum())
+    if abs(total - 1.0) > tol.trace:
+        raise ValidationError(f"weights sum to {total!r}, not 1")
+    if abs(total - 1.0) > w.size * np.finfo(float).eps:
+        w /= total
+    w.flags.writeable = False
+    return w
 
 
 def _h(w: np.ndarray) -> float:
@@ -78,12 +67,11 @@ def _h(w: np.ndarray) -> float:
 def shannon_entropy(p, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Entropy -sum p ln p of a distribution, in nats.
 
-    A ProbabilityVector is used as it is; anything else is validated as one
-    under tol.
+    The weights are validated under tol, and renormalized as _weights does;
+    weights that already sum to 1 (the marginals of ClassicalPartitionData,
+    say) are read bit for bit.
     """
-    if not isinstance(p, ProbabilityVector):
-        p = ProbabilityVector(p, tol)
-    return _h(p.weights)
+    return _h(_weights(p, tol))
 
 
 def _clip_nonnegative(name: str, table: np.ndarray, tol: Tolerances) -> None:
@@ -108,20 +96,20 @@ class ClassicalPartitionData:
     """Realization-free description of a pair of partitions (X, Y).
 
     Stored as the joint table J[a, b] = P(X=a, Y=b), which joint() returns;
-    the marginals p, q (its row and column sums) and the conditionals
-    p_given_q[a, b] = P(X=a | Y=b), q_given_p[b, a] = P(Y=b | X=a) (columns
-    of J over their raw marginals; uniform on an outcome of probability at
-    most tol.support, a dead branch) are derived from it once. from_joint
-    checks the table once and swapped() transposes it unchecked. The
-    four-field constructor checks its conditionals like a joint, requires
-    their live columns to sum to 1, and builds J = p_given_q q, which p, q
-    and q_given_p must agree with (the mixture identities and the Bayes
-    rule), all within tol.trace.
+    the marginals p, q (its row and column sums) and the conditional
+    p_given_q[a, b] = P(X=a | Y=b) (the columns of J over their raw
+    marginal; uniform on an outcome of probability at most tol.support, a
+    dead branch) are derived from it once. The other conditional,
+    P(Y=b | X=a), is swapped().p_given_q. from_joint checks the table once
+    and swapped() transposes it unchecked. The four-field constructor takes
+    both conditionals, checks them like a joint, requires their live columns
+    to sum to 1, and builds J = p_given_q q, which p, q and q_given_p must
+    agree with (the mixture identities and the Bayes rule), all within
+    tol.trace; q_given_p is checked, not kept.
     """
 
     def __init__(self, p, q, p_given_q, q_given_p, tol: Tolerances = DEFAULT_TOLERANCES):
-        p = ProbabilityVector(p, tol).weights
-        q = ProbabilityVector(q, tol).weights
+        p, q = _weights(p, tol), _weights(q, tol)
         pg = np.array(p_given_q, dtype=float, copy=True)
         qg = np.array(q_given_p, dtype=float, copy=True)
         for name, kernel, given, other in (("p_given_q", pg, q, p), ("q_given_p", qg, p, q)):
@@ -141,14 +129,12 @@ class ClassicalPartitionData:
         self._store(joint, tol)
 
     def _store(self, joint: np.ndarray, tol: Tolerances) -> "ClassicalPartitionData":
-        """Keep a checked, nonnegative joint and derive the marginals and conditionals."""
-        rows, cols = joint.sum(axis=1), joint.sum(axis=0)
+        """Keep a checked, nonnegative joint and derive the marginals and p_given_q."""
+        cols = joint.sum(axis=0)
         joint.flags.writeable = False
         self._joint, self._tol = joint, tol
-        self.p = ProbabilityVector(rows, tol).weights
-        self.q = ProbabilityVector(cols, tol).weights
+        self.p, self.q = _weights(joint.sum(axis=1), tol), _weights(cols, tol)
         self.p_given_q = _columns_over(joint, cols, tol)
-        self.q_given_p = _columns_over(joint.T, rows, tol)
         return self
 
     @classmethod

@@ -303,8 +303,9 @@ def test_c09_resolution_layer_consistency():
         assert np.max(np.abs(joint.sum(axis=1) - data.p)) <= 1e-9
         assert np.max(np.abs(joint.sum(axis=0) - data.q)) <= 1e-9
         assert np.max(np.abs(data.p_given_q.sum(axis=0) - 1.0)) <= 1e-9
-        assert np.max(np.abs(data.q_given_p.sum(axis=0) - 1.0)) <= 1e-9
-        bayes = data.p_given_q * data.q[np.newaxis, :] - (data.q_given_p * data.p[np.newaxis, :]).T
+        q_given_p = data.swapped().p_given_q
+        assert np.max(np.abs(q_given_p.sum(axis=0) - 1.0)) <= 1e-9
+        bayes = data.p_given_q * data.q[np.newaxis, :] - (q_given_p * data.p[np.newaxis, :]).T
         assert np.max(np.abs(bayes)) <= 1e-9
         swap_gap = abs(
             resolution_joint_entropy(p_res, q_res) - resolution_joint_entropy(q_res, p_res)

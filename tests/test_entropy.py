@@ -26,6 +26,7 @@ from qce import (
     pinch,
     random_density,
     random_projector,
+    random_resolution,
     random_unitary,
     self_conditional_entropy,
     self_information_gain,
@@ -993,6 +994,15 @@ def test_pinch_on_the_frame_matches_the_dense_projector_sum(dim):
     for res in resolutions:
         dense = sum(b @ b.conj().T @ rho.mat @ b @ b.conj().T for b in res.bases())
         assert max_abs(pinch(rho, res).mat - dense) <= 1e-14
+
+
+def test_pinch_holds_under_a_tolerance_with_no_hermitian_slack():
+    # The frame product is Hermitian only to rounding; pinch symmetrizes it
+    # before the constructor checks tol.herm, so herm = 0 is no refusal.
+    rho = random_density(6, seed=1)
+    res = random_resolution(6, [2, 4], seed=2)
+    exact = pinch(rho, res, Tolerances(herm=0.0))
+    np.testing.assert_array_equal(exact.mat, pinch(rho, res).mat)
 
 
 def test_pinch_never_decreases_entropy():

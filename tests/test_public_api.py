@@ -14,8 +14,8 @@ PUBLIC = [
     "ClusterAmbiguity", "ConditionEntry", "DEFAULT_TOLERANCES", "DensityMatrix",
     "DimMismatch", "EXPECTED_VERDICTS", "EnsembleConfig", "EntropyBreakdown", "FAILS",
     "GapReport", "HOLDS", "IdentityResolution", "InvalidPartitionData", "NotHermitian",
-    "NotPSD", "OptimizeResult", "OrderWitness", "ParseError", "ProbabilityVector",
-    "Projector", "QceError", "SpectralResolution", "Tolerances",
+    "NotPSD", "OptimizeResult", "OrderWitness", "ParseError", "Projector", "QceError",
+    "SpectralResolution", "Tolerances",
     "ValidationError", "ZeroCompression", "audit_deviations", "axiom_audit",
     "commutant_dim", "commutator_residual", "compressed_entropy", "compressed_state",
     "conditional_entropy", "conditional_entropy_given_blocks",
@@ -43,14 +43,16 @@ PUBLIC = [
 # self_conditional_entropy and the audit's 2-eq-self cover; the two
 # distribution wrappers over spectral_resolution(rho).weights; the
 # two-projector split of the coupled family), or the error of the retired
-# ascent's positivity floor, which the exact maximum does not need.
+# ascent's positivity floor, which the exact maximum does not need, or a
+# weights type the library never returned (shannon_entropy validates weights).
 RETIRED = [
     "NotApplicable", "NotCommuting", "NotStrictlyPositive", "OptimizeConfig",
-    "SelfGainProbe", "SweepReport", "block_distribution", "complex_gaussian", "compress",
-    "coupled_pair_split", "eig_hermitian", "ginibre_density", "haar_basis", "haar_unitary",
-    "normalized_trace", "pinch_sweep", "probe_max_self_gain", "relative_entropy",
-    "rng_for", "shannon_sweep", "spectrum_distribution", "support_projector",
-    "trace_xlnx", "unnormalized_compressed_entropy",
+    "ProbabilityVector", "SelfGainProbe", "SweepReport", "block_distribution",
+    "complex_gaussian", "compress", "coupled_pair_split", "eig_hermitian",
+    "ginibre_density", "haar_basis", "haar_unitary", "normalized_trace", "pinch_sweep",
+    "probe_max_self_gain", "relative_entropy", "rng_for", "shannon_sweep",
+    "spectrum_distribution", "support_projector", "trace_xlnx",
+    "unnormalized_compressed_entropy",
 ]
 
 # Module -> the qce modules it imports. rand draws on matcore alone, the
@@ -80,7 +82,7 @@ SUBMODULES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 80
+    assert len(PUBLIC) == 79
     assert sorted(qce.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(qce, name) is not None

@@ -141,7 +141,7 @@ def test_bayes_data_valid_for_noncommuting_inputs():
     data = partition_from_resolutions(p_res, q_res)
     joint = data.joint()
     np.testing.assert_allclose(joint.sum(), 1.0, atol=1e-12)
-    np.testing.assert_allclose(joint, (data.q_given_p * data.p).T, atol=1e-9)
+    np.testing.assert_allclose(joint, (data.swapped().p_given_q * data.p).T, atol=1e-9)
 
 
 def test_bayes_data_dim_mismatch():

@@ -11,7 +11,6 @@ from qce import (
     BadShape,
     ClassicalPartitionData,
     InvalidPartitionData,
-    ProbabilityVector,
     ValidationError,
     conditional_shannon_entropy,
     is_consequence,
@@ -53,32 +52,35 @@ def test_shannon_entropy_oracle():
     assert shannon_entropy(probs(0.8, 0.2)) == pytest.approx(0.500402, abs=5e-7)
 
 
-def test_probability_vector_validation():
-    np.testing.assert_allclose(ProbabilityVector([0.5, 0.5]).weights, [0.5, 0.5])
+def test_shannon_entropy_refuses_invalid_weights():
+    assert shannon_entropy([0.5, 0.5]) == math.log(2.0)
     with pytest.raises(BadShape, match="nonempty"):
-        ProbabilityVector([])
+        shannon_entropy([])
     with pytest.raises(ValidationError, match="sum"):
-        ProbabilityVector([0.5, 0.6])
+        shannon_entropy([0.5, 0.6])
     with pytest.raises(ValidationError, match="below"):
-        ProbabilityVector([1.5, -0.5])
+        shannon_entropy([1.5, -0.5])
     with pytest.raises(ValidationError, match="non-finite"):
-        ProbabilityVector([np.inf, 0.0])
+        shannon_entropy([np.inf, 0.0])
     # Nested weights are refused, not flattened.
-    with pytest.raises(BadShape, match="1-D"):
-        ProbabilityVector([[0.5], [0.5]])
     with pytest.raises(BadShape, match="1-D"):
         shannon_entropy([[0.5], [0.5]])
 
 
-def test_probability_vector_renormalizes_accepted_weights():
+def test_accepted_weights_are_renormalized_once():
+    # The Y marginal of a one-row table is that row, validated by the rule
+    # shannon_entropy applies to its argument.
     loose = tolerance_profile("loose")
-    pv = ProbabilityVector([0.5, 0.50000001], loose)
-    np.testing.assert_array_equal(pv.weights, np.array([0.5, 0.50000001]) / 1.00000001)
+    scaled = np.array([0.5, 0.50000001]) / 1.00000001
+    np.testing.assert_array_equal(
+        ClassicalPartitionData.from_joint([[0.5, 0.50000001]], loose).q, scaled
+    )
+    assert shannon_entropy([0.5, 0.50000001], loose) == shannon_entropy(scaled)
     # Normalized weights, and sums off by rounding only, are kept bit for bit.
-    np.testing.assert_array_equal(ProbabilityVector(pv.weights).weights, pv.weights)
     thirds = np.array([1.0, 1.0, 1.0]) / 3.0
-    for w in (np.array([0.25, 0.75]), thirds, np.array([3.0, 2.0, 2.0]) / 7.0):
-        np.testing.assert_array_equal(ProbabilityVector(w).weights, w)
+    for w in (scaled, np.array([0.25, 0.75]), thirds, np.array([3.0, 2.0, 2.0]) / 7.0):
+        np.testing.assert_array_equal(ClassicalPartitionData.from_joint([w]).q, w)
+        assert shannon_entropy(w) == float(-np.sum(w * np.log(w)))
     # One X outcome: the Y marginal and the conditional column are the same
     # division, so H(Y|X) = H(Y) to the bit.
     data = ClassicalPartitionData.from_joint([[0.5, 0.50000001]], loose)
@@ -91,7 +93,7 @@ def test_from_joint_marginals_and_conditionals():
     np.testing.assert_allclose(data.p, [0.5, 0.5])
     np.testing.assert_allclose(data.q, [0.5, 0.5])
     np.testing.assert_allclose(data.p_given_q, [[0.75, 0.25], [0.25, 0.75]])
-    np.testing.assert_allclose(data.q_given_p, [[0.75, 0.25], [0.25, 0.75]])
+    np.testing.assert_allclose(data.swapped().p_given_q, [[0.75, 0.25], [0.25, 0.75]])
     np.testing.assert_allclose(data.joint(), DIAG_JOINT)
 
 
@@ -125,8 +127,11 @@ def test_swapped_is_the_transposed_table():
     for j in [np.array(DIAG_JOINT), *random_joints()]:
         data = ClassicalPartitionData.from_joint(j)
         swapped, direct = data.swapped(), ClassicalPartitionData.from_joint(data.joint().T)
-        for field in ("p", "q", "p_given_q", "q_given_p"):
+        for field in ("p", "q", "p_given_q"):
             np.testing.assert_array_equal(getattr(swapped, field), getattr(direct, field))
+        np.testing.assert_array_equal(
+            swapped.swapped().p_given_q, direct.swapped().p_given_q
+        )
         np.testing.assert_array_equal(swapped.joint(), direct.joint())
 
 
@@ -134,8 +139,9 @@ def test_four_field_form_agrees_with_the_joint():
     kernel = [[0.75, 0.25], [0.25, 0.75]]
     four = ClassicalPartitionData([0.5, 0.5], [0.5, 0.5], kernel, kernel)
     joint = ClassicalPartitionData.from_joint(DIAG_JOINT)
-    for field in ("p", "q", "p_given_q", "q_given_p"):
+    for field in ("p", "q", "p_given_q"):
         np.testing.assert_array_equal(getattr(four, field), getattr(joint, field))
+    np.testing.assert_array_equal(four.swapped().p_given_q, joint.swapped().p_given_q)
     np.testing.assert_array_equal(four.joint(), joint.joint())
     np.testing.assert_array_equal(four.joint(), DIAG_JOINT)
 
@@ -252,8 +258,7 @@ def test_shannon_entropy_validates_with_the_given_tolerances():
         shannon_entropy(over)
     # Accepted under the loose trace tolerance, and renormalized to a point mass.
     assert shannon_entropy(over, tolerance_profile("loose")) == 0.0
-    pv = ProbabilityVector([0.5, 0.5])
-    assert shannon_entropy(pv, tolerance_profile("strict")) == math.log(2.0)
+    assert shannon_entropy([0.5, 0.5], tolerance_profile("strict")) == math.log(2.0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,10 +1,13 @@
 """The tools: the A/B timing tool runs both sides, counts gates and leaves bench/ untouched;
-the digest tools import the qce that PYTHONPATH names, else this checkout's src."""
+the digest tools import the qce that PYTHONPATH names, else this checkout's src, and this
+checkout matches the committed digests wherever they were written."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,3 +98,23 @@ def test_the_tools_find_this_checkouts_src_unless_pythonpath_names_one(tmp_path)
     (tmp_path / "qce").mkdir()
     (tmp_path / "qce" / "__init__.py").write_text(WRONG_QCE)
     assert run(PYTHONPATH=str(tmp_path)).stdout.strip() == str(tmp_path / "qce" / "__init__.py")
+
+
+@pytest.mark.parametrize("tool", ["bit_identity", "golden_cli"])
+def test_this_checkout_matches_the_committed_digests(tool, monkeypatch):
+    # The bits depend on the BLAS build and thread count, so the check runs
+    # only in the environment the digest file's header names.
+    golden = ROOT / "tools" / "golden.sha256"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import digest
+
+    written, here = digest._own(golden, tool)[0], digest.environment()
+    if written != here:
+        pytest.skip(f"{tool} digests written under {written}; this run: {here}")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, f"tools/{tool}.py", "--check", str(golden)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
